@@ -1,9 +1,14 @@
 """Command-line entry point: simulate | train | eval | infer | inspect.
 
 Configuration is a flat key-value space merged as defaults < config file
-< command-line flags (flags are the kebab-case key names). Unknown
-config-file keys are rejected by name, and the fully resolved
-configuration is echoed into every output directory as
+< command-line flags. Every field of ModelConfig, TrainConfig and
+SceneGrid is one key: the flag is the field name in kebab-case, its
+default is the field default, and the field is documented in that
+class's docstring. Only paths, ``counts``, ``hop-seconds`` and
+``streaming`` are declared here. Flags and config-file values are
+checked by the same parser; unknown config-file keys are rejected by
+name. The fully resolved configuration, which holds every field of the
+objects a command builds, is echoed into every output directory as
 ``run_config.json`` so a run can be reproduced from it exactly.
 
 Final artifacts are written to ``<name>.partial`` and renamed on
@@ -17,21 +22,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .model import (
-    Checkpoint,
-    ModelConfig,
-    load_checkpoint,
-    param_count,
-    receptive_field,
-    save_checkpoint,
-)
+from .model import ModelConfig, load_checkpoint, param_count, receptive_field, save_checkpoint
 from .simulate import Corpora, SceneGrid, generate_dataset
-from .streaming import StreamingSession, decisions_to_segments, infer_offline, segments_to_lines
+from .streaming import HOP_SECONDS, decisions_to_segments, infer_offline, infer_streaming, segments_to_lines
 from .training import HISTORY_HEADER, TrainConfig, evaluate, train
 from .wavio import read_wav
 
@@ -43,74 +41,41 @@ class UsageError(Exception):
 @dataclass(frozen=True)
 class _Key:
     name: str  # kebab-case; also the flag name
-    kind: str  # int | float | str | bool | ints | floats | counts
+    kind: str  # bool | int | float | str | floats | counts
     default: object
     help: str
     commands: tuple  # subcommands that accept it
 
 
-_MODEL_CMDS = ("simulate", "train")
-_ALL_OUT = ("simulate", "train", "eval", "infer")
+_TYPES = {"bool": bool, "int": int, "float": float, "str": str}  # bool first: it subclasses int
+# the commands that build each class, and the further commands that read one of its keys
+_BUILDERS = ((ModelConfig, ("train",)), (TrainConfig, ("train",)), (SceneGrid, ("simulate",)))
+_SHARED = {"seed": ("simulate",), "sample-rate": ("simulate",), "window-seconds": ("eval", "infer")}
+
+
+def _flag(field_name: str) -> str:
+    return field_name.replace("_", "-")
+
+
+def _kind(default) -> str:
+    if isinstance(default, tuple):
+        return "floats"
+    return next(kind for kind, t in _TYPES.items() if isinstance(default, t))
+
 
 KEYS = [
-    # model architecture (consumed by train; simulate shares sample-rate)
-    _Key("frame-len", "int", 160, "encoder segment length in samples", ("train",)),
-    _Key("frame-stride", "int", 80, "encoder hop in samples", ("train",)),
-    _Key("enc-channels", "int", 512, "encoder filter count", ("train",)),
-    _Key("bottleneck-channels", "int", 128, "bottleneck/residual channels", ("train",)),
-    _Key("skip-channels", "int", 128, "skip-connection channels", ("train",)),
-    _Key("block-channels", "int", 512, "conv-block internal channels", ("train",)),
-    _Key("kernel-size", "int", 3, "depthwise kernel size", ("train",)),
-    _Key("blocks-per-repeat", "int", 8, "dilated blocks per repeat", ("train",)),
-    _Key("repeats", "int", 3, "repeat count", ("train",)),
-    _Key("hidden1", "int", 2048, "first classifier hidden size", ("train",)),
-    _Key("hidden2", "int", 2048, "second classifier hidden size", ("train",)),
-    _Key("threshold", "float", 0.5, "per-class decision threshold", ("train",)),
-    _Key("sample-rate", "int", 16000, "audio sample rate in Hz", ("simulate", "train")),
-    _Key("norm-mode", "str", "cLN", "gLN | cLN | none", ("train",)),
-    _Key("causal", "bool", True, "left-only padding (causal) vs symmetric", ("train",)),
-    _Key("features-mode", "str", "multiscale", "multiscale | last_layer", ("train",)),
-    _Key("class-activation", "str", "sigmoid", "sigmoid | softmax", ("train",)),
-    # training
-    _Key("epochs", "int", 150, "max training epochs", ("train",)),
-    _Key("patience", "int", 10, "early-stopping patience in epochs", ("train",)),
-    _Key("lr-start", "float", 1e-5, "initial learning rate", ("train",)),
-    _Key("lr-end", "float", 1e-8, "final learning rate", ("train",)),
-    _Key("batch-size", "int", 32, "windows per optimizer step", ("train",)),
-    _Key("window-seconds", "float", 3.0, "analysis window length", ("train", "eval", "infer")),
-    _Key("window-hop-seconds", "float", 0.5, "training window sampling stride", ("train",)),
-    # scene grid
+    _Key(_flag(f.name), _kind(f.default), f.default, f"see {cls.__name__}.{f.name}",
+         cmds + _SHARED.get(_flag(f.name), ()))
+    for cls, cmds in _BUILDERS
+    for f in fields(cls)
+] + [
     _Key("counts", "counts", (8, 2, 2), "train,valid,test sample counts", ("simulate",)),
     _Key("expert-dir", "str", None, "directory of expert WAV clips", ("simulate",)),
     _Key("assistant-dir", "str", None, "directory of assistant WAV clips", ("simulate",)),
     _Key("noise-dir", "str", None, "directory of noise WAV clips", ("simulate",)),
-    _Key("room-dims", "floats", (5.0, 6.0, 3.5), "room size x,y,z in meters", ("simulate",)),
-    _Key("t60-values", "floats", (0.4, 0.5, 0.6, 0.7, 0.8, 0.9), "reverberation time grid", ("simulate",)),
-    _Key("snr-values", "floats", tuple(float(v) for v in range(5, 16)), "expert/noise SNR grid in dB", ("simulate",)),
-    _Key(
-        "power-ratio-values",
-        "floats",
-        tuple(float(v) for v in range(3, 13)),
-        "assistant/expert power-ratio grid in dB",
-        ("simulate",),
-    ),
-    _Key(
-        "assistant-x-values",
-        "floats",
-        (0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0, 4.5),
-        "assistant x positions in meters",
-        ("simulate",),
-    ),
-    _Key("assistant-y", "float", 1.0, "assistant y position", ("simulate",)),
-    _Key("assistant-z", "float", 1.6, "assistant z position", ("simulate",)),
-    _Key("expert-pos", "floats", (2.5, 0.5, 2.0), "expert position x,y,z", ("simulate",)),
-    _Key("mic-forward-offset", "float", 0.08, "mic offset in front of the assistant (y)", ("simulate",)),
-    # inference / evaluation
-    _Key("hop-seconds", "float", 0.1, "decision hop for eval/infer", ("eval", "infer")),
+    _Key("hop-seconds", "float", HOP_SECONDS, "decision hop for eval/infer", ("eval", "infer")),
     _Key("streaming", "bool", False, "use the streaming engine (causal checkpoints)", ("infer",)),
-    # common
-    _Key("seed", "int", 0, "master 64-bit seed", ("simulate", "train")),
-    _Key("out", "str", None, "output directory", _ALL_OUT),
+    _Key("out", "str", None, "output directory", ("simulate", "train", "eval", "infer")),
     _Key("train-manifest", "str", None, "training manifest (JSONL)", ("train",)),
     _Key("valid-manifest", "str", None, "validation manifest (JSONL)", ("train",)),
     _Key("test-manifest", "str", None, "test manifest (JSONL)", ("eval",)),
@@ -129,37 +94,41 @@ REQUIRED = {
 }
 
 
-def _parse_value(key: _Key, raw):
-    if not isinstance(raw, str):
-        # from a JSON config file: validate loosely, normalize tuples
-        if key.kind in ("ints", "floats", "counts") and isinstance(raw, (list, tuple)):
-            conv = int if key.kind in ("ints", "counts") else float
-            return tuple(conv(v) for v in raw)
-        return raw
+def _scalar(kind: str, raw):
+    if kind == "bool" and isinstance(raw, str):
+        low = raw.lower()
+        if low in ("true", "1", "yes"):
+            return True
+        if low in ("false", "0", "no"):
+            return False
+        raise ValueError(f"expected true/false, got {raw!r}")
+    if isinstance(raw, str):
+        return _TYPES[kind](raw)
+    if kind == "float" and type(raw) is int:
+        return float(raw)
+    if type(raw) is not _TYPES[kind]:
+        raise ValueError(f"expected {kind}, got {raw!r}")
+    return raw
+
+
+def _parse_value(key: _Key, raw, where: str):
+    """A flag string or a config-file value, checked and converted to ``key.kind``."""
     try:
-        if key.kind == "int":
-            return int(raw)
-        if key.kind == "float":
-            return float(raw)
-        if key.kind == "bool":
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"expected true/false, got {raw!r}")
-        if key.kind == "counts":
-            parts = tuple(int(v) for v in raw.split(","))
-            if len(parts) != 3 or any(v < 0 for v in parts):
-                raise ValueError("expected three non-negative integers: train,valid,test")
-            return parts
+        if raw is None and key.default is None:
+            return None
+        if key.kind not in ("floats", "counts"):
+            return _scalar(key.kind, raw)
+        items = raw.split(",") if isinstance(raw, str) else raw
+        if not isinstance(items, list):
+            raise ValueError(f"expected a comma-separated list, got {raw!r}")
         if key.kind == "floats":
-            return tuple(float(v) for v in raw.split(","))
-        if key.kind == "ints":
-            return tuple(int(v) for v in raw.split(","))
-        return raw
+            return tuple(_scalar("float", v) for v in items)
+        counts = tuple(_scalar("int", v) for v in items)
+        if len(counts) != 3 or min(counts) < 0:
+            raise ValueError("expected three non-negative integers: train,valid,test")
+        return counts
     except ValueError as exc:
-        raise UsageError(f"--{key.name}: {exc}") from exc
+        raise UsageError(f"{where}: {exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -190,19 +159,22 @@ def resolve_config(command: str, args: argparse.Namespace) -> dict:
             raise UsageError(f"--config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise UsageError(f"--config {args.config}: expected a JSON object")
-        known = {k.name for k in keys}
         for name, value in loaded.items():
-            if name not in known:
+            if name not in cfg:
                 raise UsageError(f"--config {args.config}: unknown key {name!r} for '{command}'")
-            cfg[name] = _parse_value(_KEYS_BY_NAME[name], value)
+            cfg[name] = _parse_value(_KEYS_BY_NAME[name], value, f"--config {args.config}: {name}")
     for key in keys:
         raw = getattr(args, key.name.replace("-", "_"), None)
         if raw is not None:
-            cfg[key.name] = _parse_value(key, raw)
+            cfg[key.name] = _parse_value(key, raw, f"--{key.name}")
     missing = [f"--{name}" for name in REQUIRED[command] if cfg.get(name) is None]
     if missing:
         raise UsageError(f"{command}: missing required flags: {', '.join(missing)}")
     return cfg
+
+
+def _build(cls, cfg: dict):
+    return cls(**{f.name: cfg[_flag(f.name)] for f in fields(cls)})
 
 
 def _atomic_write_text(path: Path, text: str):
@@ -216,28 +188,6 @@ def _echo_config(cfg: dict, out_dir: Path):
     _atomic_write_text(out_dir / "run_config.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _model_config(cfg: dict) -> ModelConfig:
-    return ModelConfig(
-        frame_len=cfg["frame-len"],
-        frame_stride=cfg["frame-stride"],
-        enc_channels=cfg["enc-channels"],
-        bottleneck_channels=cfg["bottleneck-channels"],
-        skip_channels=cfg["skip-channels"],
-        block_channels=cfg["block-channels"],
-        kernel_size=cfg["kernel-size"],
-        blocks_per_repeat=cfg["blocks-per-repeat"],
-        repeats=cfg["repeats"],
-        hidden1=cfg["hidden1"],
-        hidden2=cfg["hidden2"],
-        threshold=cfg["threshold"],
-        sample_rate=cfg["sample-rate"],
-        norm_mode=cfg["norm-mode"],
-        causal=cfg["causal"],
-        features_mode=cfg["features-mode"],
-        class_activation=cfg["class-activation"],
-    )
-
-
 def _cmd_simulate(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -245,19 +195,8 @@ def _cmd_simulate(cfg: dict) -> int:
     corpora = Corpora.from_dirs(
         cfg["expert-dir"], cfg["assistant-dir"], cfg["noise-dir"], sample_rate=cfg["sample-rate"]
     )
-    grid = SceneGrid(
-        room_dims=tuple(cfg["room-dims"]),
-        t60_values=tuple(cfg["t60-values"]),
-        snr_values=tuple(cfg["snr-values"]),
-        power_ratio_values=tuple(cfg["power-ratio-values"]),
-        assistant_x_values=tuple(cfg["assistant-x-values"]),
-        assistant_y=cfg["assistant-y"],
-        assistant_z=cfg["assistant-z"],
-        expert_pos=tuple(cfg["expert-pos"]),
-        mic_forward_offset=cfg["mic-forward-offset"],
-    )
     manifests = generate_dataset(
-        corpora, grid, tuple(cfg["counts"]), out, seed=cfg["seed"], sample_rate=cfg["sample-rate"]
+        corpora, _build(SceneGrid, cfg), cfg["counts"], out, seed=cfg["seed"], sample_rate=cfg["sample-rate"]
     )
     for split, path in manifests.items():
         print(f"{split}: {path}")
@@ -268,17 +207,8 @@ def _cmd_train(cfg: dict) -> int:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     _echo_config(cfg, out)
-    model_config = _model_config(cfg)
-    train_config = TrainConfig(
-        epochs=cfg["epochs"],
-        patience=cfg["patience"],
-        lr_start=cfg["lr-start"],
-        lr_end=cfg["lr-end"],
-        batch_size=cfg["batch-size"],
-        window_seconds=cfg["window-seconds"],
-        window_hop_seconds=cfg["window-hop-seconds"],
-        seed=cfg["seed"],
-    )
+    model_config, train_config = _build(ModelConfig, cfg), _build(TrainConfig, cfg)
+
     def log(stats):
         print(
             f"epoch {stats.epoch}: train_loss={stats.train_loss:.6f} "
@@ -328,13 +258,9 @@ def _cmd_infer(cfg: dict) -> int:
     if wav.sample_rate != fs:
         raise ValueError(f"{cfg['wav']}: sample rate {wav.sample_rate} does not match checkpoint ({fs})")
     if cfg["streaming"]:
-        session = StreamingSession(
-            checkpoint, window_seconds=cfg["window-seconds"], hop_seconds=cfg["hop-seconds"]
-        )
         chunk = max(1, round(cfg["hop-seconds"] * fs))
-        for start in range(0, len(wav.samples), chunk):
-            session.feed(wav.samples[start : start + chunk])
-        track = session.close()
+        chunks = (wav.samples[start : start + chunk] for start in range(0, len(wav.samples), chunk))
+        track = infer_streaming(chunks, checkpoint, cfg["window-seconds"], cfg["hop-seconds"])
     else:
         track = infer_offline(
             wav.samples,

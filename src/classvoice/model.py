@@ -52,10 +52,6 @@ class Category(Enum):
     def from_bits(cls, assistant: bool, expert: bool) -> "Category":
         return cls(f"{int(bool(assistant))}{int(bool(expert))}")
 
-    @classmethod
-    def from_code(cls, code: str) -> "Category":
-        return cls(code)
-
     def __str__(self):
         return self.value
 
@@ -73,12 +69,15 @@ class ModelConfig:
     output. block_channels: channels inside a conv block. kernel_size:
     depthwise kernel width. blocks_per_repeat: dilations run 2^0 ..
     2^(blocks_per_repeat-1). repeats: how many times the stack repeats.
-    hidden1/hidden2: classifier hidden sizes. threshold: per-class
-    decision threshold. norm_mode: gLN | cLN | none ("none" exists for
+    hidden1/hidden2: classifier hidden sizes. num_classes: classifier
+    outputs, always 2 (assistant, expert). threshold: per-class
+    decision threshold. sample_rate: audio sample rate in Hz.
+    norm_mode: gLN | cLN | none ("none" exists for
     receptive-field locality tests; the layer norms have global reach).
     causal: left-only padding (pairs with cLN) vs symmetric (pairs with
     gLN). features_mode: "multiscale" concatenates all skip outputs,
     "last_layer" keeps only the final block's (plain-TCN ablation).
+    class_activation: sigmoid | softmax over the class outputs.
     """
 
     frame_len: int = 160
@@ -258,9 +257,6 @@ class MultiScaleTCN:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return dict(self.params)
-
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -378,11 +374,6 @@ class MultiScaleTCN:
     def window_probs(self, audio) -> Tensor:
         """Full pipeline for one analysis window (or a batch of windows)."""
         return self.classify(self.extract(self.bottleneck(self.encode(audio))))
-
-    def decode_window(self, audio) -> Category:
-        with ad.no_grad():
-            probs = self.window_probs(audio).data
-        return decode(probs, self.config.threshold)
 
 
 # ---------------------------------------------------------------------------

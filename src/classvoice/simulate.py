@@ -29,6 +29,7 @@ from .wavio import WavFile, read_wav, write_wav
 
 SPEED_OF_SOUND = 343.0
 MIN_SOURCE_MIC_DISTANCE = 0.05
+MIC_DROP = 0.01  # the neckline microphone hangs this far below the assistant, in meters
 SINC_KERNEL_TAPS = 81
 _IMAGE_CHUNK = 4096
 
@@ -73,7 +74,7 @@ class SceneSpec:
     """Geometry and level targets for one simulated scene.
 
     power_ratio_db is assistant over expert (mixture utterances only);
-    snr_db is expert over noise. The microphone hangs 0.01 m below the
+    snr_db is expert over noise. The microphone hangs MIC_DROP below the
     assistant position.
     """
 
@@ -93,9 +94,9 @@ class SceneSpec:
         ):
             _check_inside(self.room, pos, name)
         drop = self.assistant_pos[2] - self.mic_pos[2]
-        if abs(drop - 0.01) > 1e-9:
+        if abs(drop - MIC_DROP) > 1e-9:
             raise RoomError(
-                f"microphone must sit 0.01 m below the assistant, got drop {drop:.6f} m"
+                f"microphone must sit {MIC_DROP} m below the assistant, got drop {drop:.6f} m"
             )
         if self.seed < 0:
             raise ValueError(f"scene seed must be non-negative, got {self.seed}")
@@ -514,9 +515,18 @@ class SceneGrid:
     """The discrete parameter grid scenes are drawn from.
 
     The expert is fixed; the assistant moves along x at fixed y/z. The
-    microphone hangs 0.01 m below the assistant and, because a
+    microphone hangs MIC_DROP below the assistant and, because a
     source-on-top-of-mic geometry is degenerate for the image-source
-    model, 0.08 m in front of it along y (a neckline-mic offset).
+    model, mic_forward_offset in front of it along y (a neckline-mic
+    offset).
+
+    room_dims: room size x, y, z in meters. sound_speed: in m/s.
+    t60_values: reverberation time grid in seconds. snr_values:
+    expert/noise SNR grid in dB. power_ratio_values: assistant/expert
+    power-ratio grid in dB (mixture utterances). assistant_x_values:
+    assistant x positions; assistant_y/assistant_z fix the other two
+    coordinates. expert_pos: expert position x, y, z. All in meters
+    unless stated.
     """
 
     room_dims: tuple[float, float, float] = (5.0, 6.0, 3.5)
@@ -529,7 +539,6 @@ class SceneGrid:
     assistant_z: float = 1.6
     expert_pos: tuple[float, float, float] = (2.5, 0.5, 2.0)
     mic_forward_offset: float = 0.08
-    mic_drop: float = 0.01
 
     def sample(self, rng: np.random.Generator) -> SceneSpec:
         t60 = self.t60_values[int(rng.integers(len(self.t60_values)))]
@@ -537,7 +546,7 @@ class SceneGrid:
         ratio = self.power_ratio_values[int(rng.integers(len(self.power_ratio_values)))]
         ax = self.assistant_x_values[int(rng.integers(len(self.assistant_x_values)))]
         assistant = (ax, self.assistant_y, self.assistant_z)
-        mic = (ax, self.assistant_y + self.mic_forward_offset, self.assistant_z - self.mic_drop)
+        mic = (ax, self.assistant_y + self.mic_forward_offset, self.assistant_z - MIC_DROP)
         seed = int(rng.integers(0, 2**63 - 1))
         return SceneSpec(
             room=RoomSpec(dims=self.room_dims, t60=t60, sound_speed=self.sound_speed),
@@ -564,6 +573,10 @@ def generate_dataset(
     file paths, the peak-normalization scale, and the full SceneSpec.
     Returns {split: manifest_path}.
     """
+    counts = tuple(counts)
+    whole = all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts)
+    if len(counts) != 3 or not whole or min(counts) < 0:
+        raise ValueError(f"counts must be three non-negative integers (train, valid, test), got {counts}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cache = RirCache()

@@ -22,6 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .model import Category, Checkpoint, MultiScaleTCN, decode
 
+WINDOW_SECONDS = 3.0  # analysis window length
+HOP_SECONDS = 0.1  # decision hop
+
 
 class AudioTooShortError(ValueError):
     """The audio is shorter than one analysis window."""
@@ -58,7 +61,8 @@ class DecisionTrack:
         return [d.line() for d in self.decisions]
 
 
-def _resolve_model(checkpoint) -> MultiScaleTCN:
+def resolve_model(checkpoint) -> MultiScaleTCN:
+    """The model itself, or one built from a Checkpoint."""
     if isinstance(checkpoint, MultiScaleTCN):
         return checkpoint
     if isinstance(checkpoint, Checkpoint):
@@ -95,8 +99,8 @@ def _classify_windows(model: MultiScaleTCN, audio: np.ndarray, centers, win: int
 def infer_offline(
     audio,
     checkpoint,
-    window_seconds: float = 3.0,
-    hop_seconds: float = 0.1,
+    window_seconds: float = WINDOW_SECONDS,
+    hop_seconds: float = HOP_SECONDS,
     batch_size: int = 32,
 ) -> DecisionTrack:
     """One decision per hop slot over the entire file.
@@ -105,7 +109,7 @@ def infer_offline(
     whose centered window would cross an audio boundary take the nearest
     valid window's decision.
     """
-    model = _resolve_model(checkpoint)
+    model = resolve_model(checkpoint)
     fs, win, hop, half = _window_geometry(model.config, window_seconds, hop_seconds)
     audio = np.asarray(audio, dtype=np.float32)
     s = len(audio)
@@ -134,8 +138,8 @@ class StreamingSession:
     that window's middle time.
     """
 
-    def __init__(self, checkpoint, window_seconds: float = 3.0, hop_seconds: float = 0.1):
-        self.model = _resolve_model(checkpoint)
+    def __init__(self, checkpoint, window_seconds: float = WINDOW_SECONDS, hop_seconds: float = HOP_SECONDS):
+        self.model = resolve_model(checkpoint)
         if not self.model.config.causal:
             raise ValueError("streaming inference requires a causal checkpoint (causal=True)")
         self.fs, self.win, self.hop, self.half = _window_geometry(
@@ -188,14 +192,23 @@ class StreamingSession:
 def infer_streaming(
     frames,
     checkpoint,
-    window_seconds: float = 3.0,
-    hop_seconds: float = 0.1,
+    window_seconds: float = WINDOW_SECONDS,
+    hop_seconds: float = HOP_SECONDS,
 ) -> DecisionTrack:
-    """Run a streaming session over an iterable of sample chunks."""
+    """Run a streaming session over an iterable of sample chunks.
+
+    Raises AudioTooShortError when the chunks end before the first full
+    window, as infer_offline does.
+    """
     session = StreamingSession(checkpoint, window_seconds, hop_seconds)
     for chunk in frames:
         session.feed(chunk)
-    return session.close()
+    track = session.close()
+    if not track.decisions:
+        raise AudioTooShortError(
+            f"audio is {session._received} samples, too short for the first {session.win}-sample window"
+        )
+    return track
 
 
 def decisions_to_segments(track: DecisionTrack) -> list[tuple[float, float, Category]]:

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
 from .model import CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN, decode
 from .simulate import LabeledSample
-from .streaming import infer_offline
+from .streaming import HOP_SECONDS, WINDOW_SECONDS, infer_offline, resolve_model
 from .wavio import read_wav
 
 
@@ -34,12 +34,23 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The training recipe.
+
+    epochs: maximum epoch count. patience: epochs without a strict
+    validation-loss decrease before stopping early. lr_start/lr_end:
+    learning rate at the first epoch and reached at the last, decayed
+    exponentially in between. batch_size: windows per Adam step.
+    window_seconds: analysis window length. window_hop_seconds: stride
+    between the training windows cut from each sample. seed: model
+    initialisation and shuffling seed.
+    """
+
     epochs: int = 150
     patience: int = 10
     lr_start: float = 1e-5
     lr_end: float = 1e-8
     batch_size: int = 32
-    window_seconds: float = 3.0
+    window_seconds: float = WINDOW_SECONDS
     window_hop_seconds: float = 0.5
     seed: int = 0
 
@@ -185,15 +196,18 @@ class _WindowSet:
             ys[row] = (cat.assistant_bit, cat.expert_bit)
         return xs, ys
 
+    def batches(self, batch_size: int):
+        """(windows, targets) of consecutive batches, in index order."""
+        n = len(self.windows)
+        for start in range(0, n, batch_size):
+            yield self.batch(range(start, min(start + batch_size, n)))
+
 
 def _mean_loss(model: MultiScaleTCN, window_set: _WindowSet, batch_size: int) -> float:
     total = 0.0
     with ad.no_grad():
-        for start in range(0, len(window_set.windows), batch_size):
-            idx = range(start, min(start + batch_size, len(window_set.windows)))
-            xs, ys = window_set.batch(list(idx))
-            loss = binary_cross_entropy(model.window_probs(xs), ys)
-            total += loss.item() * len(xs)
+        for xs, ys in window_set.batches(batch_size):
+            total += binary_cross_entropy(model.window_probs(xs), ys).item() * len(xs)
     return total / len(window_set.windows)
 
 
@@ -289,14 +303,12 @@ def train(
 def window_accuracy(
     model_or_checkpoint,
     manifest,
-    window_seconds: float = 3.0,
-    window_hop_seconds: float = 0.5,
+    window_seconds: float = WINDOW_SECONDS,
+    window_hop_seconds: float = TrainConfig.window_hop_seconds,
     batch_size: int = 32,
 ) -> float:
     """Fraction of windows whose decoded category matches the center label."""
-    model = model_or_checkpoint
-    if isinstance(model, Checkpoint):
-        model = model.build_model()
+    model = resolve_model(model_or_checkpoint)
     samples = [load_sample(r) for r in read_manifest(manifest)]
     fs = model.config.sample_rate
     win = round(window_seconds * fs)
@@ -304,14 +316,10 @@ def window_accuracy(
     window_set = _WindowSet.build(samples, win, hop)
     correct = 0
     with ad.no_grad():
-        for start in range(0, len(window_set.windows), batch_size):
-            idx = list(range(start, min(start + batch_size, len(window_set.windows))))
-            xs, ys = window_set.batch(idx)
-            probs = model.window_probs(xs).data
-            for row in range(len(idx)):
-                got = decode(probs[row], model.config.threshold)
-                want = Category.from_bits(ys[row, 0] > 0.5, ys[row, 1] > 0.5)
-                correct += got is want
+        for xs, ys in window_set.batches(batch_size):
+            for probs, (assistant, expert) in zip(model.window_probs(xs).data, ys):
+                want = Category.from_bits(assistant > 0.5, expert > 0.5)
+                correct += decode(probs, model.config.threshold) is want
     return correct / len(window_set.windows)
 
 
@@ -390,12 +398,12 @@ class EvalReport:
 def evaluate(
     checkpoint: Checkpoint,
     test_manifest,
-    window_seconds: float = 3.0,
-    hop_seconds: float = 0.1,
+    window_seconds: float = WINDOW_SECONDS,
+    hop_seconds: float = HOP_SECONDS,
     batch_size: int = 32,
 ) -> EvalReport:
     """Score sliding-window decisions against ground truth at each timestamp."""
-    model = checkpoint.build_model() if isinstance(checkpoint, Checkpoint) else checkpoint
+    model = resolve_model(checkpoint)
     fs = model.config.sample_rate
     confusion = np.zeros((4, 4), dtype=np.int64)
     total = 0

@@ -1,0 +1,141 @@
+"""CLI tests: keys derived from the config dataclasses, precedence, validation, reproducible runs."""
+
+import json
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from classvoice import cli
+from classvoice.model import ModelConfig
+from classvoice.simulate import SceneGrid, write_synthetic_corpus
+from classvoice.training import TrainConfig
+from classvoice.wavio import WavFile, write_wav
+
+FS = 800
+CLASSES = {ModelConfig: "train", TrainConfig: "train", SceneGrid: "simulate"}
+# one t60 and one assistant position: two RIRs in all
+SCENE_FLAGS = ["--sample-rate", str(FS), "--t60-values", "0.4", "--assistant-x-values", "2.0", "--counts", "2,1,1"]
+TINY_MODEL_FLAGS = [
+    "--sample-rate", str(FS), "--frame-len", "40", "--frame-stride", "20", "--enc-channels", "8",
+    "--bottleneck-channels", "4", "--skip-channels", "4", "--block-channels", "8", "--blocks-per-repeat", "2",
+    "--repeats", "1", "--hidden1", "8", "--hidden2", "8", "--epochs", "2", "--patience", "1", "--batch-size", "8",
+]
+
+
+def resolve(command, *argv):
+    return cli.resolve_config(command, cli._build_parser().parse_args([command, *argv]))
+
+
+def tree(root):
+    """Every file under root as relative path -> bytes, run_config.json without its "out"."""
+    files = {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+    run_config = json.loads(files.pop("run_config.json"))
+    run_config.pop("out")
+    return files, run_config
+
+
+@pytest.fixture(scope="module")
+def corpus_dirs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_corpora")
+    write_synthetic_corpus(root / "e", 2, 4.0, FS, seed=1, f0_range=(90.0, 120.0))
+    write_synthetic_corpus(root / "a", 2, 4.0, FS, seed=2, f0_range=(150.0, 200.0))
+    write_synthetic_corpus(root / "n", 2, 4.0, FS, seed=3, kind="noise")
+    return ["--expert-dir", str(root / "e"), "--assistant-dir", str(root / "a"), "--noise-dir", str(root / "n")]
+
+
+@pytest.fixture(scope="module")
+def runs(tmp_path_factory, corpus_dirs):
+    """A simulate and a train run, each repeated from its own run_config.json with only --out changed."""
+    root = tmp_path_factory.mktemp("cli_runs")
+    assert cli.main(["simulate", "--out", str(root / "sim"), "--seed", "3", *corpus_dirs, *SCENE_FLAGS]) == 0
+    assert cli.main(["simulate", "--config", str(root / "sim" / "run_config.json"), "--out", str(root / "sim2")]) == 0
+    manifests = ["--train-manifest", str(root / "sim" / "manifest_train.jsonl"),
+                 "--valid-manifest", str(root / "sim" / "manifest_valid.jsonl")]
+    assert cli.main(["train", "--out", str(root / "train"), *manifests, *TINY_MODEL_FLAGS]) == 0
+    assert cli.main(["train", "--config", str(root / "train" / "run_config.json"), "--out", str(root / "train2")]) == 0
+    return root
+
+
+class TestKeys:
+    def test_each_field_is_one_flag_with_the_field_default(self):
+        for cls, command in CLASSES.items():
+            for f in fields(cls):
+                keys = [k for k in cli.KEYS if k.name == f.name.replace("_", "-")]
+                assert len(keys) == 1, f.name
+                assert keys[0].default == f.default and command in keys[0].commands, f.name
+            assert cli._build(cls, {k.name: k.default for k in cli.KEYS}) == cls()
+
+    def test_key_names_are_unique(self):
+        names = [k.name for k in cli.KEYS]
+        assert len(names) == len(set(names))
+
+    def test_shared_keys(self):
+        assert resolve("eval", "--checkpoint", "c", "--test-manifest", "m", "--out", "o")["window-seconds"] == 3.0
+        assert resolve("simulate", "--out", "o", "--expert-dir", "e", "--assistant-dir", "a",
+                       "--noise-dir", "n", "--seed", "9")["seed"] == 9
+
+
+class TestConfigResolution:
+    def test_defaults_then_file_then_flags(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"epochs": 5, "patience": 2}))
+        cfg = resolve("train", "--config", str(path), "--epochs", "7", "--out", "o",
+                      "--train-manifest", "t", "--valid-manifest", "v")
+        assert (cfg["epochs"], cfg["patience"], cfg["lr-start"]) == (7, 2, TrainConfig.lr_start)
+        path.write_text(json.dumps({"room-dims": [4, 5, 3]}))
+        with pytest.raises(cli.UsageError, match="unknown key 'room-dims'"):
+            resolve("train", "--config", str(path))
+
+    def test_unknown_config_key_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"epochz": 5}))
+        assert cli.main(["inspect", "--config", str(path), "--checkpoint", "x"]) == 1
+        assert "'epochz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[1, 1], [1, -1, 1], [1.5, 1, 1], "1,1"])
+    def test_bad_counts_exit_1_from_flag_and_file(self, tmp_path, capsys, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"counts": value}))
+        argv = ["simulate", "--out", str(tmp_path / "o"), "--expert-dir", "e", "--assistant-dir", "a", "--noise-dir", "n"]
+        assert cli.main([*argv, "--config", str(path)]) == 1
+        assert "counts" in capsys.readouterr().err
+        if isinstance(value, list):
+            assert cli.main([*argv, "--counts", ",".join(str(v) for v in value)]) == 1
+            assert "--counts" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_values_are_typed_like_flags(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"epochs": 2.5}))
+        with pytest.raises(cli.UsageError, match="epochs: expected int"):
+            resolve("train", "--config", str(path))
+        path.write_text(json.dumps({"threshold": 1, "causal": "false", "out": "o"}))
+        cfg = resolve("train", "--config", str(path), "--train-manifest", "t", "--valid-manifest", "v")
+        assert (cfg["threshold"], cfg["causal"]) == (1.0, False)
+        assert type(cfg["threshold"]) is float
+
+
+class TestRuns:
+    @pytest.mark.parametrize("command,classes", [("sim", (SceneGrid,)), ("train", (ModelConfig, TrainConfig))])
+    def test_run_config_reproduces_the_run_byte_for_byte(self, runs, command, classes):
+        files, run_config = tree(runs / command)
+        again, run_config_again = tree(runs / f"{command}2")
+        assert files and files == again
+        assert run_config == run_config_again
+        for cls in classes:
+            assert {f.name.replace("_", "-") for f in fields(cls)} <= set(run_config)
+
+    def test_inspect(self, runs, capsys):
+        assert cli.main(["inspect", "--checkpoint", str(runs / "train" / "model.ckpt")]) == 0
+        out = capsys.readouterr().out
+        assert "  sample_rate: 800" in out and "param_count:" in out and "best_epoch:" in out
+
+    def test_streaming_infer_on_short_audio_exits_2_without_decisions(self, runs, tmp_path, capsys):
+        wav = tmp_path / "short.wav"
+        write_wav(wav, WavFile(sample_rate=FS, samples=np.zeros(FS, dtype=np.float32)))
+        out = tmp_path / "infer"
+        argv = ["infer", "--checkpoint", str(runs / "train" / "model.ckpt"), "--wav", str(wav), "--out", str(out)]
+        assert cli.main([*argv, "--streaming", "true"]) == 2
+        assert "800 samples" in capsys.readouterr().err
+        assert not (out / "decisions.csv").exists()

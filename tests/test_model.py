@@ -325,7 +325,7 @@ class TestDecode:
     def test_category_codes(self):
         assert Category.from_bits(True, False).value == "10"
         assert Category.from_bits(False, True).value == "01"
-        assert Category.from_code("11") is Category.MIXTURE
+        assert Category("11") is Category.MIXTURE
         assert Category.ASSISTANT.assistant_bit == 1
         assert Category.ASSISTANT.expert_bit == 0
 

@@ -343,6 +343,12 @@ class TestGenerateDataset:
         for rel in ("train/sample_00000.wav", "train/sample_00001.wav", "valid/sample_00000.wav"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    @pytest.mark.parametrize("counts", [(1, 1), (1, -1, 1), (1.0, 1, 1), (True, 1, 1)])
+    def test_bad_counts_rejected(self, tmp_path, counts):
+        with pytest.raises(ValueError, match="three non-negative integers"):
+            generate_dataset(None, SceneGrid(), counts, tmp_path / "ds", seed=0)
+        assert not (tmp_path / "ds").exists()
+
     def test_empty_corpus_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(CorpusError, match="no .wav files"):

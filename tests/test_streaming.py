@@ -131,6 +131,11 @@ class TestStreaming:
         with pytest.raises(ValueError, match="causal"):
             StreamingSession(model)
 
+    def test_too_short_rejected(self, causal_model):
+        chunks = [np.zeros(1600, np.float32)] * 10
+        with pytest.raises(AudioTooShortError, match="16000 samples"):
+            infer_streaming(chunks, causal_model)
+
     def test_iterable_wrapper(self, causal_model):
         audio = np.random.default_rng(4).uniform(-0.5, 0.5, 4 * FS).astype(np.float32)
         chunks = [audio[i : i + 3000] for i in range(0, len(audio), 3000)]
