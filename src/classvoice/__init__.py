@@ -9,8 +9,8 @@ from .simulate import (Corpora, Corpus, CorpusError, LabeledSample, RirCache, Ro
                        SceneSpec, generate_dataset, image_source_rir, make_sample, write_synthetic_corpus)
 from .streaming import (HOP_SECONDS, WINDOW_SECONDS, AudioTooShortError, Decision, DecisionTrack,
                         SessionClosedError, StreamingSession, decisions_to_segments, infer_offline, infer_streaming)
-from .training import (EvalReport, TrainConfig, TrainingDivergedError, evaluate, load_sample, read_manifest, train,
-                       window_accuracy)
+from .training import (EvalReport, TrainConfig, TrainingDivergedError, evaluate, load_sample, read_manifest,
+                       train)
 from .wavio import WavFile, WavFormatError, read_wav, write_wav
 
 __all__ = [
@@ -22,6 +22,5 @@ __all__ = [
     "HOP_SECONDS", "WINDOW_SECONDS", "AudioTooShortError", "Decision", "DecisionTrack",
     "SessionClosedError", "StreamingSession", "decisions_to_segments", "infer_offline", "infer_streaming",
     "EvalReport", "TrainConfig", "TrainingDivergedError", "evaluate", "load_sample", "read_manifest", "train",
-    "window_accuracy",
     "WavFile", "WavFormatError", "read_wav", "write_wav",
 ]

@@ -13,6 +13,8 @@ objects a command builds, is echoed into every output directory as
 
 Final artifacts are written to ``<name>.partial`` and renamed on
 success, so an interrupted run never leaves a complete-looking output.
+``eval`` and ``infer`` create the output directory only once their work
+has succeeded, so a failed run leaves no directory behind.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -183,15 +185,17 @@ def _atomic_write_text(path: Path, text: str):
     os.replace(partial, path)
 
 
-def _echo_config(cfg: dict, out_dir: Path):
+def _start_output(cfg: dict) -> Path:
+    """Create ``--out`` and echo the resolved configuration into it."""
+    out = Path(cfg["out"])
+    out.mkdir(parents=True, exist_ok=True)
     payload = {k: (list(v) if isinstance(v, tuple) else v) for k, v in cfg.items()}
-    _atomic_write_text(out_dir / "run_config.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write_text(out / "run_config.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    return out
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
+    out = _start_output(cfg)
     corpora = Corpora.from_dirs(
         cfg["expert-dir"], cfg["assistant-dir"], cfg["noise-dir"], sample_rate=cfg["sample-rate"]
     )
@@ -204,9 +208,7 @@ def _cmd_simulate(cfg: dict) -> int:
 
 
 def _cmd_train(cfg: dict) -> int:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
+    out = _start_output(cfg)
     model_config, train_config = _build(ModelConfig, cfg), _build(TrainConfig, cfg)
 
     def log(stats):
@@ -231,9 +233,6 @@ def _cmd_train(cfg: dict) -> int:
 
 
 def _cmd_eval(cfg: dict) -> int:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
     checkpoint = load_checkpoint(cfg["checkpoint"])
     report = evaluate(
         checkpoint,
@@ -241,6 +240,7 @@ def _cmd_eval(cfg: dict) -> int:
         window_seconds=cfg["window-seconds"],
         hop_seconds=cfg["hop-seconds"],
     )
+    out = _start_output(cfg)
     text = report.render_text()
     _atomic_write_text(out / "report.txt", text + "\n")
     _atomic_write_text(out / "report.json", json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
@@ -249,9 +249,6 @@ def _cmd_eval(cfg: dict) -> int:
 
 
 def _cmd_infer(cfg: dict) -> int:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _echo_config(cfg, out)
     checkpoint = load_checkpoint(cfg["checkpoint"])
     wav = read_wav(cfg["wav"])
     fs = checkpoint.config.sample_rate
@@ -268,9 +265,10 @@ def _cmd_infer(cfg: dict) -> int:
             window_seconds=cfg["window-seconds"],
             hop_seconds=cfg["hop-seconds"],
         )
+    segments = decisions_to_segments(track)
+    out = _start_output(cfg)
     header = "timestamp_s,category,prob_assistant,prob_expert"
     _atomic_write_text(out / "decisions.csv", "\n".join([header] + track.to_lines()) + "\n")
-    segments = decisions_to_segments(track)
     _atomic_write_text(
         out / "segments.csv", "\n".join(["start_s,end_s,category"] + segments_to_lines(segments)) + "\n"
     )

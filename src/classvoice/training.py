@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
-from .model import CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN, decode
+from .model import CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN
 from .simulate import LabeledSample
 from .streaming import HOP_SECONDS, WINDOW_SECONDS, infer_offline, resolve_model
 from .wavio import read_wav
@@ -106,12 +106,22 @@ def read_manifest(path) -> list[SampleRecord]:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}:{ln}: invalid manifest record ({exc})") from exc
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}:{ln}: manifest record must be a JSON object, got {line.strip()!r}")
+        for key in ("wav", "labels"):
+            if not isinstance(rec.get(key), str):
+                raise ValueError(f"{path}:{ln}: manifest record needs a {key!r} path string")
+        try:
+            sample_rate = int(rec.get("sample_rate", 16000))
+            peak_scale = float(rec.get("peak_scale", 1.0))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{ln}: invalid manifest record ({exc})") from exc
         records.append(
             SampleRecord(
                 wav=base / rec["wav"],
                 labels=base / rec["labels"],
-                sample_rate=int(rec.get("sample_rate", 16000)),
-                peak_scale=float(rec.get("peak_scale", 1.0)),
+                sample_rate=sample_rate,
+                peak_scale=peak_scale,
                 scene=rec.get("scene"),
             )
         )
@@ -121,12 +131,17 @@ def read_manifest(path) -> list[SampleRecord]:
 
 
 def parse_labels(path) -> list[tuple[Category, int, int]]:
+    """Parse a ``start,end,category`` label sidecar; raises ValueError naming the file and line."""
+    path = Path(path)
     segments = []
-    for line in Path(path).read_text().splitlines():
+    for ln, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
-        start, end, code = line.split(",")
-        segments.append((Category(code), int(start), int(end)))
+        try:
+            start, end, code = line.split(",")
+            segments.append((Category(code), int(start), int(end)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: expected 'start,end,category', got {line!r} ({exc})") from exc
     return segments
 
 
@@ -300,50 +315,8 @@ def train(
     return checkpoint, history
 
 
-def window_accuracy(
-    model_or_checkpoint,
-    manifest,
-    window_seconds: float = WINDOW_SECONDS,
-    window_hop_seconds: float = TrainConfig.window_hop_seconds,
-    batch_size: int = 32,
-) -> float:
-    """Fraction of windows whose decoded category matches the center label."""
-    model = resolve_model(model_or_checkpoint)
-    samples = [load_sample(r) for r in read_manifest(manifest)]
-    fs = model.config.sample_rate
-    win = round(window_seconds * fs)
-    hop = max(1, round(window_hop_seconds * fs))
-    window_set = _WindowSet.build(samples, win, hop)
-    correct = 0
-    with ad.no_grad():
-        for xs, ys in window_set.batches(batch_size):
-            for probs, (assistant, expert) in zip(model.window_probs(xs).data, ys):
-                want = Category.from_bits(assistant > 0.5, expert > 0.5)
-                correct += decode(probs, model.config.threshold) is want
-    return correct / len(window_set.windows)
-
-
 # ---------------------------------------------------------------------------
 # metrics
-
-
-def precision_recall(predictions, labels, category: Category) -> tuple[float | None, float | None]:
-    """One-vs-rest precision and recall; None when the denominator is empty."""
-    if len(predictions) != len(labels):
-        raise ValueError(
-            f"predictions and labels differ in length: {len(predictions)} vs {len(labels)}"
-        )
-    tp = fp = fn = 0
-    for pred, truth in zip(predictions, labels):
-        if pred is category and truth is category:
-            tp += 1
-        elif pred is category:
-            fp += 1
-        elif truth is category:
-            fn += 1
-    precision = tp / (tp + fp) if (tp + fp) else None
-    recall = tp / (tp + fn) if (tp + fn) else None
-    return precision, recall
 
 
 @dataclass

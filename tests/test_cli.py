@@ -139,3 +139,4 @@ class TestRuns:
         assert cli.main([*argv, "--streaming", "true"]) == 2
         assert "800 samples" in capsys.readouterr().err
         assert not (out / "decisions.csv").exists()
+        assert not out.exists()

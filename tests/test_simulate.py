@@ -1,8 +1,11 @@
 """Acoustic simulator tests: Sabine, image-source RIRs, mixing, datasets."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from classvoice import simulate
 from classvoice.model import CATEGORY_ORDER, Category
 from classvoice.simulate import (
     Corpora,
@@ -104,6 +107,99 @@ class TestImageSourceRir:
         a = cache.get(CLASSROOM, (2.5, 0.5, 2.0), (2.0, 1.08, 1.59), FS)
         b = cache.get(CLASSROOM, (2.5, 0.5, 2.0), (2.0, 1.08, 1.59), FS)
         assert a is b
+
+
+def reference_deposit(h, delays, gains):
+    """The single-threaded, unblocked kernel deposit: the bit-exact oracle.
+
+    A frozen copy of the implementation that the blocked, threaded
+    ``simulate._deposit`` replaced; the two must agree bit for bit.
+    """
+    taps, chunk = 81, 4096
+    half = (taps - 1) // 2
+    offsets = np.arange(taps)
+    tap_cos = np.cos(2.0 * np.pi * offsets / taps)
+    tap_sin = np.sin(2.0 * np.pi * offsets / taps)
+    tap_sign = np.where(offsets % 2 == 0, 1.0, -1.0)
+    for start in range(0, len(delays), chunk):
+        dl = delays[start : start + chunk]
+        gn = gains[start : start + chunk]
+        base = np.ceil(dl - half).astype(np.int64)
+        u = base - dl
+        t = u[:, None] + offsets[None, :]
+        cf = np.cos(2.0 * np.pi * u / taps)
+        sf = np.sin(2.0 * np.pi * u / taps)
+        window = 0.5 * (1.0 + cf[:, None] * tap_cos[None, :] - sf[:, None] * tap_sin[None, :])
+        sin_pi_u = np.sin(np.pi * u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sinc = (sin_pi_u[:, None] * tap_sign[None, :]) / (np.pi * t)
+        exact = np.abs(t) < 1e-12
+        if exact.any():
+            sinc[exact] = 1.0
+        kernel = window * sinc * gn[:, None]
+        idx = base[:, None] + (offsets[None, :] + taps)
+        h += np.bincount(idx.ravel(), weights=kernel.ravel(), minlength=len(h))
+
+
+def reference_rir(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(simulate, "_deposit", reference_deposit)
+        return image_source_rir(*args, **kwargs)
+
+
+# at c = 320 m/s and 16 kHz the 1 m direct path lands on sample 50 exactly
+INTEGER_DELAY_ROOM = RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.4, sound_speed=320.0)
+
+
+class TestDepositParity:
+    @pytest.mark.parametrize(
+        "room,source,mic,fs,direct_only",
+        [
+            (RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.4), (2.5, 0.5, 2.0), (2.0, 1.08, 1.59), 800, False),
+            (RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.4), (2.5, 0.5, 2.0), (4.0, 1.08, 1.59), FS, False),
+            # a larger room keeps the t60 = 0.9 lattice (several chunks per octant) cheap
+            (RoomSpec(dims=(10.0, 12.0, 7.0), t60=0.9), (2.5, 0.5, 2.0), (2.0, 1.08, 1.59), FS, False),
+            (CLASSROOM, (1.0, 1.0, 1.0), (2.7, 1.0, 1.0), FS, True),
+            (INTEGER_DELAY_ROOM, (1.0, 1.0, 1.0), (2.0, 1.0, 1.0), FS, False),
+        ],
+        ids=["800Hz-t60=0.4", "16kHz-t60=0.4", "16kHz-t60=0.9", "direct_only", "integer-delay"],
+    )
+    def test_rir_matches_reference_bit_for_bit(self, monkeypatch, room, source, mic, fs, direct_only):
+        want = reference_rir(monkeypatch, room, source, mic, fs, direct_only=direct_only)
+        got = image_source_rir(room, source, mic, fs, direct_only=direct_only)
+        assert np.array_equal(got, want)
+
+    def test_integer_delay_takes_the_exact_sinc_branch(self):
+        assert 1.0 / INTEGER_DELAY_ROOM.sound_speed * FS == 50.0
+        rir = image_source_rir(INTEGER_DELAY_ROOM, (1.0, 1.0, 1.0), (2.0, 1.0, 1.0), FS, direct_only=True)
+        # sinc(0) = 1 where 0/0 would give NaN; the other taps sit at sin(40*pi) ~ 1e-15
+        assert rir[50] == 1.0 and np.max(np.abs(np.delete(rir, 50))) < 1e-12
+
+    @pytest.mark.filterwarnings("error")  # a worker without its own errstate would warn on 0/0
+    def test_exact_hits_on_taps_39_and_40(self):
+        rng = np.random.default_rng(0)
+        # exact and near-integer delays put |t| < 1e-12 on tap 40 (at or just below
+        # an integer) or tap 39 (just above); 5000 images span two chunks
+        delays = np.concatenate([[50.0, 50.0 - 1e-13, 50.0 + 1e-13, 77.0 + 1e-13], rng.uniform(40.0, 600.0, 4996)])
+        gains = rng.standard_normal(len(delays))
+        want = np.zeros(800)
+        reference_deposit(want, delays, gains)
+        got = np.zeros(800)
+        simulate._deposit(got, delays, gains)
+        assert np.array_equal(got, want)
+
+    def test_worker_count_does_not_change_bits(self, monkeypatch):
+        args = (CLASSROOM, (2.5, 0.5, 2.0), (2.0, 1.08, 1.59), FS)
+        monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
+        one = image_source_rir(*args)
+        monkeypatch.setattr(simulate, "_worker_count", lambda: 4)  # more threads than this box has cores
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            many = image_source_rir(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(one, many)
 
 
 class TestScaleToSnr:
