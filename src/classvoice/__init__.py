@@ -2,7 +2,7 @@
 
 The autodiff ops stay in ``classvoice.autodiff``; ``__all__`` is the rest of the public API.
 """
-from .autodiff import GraphError, NonFiniteError, ShapeError, Tensor, no_grad
+from .autodiff import GraphError, NonFiniteError, ShapeError, Tensor
 from .model import (CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN, decode, load_checkpoint,
                     param_count, receptive_field, reduced_config, save_checkpoint)
 from .simulate import (Corpora, Corpus, CorpusError, LabeledSample, RirCache, RoomError, RoomSpec, SceneGrid,
@@ -14,7 +14,7 @@ from .training import (EvalReport, TrainConfig, TrainingDivergedError, evaluate,
 from .wavio import WavFile, WavFormatError, read_wav, write_wav
 
 __all__ = [
-    "GraphError", "NonFiniteError", "ShapeError", "Tensor", "no_grad",
+    "GraphError", "NonFiniteError", "ShapeError", "Tensor",
     "CATEGORY_ORDER", "Category", "Checkpoint", "ModelConfig", "MultiScaleTCN", "decode", "load_checkpoint",
     "param_count", "receptive_field", "reduced_config", "save_checkpoint",
     "Corpora", "Corpus", "CorpusError", "LabeledSample", "RirCache", "RoomError", "RoomSpec", "SceneGrid",

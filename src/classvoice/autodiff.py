@@ -1,18 +1,21 @@
 """Dense-tensor math with reverse-mode differentiation.
 
-Just enough for a 1-D convolutional voice detector: dilated/grouped conv,
-activations, layer norms, linear, losses, Adam, and a finite-difference
-gradient checker. Arrays are numpy; float32 is the working precision,
-float64 is used when checking gradients.
+Just enough for a 1-D convolutional voice detector: pointwise and dilated
+depthwise conv, activations, layer norms, linear, losses, Adam, and a
+finite-difference gradient checker. Arrays are numpy; float32 is the
+working precision, float64 is used when checking gradients.
 
-Tensors are treated as immutable values outside an explicit optimizer
-step, so a frozen parameter set can be evaluated from many threads at
-once; only ``adam_step`` mutates data in place.
+An op records its graph exactly when one of its inputs has
+``requires_grad``; there is no process-wide switch. A frozen parameter
+set (tensors without ``requires_grad``, as ``streaming.resolve_model``
+makes) therefore builds no graph, and many threads can evaluate it at
+once without changing what any other caller's tensors record. Tensors are
+treated as immutable values outside an explicit optimizer step; only
+``adam_step`` mutates data in place.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,21 +33,6 @@ class NonFiniteError(ValueError):
 
 class GraphError(RuntimeError):
     """The computation graph cannot be traversed (cycle, no scalar root, ...)."""
-
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    """Disable graph construction inside the block (forward-only inference)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 def _coerce(data, dtype):
@@ -103,48 +91,18 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self.dtype))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other, self.dtype), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other, self.dtype))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other, self.dtype), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return pow_scalar(self, p)
-
-
-def _as_tensor(x, dtype=None) -> Tensor:
+def _as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
-    return Tensor(x, dtype=dtype)
+    return Tensor(x)
 
 
 def _make(data, parents, backward_fn):
-    """Build an op output, wiring the graph only when gradients are live."""
+    """Build an op output, wiring the graph when any input requires grad."""
     data = np.asarray(data)
     out = Tensor(data, dtype=data.dtype)
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -243,14 +201,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _make(a.data * b.data, (a, b), back)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def back(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _make(a.data / b.data, (a, b), back)
-
-
 def neg(a: Tensor) -> Tensor:
     def back(g):
         _accum(a, -g)
@@ -258,38 +208,11 @@ def neg(a: Tensor) -> Tensor:
     return _make(-a.data, (a,), back)
 
 
-def pow_scalar(a: Tensor, p) -> Tensor:
-    p = float(p)
-
-    def back(g):
-        _accum(a, g * p * a.data ** (p - 1.0))
-
-    return _make(a.data ** p, (a,), back)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def back(g):
-        _accum(a, g * out_data)
-
-    return _make(out_data, (a,), back)
-
-
 def log(a: Tensor) -> Tensor:
     def back(g):
         _accum(a, g / a.data)
 
     return _make(np.log(a.data), (a,), back)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out_data = np.sqrt(a.data)
-
-    def back(g):
-        _accum(a, g * 0.5 / out_data)
-
-    return _make(out_data, (a,), back)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -300,15 +223,6 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
         _accum(a, g * mask)
 
     return _make(np.clip(a.data, lo, hi), (a,), back)
-
-
-def maximum(a: Tensor, floor: float) -> Tensor:
-    mask = a.data > floor
-
-    def back(g):
-        _accum(a, g * mask)
-
-    return _make(np.maximum(a.data, floor), (a,), back)
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -337,13 +251,6 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
         _accum(a, np.broadcast_to(g, a.shape))
 
     return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), back)
-
-
-def cumsum(a: Tensor, axis: int) -> Tensor:
-    def back(g):
-        _accum(a, np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis))
-
-    return _make(np.cumsum(a.data, axis=axis), (a,), back)
 
 
 def concat(tensors, axis=0) -> Tensor:
@@ -401,18 +308,6 @@ def sigmoid(a: Tensor) -> Tensor:
         _accum(a, g * out_data * (1.0 - out_data))
 
     return _make(out_data, (a,), back)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilized by max subtraction.
-
-    Shifted logits are floored at -80 so every output stays strictly
-    positive even for inputs of magnitude ~1000; the perturbation is
-    below 1e-34 per component.
-    """
-    shift = Tensor(a.data.max(axis=-1, keepdims=True), dtype=a.dtype)
-    e = exp(clip(sub(a, shift), -80.0, 1.0))
-    return div(e, tsum(e, axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -483,12 +378,12 @@ def conv1d(
     groups: int = 1,
     padding: tuple[int, int] = (0, 0),
 ) -> Tensor:
-    """Dilated grouped 1-D convolution (stride 1).
+    """Dilated 1-D convolution (stride 1) in the two forms the network uses.
 
     x is [C_in, T] or [B, C_in, T]; weight is [C_out, C_in/groups, K];
-    padding is (left, right) zeros on the time axis. groups=C_in gives a
-    depthwise convolution, K=1/groups=1 a pointwise one. Output length is
-    T + left + right - (K-1)*dilation.
+    padding is (left, right) zeros on the time axis. Pointwise is groups=1
+    with K=1; depthwise is groups=C_in=C_out with any K. Any other grouping
+    raises ShapeError. Output length is T + left + right - (K-1)*dilation.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
@@ -507,11 +402,15 @@ def conv1d(
     c_out, cin_g, k = weight.shape
     if c_in % groups:
         raise ShapeError(f"input channels {c_in} not divisible by groups {groups}")
-    if c_out % groups:
-        raise ShapeError(f"output channels {c_out} not divisible by groups {groups}")
     if cin_g != c_in // groups:
         raise ShapeError(
             f"weight expects {cin_g} channels per group but input provides {c_in // groups}"
+        )
+    pointwise = groups == 1 and k == 1
+    if not pointwise and not groups == c_in == c_out:
+        raise ShapeError(
+            f"conv1d runs pointwise (groups=1, K=1) or depthwise (groups=C_in=C_out) kernels; "
+            f"got groups={groups}, {c_in} input channels and weight {weight.shape}"
         )
     left, right = int(padding[0]), int(padding[1])
     if left < 0 or right < 0:
@@ -532,27 +431,13 @@ def conv1d(
     b = xd.shape[0]
     xp = np.pad(xd, ((0, 0), (0, 0), (left, right))) if (left or right) else xd
     w = weight.data
-    depthwise = groups == c_in and c_out == c_in
 
-    if groups == 1 and k == 1:
+    if pointwise:
         out = np.matmul(w[:, :, 0], xp)
-    elif groups == 1:
-        out = np.zeros((b, c_out, t_out), dtype=xd.dtype)
-        for kk in range(k):
-            out += np.matmul(w[:, :, kk], xp[:, :, kk * dilation : kk * dilation + t_out])
-    elif depthwise:
+    else:
         out = np.zeros((b, c_out, t_out), dtype=xd.dtype)
         for kk in range(k):
             out += w[:, 0, kk][None, :, None] * xp[:, :, kk * dilation : kk * dilation + t_out]
-    else:
-        xg = xp.reshape(b, groups, c_in // groups, xp.shape[-1])
-        wg = w.reshape(groups, c_out // groups, cin_g, k)
-        og = np.zeros((b, groups, c_out // groups, t_out), dtype=xd.dtype)
-        for kk in range(k):
-            og += np.einsum(
-                "goi,bgit->bgot", wg[:, :, :, kk], xg[:, :, :, kk * dilation : kk * dilation + t_out]
-            )
-        out = og.reshape(b, c_out, t_out)
     if bias is not None:
         out += bias.data.reshape(1, -1, 1)
 
@@ -562,30 +447,16 @@ def conv1d(
             _accum(bias, gb.sum(axis=(0, 2)))
         dxp = np.zeros_like(xp)
         dw = np.zeros_like(w)
-        if groups == 1:
+        if pointwise:
             g2 = np.ascontiguousarray(gb.transpose(1, 0, 2)).reshape(c_out, -1)
-            for kk in range(k):
-                xs = xp[:, :, kk * dilation : kk * dilation + t_out]
-                x2 = np.ascontiguousarray(xs.transpose(1, 0, 2)).reshape(c_in, -1)
-                dw[:, :, kk] = g2 @ x2.T
-                dxp[:, :, kk * dilation : kk * dilation + t_out] += np.matmul(w[:, :, kk].T, gb)
-        elif depthwise:
+            x2 = np.ascontiguousarray(xp.transpose(1, 0, 2)).reshape(c_in, -1)
+            dw[:, :, 0] = g2 @ x2.T
+            dxp += np.matmul(w[:, :, 0].T, gb)
+        else:
             for kk in range(k):
                 xs = xp[:, :, kk * dilation : kk * dilation + t_out]
                 dw[:, 0, kk] = (gb * xs).sum(axis=(0, 2))
                 dxp[:, :, kk * dilation : kk * dilation + t_out] += w[:, 0, kk][None, :, None] * gb
-        else:
-            xg = xp.reshape(b, groups, c_in // groups, xp.shape[-1])
-            wg = w.reshape(groups, c_out // groups, cin_g, k)
-            gg = gb.reshape(b, groups, c_out // groups, t_out)
-            dwg = dw.reshape(groups, c_out // groups, cin_g, k)
-            dxg = dxp.reshape(b, groups, c_in // groups, xp.shape[-1])
-            for kk in range(k):
-                xs = xg[:, :, :, kk * dilation : kk * dilation + t_out]
-                dwg[:, :, :, kk] = np.einsum("bgot,bgit->goi", gg, xs)
-                dxg[:, :, :, kk * dilation : kk * dilation + t_out] += np.einsum(
-                    "goi,bgot->bgit", wg[:, :, :, kk], gg
-                )
         dx = dxp[:, :, left : left + t_in] if (left or right) else dxp
         _accum(x, dx if batched else dx[0])
         _accum(weight, dw)
@@ -786,15 +657,14 @@ def grad_check(f, x: Tensor, epsilon: float = 1e-4) -> float:
 
     flat = x.data.reshape(-1)
     numeric = np.empty(flat.size, dtype=np.float64)
-    with no_grad():
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            fp = float(f(x).data)
-            flat[i] = orig - epsilon
-            fm = float(f(x).data)
-            flat[i] = orig
-            numeric[i] = (fp - fm) / (2.0 * epsilon)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + epsilon
+        fp = float(f(x).data)
+        flat[i] = orig - epsilon
+        fm = float(f(x).data)
+        flat[i] = orig
+        numeric[i] = (fp - fm) / (2.0 * epsilon)
     numeric = numeric.reshape(x.shape)
 
     a = analytic.astype(np.float64)

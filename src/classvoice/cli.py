@@ -13,8 +13,9 @@ objects a command builds, is echoed into every output directory as
 
 Final artifacts are written to ``<name>.partial`` and renamed on
 success, so an interrupted run never leaves a complete-looking output.
-``eval`` and ``infer`` create the output directory only once their work
-has succeeded, so a failed run leaves no directory behind.
+``train``, ``eval`` and ``infer`` create the output directory only once
+their work has succeeded, and ``simulate`` once its corpora have loaded,
+so a run that fails on its inputs leaves no directory behind.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -195,10 +196,10 @@ def _start_output(cfg: dict) -> Path:
 
 
 def _cmd_simulate(cfg: dict) -> int:
-    out = _start_output(cfg)
     corpora = Corpora.from_dirs(
         cfg["expert-dir"], cfg["assistant-dir"], cfg["noise-dir"], sample_rate=cfg["sample-rate"]
     )
+    out = _start_output(cfg)
     manifests = generate_dataset(
         corpora, _build(SceneGrid, cfg), cfg["counts"], out, seed=cfg["seed"], sample_rate=cfg["sample-rate"]
     )
@@ -208,7 +209,6 @@ def _cmd_simulate(cfg: dict) -> int:
 
 
 def _cmd_train(cfg: dict) -> int:
-    out = _start_output(cfg)
     model_config, train_config = _build(ModelConfig, cfg), _build(TrainConfig, cfg)
 
     def log(stats):
@@ -220,6 +220,7 @@ def _cmd_train(cfg: dict) -> int:
     checkpoint, history = train(
         model_config, train_config, cfg["train-manifest"], cfg["valid-manifest"], log=log
     )
+    out = _start_output(cfg)
     ckpt_path = out / "model.ckpt"
     partial = ckpt_path.with_name(ckpt_path.name + ".partial")
     save_checkpoint(partial, checkpoint)

@@ -9,14 +9,15 @@ used by a three-layer classifier, which emits per-class probabilities
 for the assistant and expert voices. Per-class thresholding yields one
 of four categories.
 
-A frozen model is immutable and can serve concurrent inference from many
-threads; training mutates parameters single-threaded.
+A frozen model (``streaming.resolve_model``) builds no graph and can
+serve concurrent inference from many threads; training mutates parameters
+single-threaded.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -29,7 +30,7 @@ CHECKPOINT_VERSION = 1
 
 NORM_MODES = ("gLN", "cLN", "none")
 FEATURES_MODES = ("multiscale", "last_layer")
-CLASS_ACTIVATIONS = ("sigmoid", "softmax")
+NUM_CLASSES = 2  # classifier outputs: P(assistant), P(expert), each its own sigmoid
 
 
 class Category(Enum):
@@ -69,15 +70,13 @@ class ModelConfig:
     output. block_channels: channels inside a conv block. kernel_size:
     depthwise kernel width. blocks_per_repeat: dilations run 2^0 ..
     2^(blocks_per_repeat-1). repeats: how many times the stack repeats.
-    hidden1/hidden2: classifier hidden sizes. num_classes: classifier
-    outputs, always 2 (assistant, expert). threshold: per-class
+    hidden1/hidden2: classifier hidden sizes. threshold: per-class
     decision threshold. sample_rate: audio sample rate in Hz.
     norm_mode: gLN | cLN | none ("none" exists for
     receptive-field locality tests; the layer norms have global reach).
     causal: left-only padding (pairs with cLN) vs symmetric (pairs with
     gLN). features_mode: "multiscale" concatenates all skip outputs,
     "last_layer" keeps only the final block's (plain-TCN ablation).
-    class_activation: sigmoid | softmax over the class outputs.
     """
 
     frame_len: int = 160
@@ -91,13 +90,11 @@ class ModelConfig:
     repeats: int = 3
     hidden1: int = 2048
     hidden2: int = 2048
-    num_classes: int = 2
     threshold: float = 0.5
     sample_rate: int = 16000
     norm_mode: str = "cLN"
     causal: bool = True
     features_mode: str = "multiscale"
-    class_activation: str = "sigmoid"
 
     def __post_init__(self):
         for name in (
@@ -121,18 +118,12 @@ class ModelConfig:
             raise ValueError(
                 f"frame_stride ({self.frame_stride}) must not exceed frame_len ({self.frame_len})"
             )
-        if self.num_classes != 2:
-            raise ValueError(f"num_classes must be 2, got {self.num_classes}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.norm_mode not in NORM_MODES:
             raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
         if self.features_mode not in FEATURES_MODES:
             raise ValueError(f"features_mode must be one of {FEATURES_MODES}, got {self.features_mode!r}")
-        if self.class_activation not in CLASS_ACTIVATIONS:
-            raise ValueError(
-                f"class_activation must be one of {CLASS_ACTIVATIONS}, got {self.class_activation!r}"
-            )
 
     @property
     def classifier_input_dim(self) -> int:
@@ -142,10 +133,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
 
 
 def receptive_field(config: ModelConfig) -> int:
@@ -183,7 +170,7 @@ def param_count(config: ModelConfig) -> int:
     d = config.classifier_input_dim
     total += config.hidden1 * d + config.hidden1
     total += config.hidden2 * config.hidden1 + config.hidden2
-    total += config.num_classes * config.hidden2 + config.num_classes
+    total += NUM_CLASSES * config.hidden2 + NUM_CLASSES
     return total
 
 
@@ -249,8 +236,8 @@ class MultiScaleTCN:
         zeros("classifier.fc1.bias", (c.hidden1,))
         weight("classifier.fc2.weight", (c.hidden2, c.hidden1), c.hidden1)
         zeros("classifier.fc2.bias", (c.hidden2,))
-        weight("classifier.fc3.weight", (c.num_classes, c.hidden2), c.hidden2)
-        zeros("classifier.fc3.bias", (c.num_classes,))
+        weight("classifier.fc3.weight", (NUM_CLASSES, c.hidden2), c.hidden2)
+        zeros("classifier.fc3.bias", (NUM_CLASSES,))
 
     # -- parameter access -------------------------------------------------
 
@@ -355,8 +342,9 @@ class MultiScaleTCN:
         """Mean-pool features over time and run the three linear layers.
 
         Output is the per-class probability vector (assistant, expert),
-        each in (0, 1) under the sigmoid activation. Pooling makes the
-        window decision order-free in time.
+        two independent sigmoids, each in (0, 1), so all four categories
+        can be decoded. Pooling makes the window decision order-free in
+        time.
         """
         c = self.config
         if features.shape[-2] != c.classifier_input_dim:
@@ -367,8 +355,6 @@ class MultiScaleTCN:
         h = ad.relu(ad.linear(pooled, self.params["classifier.fc1.weight"], self.params["classifier.fc1.bias"]))
         h = ad.relu(ad.linear(h, self.params["classifier.fc2.weight"], self.params["classifier.fc2.bias"]))
         logits = ad.linear(h, self.params["classifier.fc3.weight"], self.params["classifier.fc3.bias"])
-        if c.class_activation == "softmax":
-            return ad.softmax(logits)
         return ad.sigmoid(logits)
 
     def window_probs(self, audio) -> Tensor:
@@ -453,7 +439,11 @@ def load_checkpoint(path) -> Checkpoint:
             raise ValueError(f"{path}: truncated payload for tensor {spec['name']}")
         arr = np.frombuffer(payload[start : start + n], dtype="<f4").reshape(spec["shape"]).copy()
         params[spec["name"]] = arr
-    config = ModelConfig.from_dict(header["config"])
+    known = {f.name for f in fields(ModelConfig)}
+    for key in header["config"]:
+        if key not in known:
+            raise ValueError(f"{path}: unknown model config key '{key}'")
+    config = ModelConfig(**header["config"])
     return Checkpoint(config=config, params=params, metadata=header["metadata"])
 
 

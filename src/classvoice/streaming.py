@@ -9,17 +9,19 @@ latency is half a window plus compute.
 
 Decision slots live on the absolute grid i*hop samples, which makes
 streaming and offline timestamps identical. One streaming session is
-single-threaded and stateful; any number of sessions may share one
-frozen checkpoint.
+single-threaded and stateful; any number of sessions, in any threads, may
+share one checkpoint or model, because each runs a frozen view of it (see
+``resolve_model``) that builds no graph.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
+from .autodiff import Tensor
 from .model import Category, Checkpoint, MultiScaleTCN, decode
 
 WINDOW_SECONDS = 3.0  # analysis window length
@@ -62,12 +64,22 @@ class DecisionTrack:
 
 
 def resolve_model(checkpoint) -> MultiScaleTCN:
-    """The model itself, or one built from a Checkpoint."""
-    if isinstance(checkpoint, MultiScaleTCN):
-        return checkpoint
+    """A frozen model for inference, from a Checkpoint or a model.
+
+    A model none of whose parameters requires grad is returned as is.
+    Otherwise the result is a view that shares the model's arrays through
+    tensors without ``requires_grad``, so running it builds no graph and
+    leaves the given model trainable.
+    """
     if isinstance(checkpoint, Checkpoint):
-        return checkpoint.build_model()
-    raise TypeError(f"expected a Checkpoint or model, got {type(checkpoint).__name__}")
+        checkpoint = checkpoint.build_model()
+    if not isinstance(checkpoint, MultiScaleTCN):
+        raise TypeError(f"expected a Checkpoint or model, got {type(checkpoint).__name__}")
+    if not any(p.requires_grad for p in checkpoint.params.values()):
+        return checkpoint
+    frozen = copy.copy(checkpoint)
+    frozen.params = {name: Tensor(p.data, dtype=p.dtype) for name, p in checkpoint.params.items()}
+    return frozen
 
 
 def _window_geometry(config, window_seconds: float, hop_seconds: float):
@@ -86,13 +98,12 @@ def _classify_windows(model: MultiScaleTCN, audio: np.ndarray, centers, win: int
     half = win // 2
     probs = {}
     centers = list(centers)
-    with ad.no_grad():
-        for start in range(0, len(centers), batch_size):
-            group = centers[start : start + batch_size]
-            batch = np.stack([audio[c - half : c - half + win] for c in group])
-            out = model.window_probs(batch).data
-            for c, p in zip(group, out):
-                probs[c] = p
+    for start in range(0, len(centers), batch_size):
+        group = centers[start : start + batch_size]
+        batch = np.stack([audio[c - half : c - half + win] for c in group])
+        out = model.window_probs(batch).data
+        for c, p in zip(group, out):
+            probs[c] = p
     return probs
 
 
@@ -168,8 +179,7 @@ class StreamingSession:
                 break
             rel = start - self._buffer_start
             window = self._buffer[rel : rel + self.win]
-            with ad.no_grad():
-                p = self.model.window_probs(window).data
+            p = self.model.window_probs(window).data
             decision = Decision(
                 timestamp=center / self.fs,
                 category=decode(p, self.model.config.threshold),

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import AdamState, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
 from .model import CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN
 from .simulate import LabeledSample
@@ -163,17 +162,13 @@ def load_sample(record: SampleRecord) -> LabeledSample:
 # window targets
 
 
-def window_label(sample: LabeledSample, center_time: float) -> np.ndarray:
-    """(assistant_bit, expert_bit) of the category at the window middle.
+def window_label(sample: LabeledSample, center: int) -> np.ndarray:
+    """(assistant_bit, expert_bit) of the category at the window's middle sample.
 
     Segment intervals are half-open, so a center exactly on a boundary
-    takes the later segment's label.
+    takes the later segment's label. A center outside the audio raises
+    ValueError.
     """
-    center = int(round(center_time * sample.sample_rate))
-    if not 0 <= center < len(sample.audio):
-        raise ValueError(
-            f"window center {center_time} s (sample {center}) lies outside the sample"
-        )
     cat = sample.category_at(center)
     return np.array([cat.assistant_bit, cat.expert_bit], dtype=np.float32)
 
@@ -207,8 +202,7 @@ class _WindowSet:
             si, center = self.windows[wi]
             sample = self.samples[si]
             xs[row] = sample.audio[center - half : center - half + self.win]
-            cat = sample.category_at(center)
-            ys[row] = (cat.assistant_bit, cat.expert_bit)
+            ys[row] = window_label(sample, center)
         return xs, ys
 
     def batches(self, batch_size: int):
@@ -219,10 +213,10 @@ class _WindowSet:
 
 
 def _mean_loss(model: MultiScaleTCN, window_set: _WindowSet, batch_size: int) -> float:
+    frozen = resolve_model(model)
     total = 0.0
-    with ad.no_grad():
-        for xs, ys in window_set.batches(batch_size):
-            total += binary_cross_entropy(model.window_probs(xs), ys).item() * len(xs)
+    for xs, ys in window_set.batches(batch_size):
+        total += binary_cross_entropy(frozen.window_probs(xs), ys).item() * len(xs)
     return total / len(window_set.windows)
 
 

@@ -22,12 +22,11 @@ from classvoice.autodiff import (
     prelu,
     relu,
     sigmoid,
-    softmax,
 )
 
 
 def naive_conv1d(x, w, bias, dilation, groups, padding):
-    """Direct triple-loop dilated grouped convolution. The oracle."""
+    """Direct loop dilated grouped convolution, for any grouping. The oracle."""
     c_in, t = x.shape
     c_out, cin_g, k = w.shape
     left, right = padding
@@ -78,8 +77,10 @@ class TestConv1d:
             t = int(rng.integers(1, 17))
             k = int(rng.integers(1, 4))
             d = int(rng.integers(1, 5))
-            groups = 1 if rng.random() < 0.5 else c
-            c_out = groups * int(rng.integers(1, 4))
+            if rng.random() < 0.5:  # pointwise
+                groups, k, c_out = 1, 1, int(rng.integers(1, 6))
+            else:  # depthwise
+                groups, c_out = c, c
             need = 1 + (k - 1) * d
             left = int(rng.integers(0, need + 2))
             right = max(0, need - t - left) + int(rng.integers(0, 3))
@@ -100,12 +101,24 @@ class TestConv1d:
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
         x = rng.standard_normal((4, 3, 10))
-        w = rng.standard_normal((5, 3, 3))
-        b = rng.standard_normal(5)
-        batched = conv1d(Tensor(x), Tensor(w), Tensor(b), dilation=2, padding=(2, 2))
-        for i in range(4):
-            single = conv1d(Tensor(x[i]), Tensor(w), Tensor(b), dilation=2, padding=(2, 2))
-            np.testing.assert_allclose(batched.data[i], single.data, rtol=1e-5, atol=1e-6)
+        for w_shape, groups in (((5, 3, 1), 1), ((3, 1, 3), 3)):  # pointwise, depthwise
+            w = rng.standard_normal(w_shape)
+            b = rng.standard_normal(w_shape[0])
+            kw = dict(dilation=2, groups=groups, padding=(2, 2))
+            batched = conv1d(Tensor(x), Tensor(w), Tensor(b), **kw)
+            for i in range(4):
+                single = conv1d(Tensor(x[i]), Tensor(w), Tensor(b), **kw)
+                np.testing.assert_allclose(batched.data[i], single.data, rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "w_shape,groups",
+        [((4, 4, 3), 1), ((4, 2, 1), 2), ((8, 1, 3), 4), ((2, 1, 1), 4)],
+        ids=["dense-k3", "grouped", "depth-multiplier", "fewer-outputs"],
+    )
+    def test_unsupported_grouping_rejected(self, w_shape, groups):
+        x = Tensor(np.zeros((4, 8)))
+        with pytest.raises(ShapeError, match="pointwise .* or depthwise"):
+            conv1d(x, Tensor(np.zeros(w_shape)), groups=groups)
 
     def test_shape_errors_name_offender(self):
         x = Tensor(np.zeros((4, 8)))
@@ -118,7 +131,7 @@ class TestConv1d:
 
     def test_non_finite_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            conv1d(Tensor(np.zeros((1, 4))) / Tensor(np.zeros((1, 4))), Tensor(np.ones((1, 1, 1))))
+            conv1d(ad.log(Tensor(-np.ones((1, 4)))), Tensor(np.ones((1, 1, 1))))
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
 
@@ -163,20 +176,6 @@ class TestActivations:
     def test_sigmoid_extreme_is_finite(self):
         out = sigmoid(Tensor([1000.0, -1000.0]))
         assert np.all(np.isfinite(out.data))
-
-    def test_softmax_symmetry(self):
-        np.testing.assert_allclose(softmax(Tensor([0.0, 0.0])).data, [0.5, 0.5])
-
-    def test_softmax_stability(self):
-        out = softmax(Tensor([1000.0, 0.0])).data
-        assert np.all(np.isfinite(out))
-        np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            x = rng.uniform(-1000, 1000, size=5)
-            s = softmax(Tensor(x)).data
-            assert np.all(s > 0)
-            assert abs(s.sum() - 1.0) < 1e-6
 
 
 class TestLayerNorms:
@@ -333,15 +332,16 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_conv1d(self, seed):
+        # pointwise, batched and padded
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((3, 7)), requires_grad=True, dtype=np.float64)
-        w = Tensor(rng.standard_normal((4, 3, 3)) * 0.5, requires_grad=True, dtype=np.float64)
+        x = Tensor(rng.standard_normal((2, 3, 7)), requires_grad=True, dtype=np.float64)
+        w = Tensor(rng.standard_normal((4, 3, 1)) * 0.5, requires_grad=True, dtype=np.float64)
         b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64)
-        f = lambda t: ad.tsum(ad.mul(c := conv1d(t, w, b, dilation=2, padding=(2, 2)), c))
+        f = lambda t: ad.tsum(ad.mul(c := conv1d(t, w, b, padding=(2, 1)), c))
         assert grad_check(f, x) < 1e-4
-        fw = lambda t: ad.tsum(ad.mul(c := conv1d(x, t, b, dilation=2, padding=(2, 2)), c))
+        fw = lambda t: ad.tsum(ad.mul(c := conv1d(x, t, b, padding=(2, 1)), c))
         assert grad_check(fw, w) < 1e-4
-        fb = lambda t: ad.tsum(ad.mul(c := conv1d(x, w, t, dilation=2, padding=(2, 2)), c))
+        fb = lambda t: ad.tsum(ad.mul(c := conv1d(x, w, t, padding=(2, 1)), c))
         assert grad_check(fb, b) < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -391,16 +391,12 @@ class TestGradCheck:
         assert grad_check(f, x) < 1e-4
         fw = lambda t: binary_cross_entropy(sigmoid(linear(x, t, b)), y)
         assert grad_check(fw, w) < 1e-4
-        fs = lambda t: ad.tsum(ad.mul(s := softmax(t), s))
-        assert grad_check(fs, Tensor(rng.standard_normal(5), requires_grad=True, dtype=np.float64)) < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_reductions(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
         assert grad_check(lambda t: ad.tsum(ad.mul(m := ad.tmean(t, axis=-1), m)), x) < 1e-4
-        assert grad_check(lambda t: ad.tsum(ad.mul(c := ad.cumsum(t, axis=1), c)), x) < 1e-4
-        assert grad_check(lambda t: ad.tsum(ad.mul(s := ad.sqrt(ad.add(ad.mul(t, t), Tensor(1.0, dtype=np.float64))), s)), x) < 1e-4
 
 
 class TestAdam:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from classvoice import cli
-from classvoice.model import ModelConfig
+from classvoice.model import CHECKPOINT_MAGIC, Checkpoint, ModelConfig, MultiScaleTCN, reduced_config, save_checkpoint
 from classvoice.simulate import SceneGrid, write_synthetic_corpus
 from classvoice.training import TrainConfig
 from classvoice.wavio import WavFile, write_wav
@@ -139,4 +139,35 @@ class TestRuns:
         assert cli.main([*argv, "--streaming", "true"]) == 2
         assert "800 samples" in capsys.readouterr().err
         assert not (out / "decisions.csv").exists()
+        assert not out.exists()
+
+    def test_inspect_unknown_config_key_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(path, Checkpoint.from_model(MultiScaleTCN(reduced_config(), seed=0)))
+        blob = path.read_bytes()
+        start = len(CHECKPOINT_MAGIC) + 8
+        end = start + int.from_bytes(blob[len(CHECKPOINT_MAGIC) : start], "little")
+        header = json.loads(blob[start:end])
+        header["config"]["class_activation"] = "sigmoid"
+        text = json.dumps(header).encode()
+        path.write_bytes(CHECKPOINT_MAGIC + len(text).to_bytes(8, "little") + text + blob[end:])
+        assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
+        assert f"{path}: unknown model config key 'class_activation'" in capsys.readouterr().err
+
+    def test_train_with_bad_manifest_exits_2_without_out(self, runs, tmp_path, capsys):
+        manifest = tmp_path / "bad.jsonl"
+        manifest.write_text('{"wav": "x.wav"}\n')
+        out = tmp_path / "train"
+        argv = ["train", "--out", str(out), "--train-manifest", str(manifest),
+                "--valid-manifest", str(runs / "sim" / "manifest_valid.jsonl"), *TINY_MODEL_FLAGS]
+        assert cli.main(argv) == 2
+        assert "bad.jsonl:1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_with_empty_corpus_exits_2_without_out(self, corpus_dirs, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--out", str(out), *corpus_dirs, "--expert-dir", str(empty), *SCENE_FLAGS]) == 2
+        assert "contains no .wav files" in capsys.readouterr().err
         assert not out.exists()

@@ -7,6 +7,7 @@ from classvoice import autodiff as ad
 from classvoice.autodiff import ShapeError, Tensor
 from classvoice.model import (
     CATEGORY_ORDER,
+    NUM_CLASSES,
     Category,
     Checkpoint,
     ModelConfig,
@@ -43,7 +44,7 @@ class TestModelConfig:
         c = ModelConfig()
         assert (c.frame_len, c.enc_channels, c.bottleneck_channels) == (160, 512, 128)
         assert (c.block_channels, c.kernel_size, c.repeats, c.blocks_per_repeat) == (512, 3, 3, 8)
-        assert (c.hidden1, c.hidden2, c.num_classes) == (2048, 2048, 2)
+        assert (c.hidden1, c.hidden2, NUM_CLASSES) == (2048, 2048, 2)
         assert c.classifier_input_dim == 8 * 3 * 128 == 3072
 
     def test_validation(self):
@@ -53,8 +54,6 @@ class TestModelConfig:
             ModelConfig(threshold=1.5)
         with pytest.raises(ValueError, match="norm_mode"):
             ModelConfig(norm_mode="batch")
-        with pytest.raises(ValueError, match="num_classes"):
-            ModelConfig(num_classes=3)
         with pytest.raises(ValueError, match="positive"):
             ModelConfig(repeats=0)
 
@@ -293,12 +292,6 @@ class TestClassify:
         probs = model.window_probs(rng.standard_normal(160).astype(np.float32)).data
         assert probs.shape == (2,)
         assert np.all(probs > 0) and np.all(probs < 1)
-
-    def test_softmax_option_sums_to_one(self):
-        model = MultiScaleTCN(tiny_config(class_activation="softmax"), seed=20)
-        rng = np.random.default_rng(17)
-        probs = model.window_probs(rng.standard_normal(160).astype(np.float32)).data
-        assert probs.sum() == pytest.approx(1.0, abs=1e-6)
 
 
 class TestDecode:

@@ -1,8 +1,12 @@
-"""Streaming/offline inference tests: slot arithmetic, equivalence, segments."""
+"""Streaming/offline inference tests: slot arithmetic, equivalence, sharing, segments."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from classvoice import autodiff as ad
 from classvoice.model import Category, Checkpoint, ModelConfig, MultiScaleTCN
 from classvoice.streaming import (
     AudioTooShortError,
@@ -147,6 +151,43 @@ class TestStreaming:
         for a, b in zip(track.decisions, ref.decisions):
             assert a.timestamp == b.timestamp
             np.testing.assert_array_equal(a.probs, b.probs)
+
+
+class TestSharedModel:
+    def test_threads_share_one_trainable_model(self, audio_12s):
+        model = small_model(norm_mode="cLN", causal=True)
+        chunks = [audio_12s[i : i + 1600] for i in range(0, 8 * FS, 1600)]
+
+        def run():
+            session = StreamingSession(model)
+            for chunk in chunks:
+                session.feed(chunk)
+            return [(d.timestamp, d.category, d.probs.tobytes()) for d in session.close().decisions]
+
+        want = run()
+        results = [None] * 4
+
+        def worker(i):
+            results[i] = run()
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert len(want) == 51 and results == [want] * 4
+        # the shared model is still trainable: a forward records a graph and
+        # backward reaches every parameter but the final, unread res_conv
+        loss = ad.binary_cross_entropy(model.window_probs(audio_12s[: 3 * FS]), [1.0, 0.0])
+        ad.backward(loss)
+        missing = sorted(n for n, p in model.params.items() if p.grad is None)
+        assert missing == ["block.0.1.res_conv.bias", "block.0.1.res_conv.weight"]
 
 
 def make_track(categories, hop=0.1):
