@@ -53,7 +53,7 @@ class _Key:
 _TYPES = {"bool": bool, "int": int, "float": float, "str": str}  # bool first: it subclasses int
 # the commands that build each class, and the further commands that read one of its keys
 _BUILDERS = ((ModelConfig, ("train",)), (TrainConfig, ("train",)), (SceneGrid, ("simulate",)))
-_SHARED = {"seed": ("simulate",), "sample-rate": ("simulate",), "window-seconds": ("eval", "infer")}
+_SHARED = {"seed": ("simulate",), "sample-rate": ("simulate",)}
 
 
 def _flag(field_name: str) -> str:
@@ -235,12 +235,7 @@ def _cmd_train(cfg: dict) -> int:
 
 def _cmd_eval(cfg: dict) -> int:
     checkpoint = load_checkpoint(cfg["checkpoint"])
-    report = evaluate(
-        checkpoint,
-        cfg["test-manifest"],
-        window_seconds=cfg["window-seconds"],
-        hop_seconds=cfg["hop-seconds"],
-    )
+    report = evaluate(checkpoint, cfg["test-manifest"], hop_seconds=cfg["hop-seconds"])
     out = _start_output(cfg)
     text = report.render_text()
     _atomic_write_text(out / "report.txt", text + "\n")
@@ -258,14 +253,9 @@ def _cmd_infer(cfg: dict) -> int:
     if cfg["streaming"]:
         chunk = max(1, round(cfg["hop-seconds"] * fs))
         chunks = (wav.samples[start : start + chunk] for start in range(0, len(wav.samples), chunk))
-        track = infer_streaming(chunks, checkpoint, cfg["window-seconds"], cfg["hop-seconds"])
+        track = infer_streaming(chunks, checkpoint, cfg["hop-seconds"])
     else:
-        track = infer_offline(
-            wav.samples,
-            checkpoint,
-            window_seconds=cfg["window-seconds"],
-            hop_seconds=cfg["hop-seconds"],
-        )
+        track = infer_offline(wav.samples, checkpoint, hop_seconds=cfg["hop-seconds"])
     segments = decisions_to_segments(track)
     out = _start_output(cfg)
     header = "timestamp_s,category,prob_assistant,prob_expert"

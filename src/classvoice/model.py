@@ -9,21 +9,30 @@ used by a three-layer classifier, which emits per-class probabilities
 for the assistant and expert voices. Per-class thresholding yields one
 of four categories.
 
-A frozen model (``streaming.resolve_model``) builds no graph and can
-serve concurrent inference from many threads; training mutates parameters
-single-threaded.
+The layout is written once, in ``_param_shapes``: every parameter's name
+and shape in creation order (encoder, bottleneck, blocks
+repeat-major/block-minor, classifier). ``MultiScaleTCN`` initialises from
+it (weights uniform(-1, 1) / sqrt(fan_in), drawn in table order; norm gains
+1, PReLU slopes 0.25, biases 0), ``param_count`` sums it, and checkpoints
+are checked against it on load and on ``Checkpoint.build_model``, which
+wraps copies of the stored arrays without drawing an initialisation.
+
+A frozen model (``build_model``, or ``streaming.resolve_model`` of a
+trainable one) builds no graph and can serve concurrent inference from
+many threads; training mutates parameters single-threaded.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ShapeError, Tensor
+from .autodiff import NonFiniteError, ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"CVCHKPT1"
 CHECKPOINT_VERSION = 1
@@ -141,37 +150,60 @@ def receptive_field(config: ModelConfig) -> int:
     return 1 + r * (k - 1) * (2**m - 1)
 
 
-def _norm_params(config: ModelConfig, channels: int) -> int:
-    return 0 if config.norm_mode == "none" else 2 * channels
+def _param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Every parameter's name and shape, in creation order: the network's one layout table."""
+    c = config
+    table = [("encoder.weight", (c.enc_channels, c.frame_len))]
+
+    def norm(prefix, channels):
+        if c.norm_mode != "none":
+            table.extend([(prefix + ".gain", (channels, 1)), (prefix + ".bias", (channels, 1))])
+
+    def conv(prefix, c_out, c_in, taps=1):
+        table.extend([(prefix + ".weight", (c_out, c_in, taps)), (prefix + ".bias", (c_out,))])
+
+    def linear(prefix, c_out, c_in):
+        table.extend([(prefix + ".weight", (c_out, c_in)), (prefix + ".bias", (c_out,))])
+
+    norm("bottleneck.norm", c.enc_channels)
+    conv("bottleneck.conv", c.bottleneck_channels, c.enc_channels)
+    for r in range(c.repeats):
+        for m in range(c.blocks_per_repeat):
+            pre = f"block.{r}.{m}"
+            conv(f"{pre}.in_conv", c.block_channels, c.bottleneck_channels)
+            table.append((f"{pre}.prelu1.alpha", (1,)))
+            norm(f"{pre}.norm1", c.block_channels)
+            conv(f"{pre}.dw_conv", c.block_channels, 1, c.kernel_size)
+            table.append((f"{pre}.prelu2.alpha", (1,)))
+            norm(f"{pre}.norm2", c.block_channels)
+            conv(f"{pre}.res_conv", c.bottleneck_channels, c.block_channels)
+            conv(f"{pre}.skip_conv", c.skip_channels, c.block_channels)
+    linear("classifier.fc1", c.hidden1, c.classifier_input_dim)
+    linear("classifier.fc2", c.hidden2, c.hidden1)
+    linear("classifier.fc3", NUM_CLASSES, c.hidden2)
+    return table
+
+
+# initial value of each non-weight parameter, by the last component of its name
+_FILL = {"gain": 1.0, "alpha": 0.25, "bias": 0.0}
+
+
+def _check_layout(config: ModelConfig, shapes: dict) -> dict[str, tuple[int, ...]]:
+    """Raise ValueError unless ``shapes`` (name -> shape) is exactly the config's table; return the table."""
+    expected = dict(_param_shapes(config))
+    if expected.keys() != shapes.keys():
+        missing = sorted(expected.keys() - shapes.keys())
+        extra = sorted(shapes.keys() - expected.keys())
+        raise ValueError(f"checkpoint/config mismatch: missing {missing}, unexpected {extra}")
+    for name, shape in expected.items():
+        if tuple(shapes[name]) != shape:
+            raise ValueError(f"tensor {name} has shape {tuple(shapes[name])}, expected {shape}")
+    return expected
 
 
 def param_count(config: ModelConfig) -> int:
-    """Exact trainable-scalar count; matches runtime enumeration exactly."""
-    n, l = config.enc_channels, config.frame_len
-    e, p, h, k = (
-        config.bottleneck_channels,
-        config.skip_channels,
-        config.block_channels,
-        config.kernel_size,
-    )
-    total = n * l  # encoder basis, no bias
-    total += _norm_params(config, n) + e * n + e  # bottleneck norm + 1x1 conv
-    per_block = (
-        (h * e + h)  # 1x1 in
-        + 1  # prelu1
-        + _norm_params(config, h)
-        + (h * k + h)  # depthwise
-        + 1  # prelu2
-        + _norm_params(config, h)
-        + (e * h + e)  # 1x1 residual
-        + (p * h + p)  # 1x1 skip
-    )
-    total += per_block * config.blocks_per_repeat * config.repeats
-    d = config.classifier_input_dim
-    total += config.hidden1 * d + config.hidden1
-    total += config.hidden2 * config.hidden1 + config.hidden2
-    total += NUM_CLASSES * config.hidden2 + NUM_CLASSES
-    return total
+    """Exact trainable-scalar count, summed over the layout table."""
+    return sum(math.prod(shape) for _, shape in _param_shapes(config))
 
 
 def decode(probs, threshold: float) -> Category:
@@ -183,11 +215,11 @@ def decode(probs, threshold: float) -> Category:
 
 
 class MultiScaleTCN:
-    """The network, holding named parameter tensors.
+    """The network, holding named parameter tensors in layout-table order.
 
-    Parameters are created in a fixed order (encoder, bottleneck, blocks
-    repeat-major/block-minor, classifier) so checkpoints and skip
-    concatenation are stable across runs.
+    ``MultiScaleTCN(config, seed)`` draws fresh trainable weights;
+    ``Checkpoint.build_model`` and ``streaming.resolve_model`` wrap given
+    arrays in frozen tensors instead.
     """
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
@@ -195,57 +227,36 @@ class MultiScaleTCN:
         self.dtype = dtype
         self.params: dict[str, Tensor] = {}
         rng = np.random.default_rng(seed)
-        c = config
-
-        def weight(name, shape, fan_in):
-            data = rng.uniform(-1.0, 1.0, size=shape) * fan_in**-0.5
+        for name, shape in _param_shapes(config):
+            kind = name.rsplit(".", 1)[1]
+            if kind == "weight":
+                data = rng.uniform(-1.0, 1.0, size=shape) * math.prod(shape[1:]) ** -0.5
+            else:
+                data = np.full(shape, _FILL[kind])
             self.params[name] = Tensor(data.astype(dtype), requires_grad=True, dtype=dtype)
 
-        def zeros(name, shape):
-            self.params[name] = Tensor(np.zeros(shape, dtype), requires_grad=True, dtype=dtype)
+    @classmethod
+    def _frozen(cls, config: ModelConfig, arrays: dict[str, np.ndarray], dtype=np.float32) -> "MultiScaleTCN":
+        """A model over the given arrays, shared, not copied, through tensors without ``requires_grad``.
 
-        def const(name, shape, value):
-            self.params[name] = Tensor(np.full(shape, value, dtype), requires_grad=True, dtype=dtype)
-
-        def norm(prefix, channels):
-            if c.norm_mode != "none":
-                const(prefix + ".gain", (channels, 1), 1.0)
-                zeros(prefix + ".bias", (channels, 1))
-
-        weight("encoder.weight", (c.enc_channels, c.frame_len), c.frame_len)
-        norm("bottleneck.norm", c.enc_channels)
-        weight("bottleneck.conv.weight", (c.bottleneck_channels, c.enc_channels, 1), c.enc_channels)
-        zeros("bottleneck.conv.bias", (c.bottleneck_channels,))
-        for r in range(c.repeats):
-            for m in range(c.blocks_per_repeat):
-                pre = f"block.{r}.{m}"
-                weight(f"{pre}.in_conv.weight", (c.block_channels, c.bottleneck_channels, 1), c.bottleneck_channels)
-                zeros(f"{pre}.in_conv.bias", (c.block_channels,))
-                const(f"{pre}.prelu1.alpha", (1,), 0.25)
-                norm(f"{pre}.norm1", c.block_channels)
-                weight(f"{pre}.dw_conv.weight", (c.block_channels, 1, c.kernel_size), c.kernel_size)
-                zeros(f"{pre}.dw_conv.bias", (c.block_channels,))
-                const(f"{pre}.prelu2.alpha", (1,), 0.25)
-                norm(f"{pre}.norm2", c.block_channels)
-                weight(f"{pre}.res_conv.weight", (c.bottleneck_channels, c.block_channels, 1), c.block_channels)
-                zeros(f"{pre}.res_conv.bias", (c.bottleneck_channels,))
-                weight(f"{pre}.skip_conv.weight", (c.skip_channels, c.block_channels, 1), c.block_channels)
-                zeros(f"{pre}.skip_conv.bias", (c.skip_channels,))
-        d = c.classifier_input_dim
-        weight("classifier.fc1.weight", (c.hidden1, d), d)
-        zeros("classifier.fc1.bias", (c.hidden1,))
-        weight("classifier.fc2.weight", (c.hidden2, c.hidden1), c.hidden1)
-        zeros("classifier.fc2.bias", (c.hidden2,))
-        weight("classifier.fc3.weight", (NUM_CLASSES, c.hidden2), c.hidden2)
-        zeros("classifier.fc3.bias", (NUM_CLASSES,))
+        Names and shapes must match the config's layout table and every
+        value must be finite; otherwise ValueError names the tensor.
+        """
+        model = cls.__new__(cls)
+        model.config = config
+        model.dtype = dtype
+        model.params = {}
+        for name in _check_layout(config, {n: a.shape for n, a in arrays.items()}):
+            try:
+                model.params[name] = Tensor(arrays[name], dtype=arrays[name].dtype)
+            except NonFiniteError:
+                raise ValueError(f"tensor {name} contains non-finite values") from None
+        return model
 
     # -- parameter access -------------------------------------------------
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     # -- forward pieces ----------------------------------------------------
 
@@ -380,21 +391,8 @@ class Checkpoint:
         return cls(config=model.config, params=params, metadata=dict(metadata or {}))
 
     def build_model(self) -> MultiScaleTCN:
-        model = MultiScaleTCN(self.config)
-        expected = set(model.params)
-        got = set(self.params)
-        if expected != got:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise ValueError(f"checkpoint/config mismatch: missing {missing}, unexpected {extra}")
-        for name, arr in self.params.items():
-            slot = model.params[name]
-            if tuple(arr.shape) != slot.shape:
-                raise ValueError(f"tensor {name} has shape {arr.shape}, expected {slot.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"tensor {name} contains non-finite values")
-            slot.data = arr.astype(np.float32).copy()
-        return model
+        """A frozen float32 model over copies of these arrays, checked against the config's layout."""
+        return MultiScaleTCN._frozen(self.config, {n: a.astype(np.float32) for n, a in self.params.items()})
 
 
 def save_checkpoint(path, checkpoint: Checkpoint):
@@ -422,29 +420,83 @@ def save_checkpoint(path, checkpoint: Checkpoint):
             f.write(blob)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as f:
-        magic = f.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file (bad magic {magic!r})")
-        header_len = int.from_bytes(f.read(8), "little")
-        header = json.loads(f.read(header_len).decode("utf-8"))
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: unsupported format version {header.get('format_version')}")
-        payload = f.read()
-    params = {}
+_HEADER_KEYS = {"format_version": int, "config": dict, "metadata": dict, "tensors": list}
+_TENSOR_KEYS = {"name": str, "shape": list, "offset": int, "nbytes": int}
+
+
+def _require(record, keys: dict, what: str):
+    if type(record) is not dict:
+        raise ValueError(f"{what} is not a JSON object")
+    for key, kind in keys.items():
+        if type(record.get(key)) is not kind:
+            raise ValueError(f"{what} has no {kind.__name__} {key!r}")
+
+
+def _parse_checkpoint(blob: bytes) -> Checkpoint:
+    """Checkpoint from the file's bytes; ValueError (without the path) for any malformed field."""
+    magic = blob[: len(CHECKPOINT_MAGIC)]
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
+    start = len(CHECKPOINT_MAGIC) + 8
+    if len(blob) < start:
+        raise ValueError("file ends inside the header length")
+    header_len = int.from_bytes(blob[len(CHECKPOINT_MAGIC) : start], "little")
+    if header_len > len(blob) - start:
+        raise ValueError(f"header length {header_len} exceeds the {len(blob) - start} bytes after it")
+    payload = start + header_len
+    try:
+        header = json.loads(blob[start:payload].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"header is not UTF-8 JSON ({exc})") from None
+    if type(header) is dict and header.get("format_version") != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported format version {header.get('format_version')}")
+    _require(header, _HEADER_KEYS, "header")
+    shapes, offset = {}, 0
     for spec in header["tensors"]:
-        start, n = spec["offset"], spec["nbytes"]
-        if start + n > len(payload):
-            raise ValueError(f"{path}: truncated payload for tensor {spec['name']}")
-        arr = np.frombuffer(payload[start : start + n], dtype="<f4").reshape(spec["shape"]).copy()
-        params[spec["name"]] = arr
+        _require(spec, _TENSOR_KEYS, "tensor entry")
+        name, shape = spec["name"], spec["shape"]
+        if name in shapes:
+            raise ValueError(f"tensor {name} is listed twice")
+        if not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"tensor {name} has shape {shape}, not a list of non-negative integers")
+        need = 4 * math.prod(shape)
+        if spec["nbytes"] != need:
+            raise ValueError(f"tensor {name} has nbytes {spec['nbytes']}, but shape {shape} needs {need}")
+        if spec["offset"] != offset:
+            raise ValueError(f"tensor {name} starts at payload byte {spec['offset']}, expected {offset}")
+        shapes[name] = tuple(shape)
+        offset += spec["nbytes"]
+    if offset != len(blob) - payload:
+        raise ValueError(f"tensors cover {offset} payload bytes, but the file holds {len(blob) - payload}")
     known = {f.name for f in fields(ModelConfig)}
     for key in header["config"]:
         if key not in known:
-            raise ValueError(f"{path}: unknown model config key '{key}'")
-    config = ModelConfig(**header["config"])
+            raise ValueError(f"unknown model config key '{key}'")
+    try:
+        config = ModelConfig(**header["config"])
+    except TypeError as exc:  # a value of the wrong type, e.g. a string threshold
+        raise ValueError(f"bad model config: {exc}") from None
+    blocks = config.repeats * config.blocks_per_repeat
+    if blocks > len(shapes):  # bounds the table built below by the file's size
+        raise ValueError(f"config declares {blocks} conv blocks but the file holds {len(shapes)} tensors")
+    _check_layout(config, shapes)
+    params = {
+        spec["name"]: np.frombuffer(blob, "<f4", spec["nbytes"] // 4, payload + spec["offset"])
+        .reshape(spec["shape"])
+        .copy()
+        for spec in header["tensors"]
+    }
     return Checkpoint(config=config, params=params, metadata=header["metadata"])
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint file; every malformed file raises ValueError("<path>: ...")."""
+    with open(path, "rb") as f:
+        blob = f.read()
+    try:
+        return _parse_checkpoint(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def reduced_config(**overrides) -> ModelConfig:

@@ -16,16 +16,15 @@ share one checkpoint or model, because each runs a frozen view of it (see
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor
 from .model import Category, Checkpoint, MultiScaleTCN, decode
 
-WINDOW_SECONDS = 3.0  # analysis window length
+WINDOW_SECONDS = 3.0  # analysis window length, for training and inference alike
 HOP_SECONDS = 0.1  # decision hop
+BATCH_WINDOWS = 32  # windows per forward call in offline inference
 
 
 class AudioTooShortError(ValueError):
@@ -66,40 +65,40 @@ class DecisionTrack:
 def resolve_model(checkpoint) -> MultiScaleTCN:
     """A frozen model for inference, from a Checkpoint or a model.
 
-    A model none of whose parameters requires grad is returned as is.
-    Otherwise the result is a view that shares the model's arrays through
-    tensors without ``requires_grad``, so running it builds no graph and
-    leaves the given model trainable.
+    A Checkpoint gives its ``build_model()``. A model none of whose
+    parameters requires grad is returned as is. A trainable model gives a
+    view built by the same path as ``build_model``: tensors without
+    ``requires_grad`` over the model's own arrays, so running it builds no
+    graph and leaves the given model trainable.
     """
     if isinstance(checkpoint, Checkpoint):
-        checkpoint = checkpoint.build_model()
+        return checkpoint.build_model()
     if not isinstance(checkpoint, MultiScaleTCN):
         raise TypeError(f"expected a Checkpoint or model, got {type(checkpoint).__name__}")
     if not any(p.requires_grad for p in checkpoint.params.values()):
         return checkpoint
-    frozen = copy.copy(checkpoint)
-    frozen.params = {name: Tensor(p.data, dtype=p.dtype) for name, p in checkpoint.params.items()}
-    return frozen
+    arrays = {name: p.data for name, p in checkpoint.params.items()}
+    return MultiScaleTCN._frozen(checkpoint.config, arrays, checkpoint.dtype)
 
 
-def _window_geometry(config, window_seconds: float, hop_seconds: float):
+def _window_geometry(config, hop_seconds: float):
     fs = config.sample_rate
-    win = round(window_seconds * fs)
+    win = round(WINDOW_SECONDS * fs)
     hop = max(1, round(hop_seconds * fs))
     if win < config.frame_len:
         raise ValueError(
-            f"window of {window_seconds} s is shorter than one encoder frame ({config.frame_len} samples)"
+            f"window of {WINDOW_SECONDS} s is shorter than one encoder frame ({config.frame_len} samples)"
         )
     return fs, win, hop, win // 2
 
 
-def _classify_windows(model: MultiScaleTCN, audio: np.ndarray, centers, win: int, batch_size: int):
+def _classify_windows(model: MultiScaleTCN, audio: np.ndarray, centers, win: int):
     """Probabilities for the windows centered at ``centers`` (absolute samples)."""
     half = win // 2
     probs = {}
     centers = list(centers)
-    for start in range(0, len(centers), batch_size):
-        group = centers[start : start + batch_size]
+    for start in range(0, len(centers), BATCH_WINDOWS):
+        group = centers[start : start + BATCH_WINDOWS]
         batch = np.stack([audio[c - half : c - half + win] for c in group])
         out = model.window_probs(batch).data
         for c, p in zip(group, out):
@@ -107,13 +106,7 @@ def _classify_windows(model: MultiScaleTCN, audio: np.ndarray, centers, win: int
     return probs
 
 
-def infer_offline(
-    audio,
-    checkpoint,
-    window_seconds: float = WINDOW_SECONDS,
-    hop_seconds: float = HOP_SECONDS,
-    batch_size: int = 32,
-) -> DecisionTrack:
+def infer_offline(audio, checkpoint, hop_seconds: float = HOP_SECONDS) -> DecisionTrack:
     """One decision per hop slot over the entire file.
 
     Produces ceil(duration/hop) decisions at timestamps i*hop. Slots
@@ -121,7 +114,7 @@ def infer_offline(
     valid window's decision.
     """
     model = resolve_model(checkpoint)
-    fs, win, hop, half = _window_geometry(model.config, window_seconds, hop_seconds)
+    fs, win, hop, half = _window_geometry(model.config, hop_seconds)
     audio = np.asarray(audio, dtype=np.float32)
     s = len(audio)
     if s < win:
@@ -130,7 +123,7 @@ def infer_offline(
     n_slots = -(-s // hop)  # ceil
     lo, hi = half, s - win + half
     centers = [min(max(i * hop, lo), hi) for i in range(n_slots)]
-    probs = _classify_windows(model, audio, sorted(set(centers)), win, batch_size)
+    probs = _classify_windows(model, audio, sorted(set(centers)), win)
 
     track = DecisionTrack(hop_seconds=hop / fs)
     for i, c in enumerate(centers):
@@ -149,13 +142,11 @@ class StreamingSession:
     that window's middle time.
     """
 
-    def __init__(self, checkpoint, window_seconds: float = WINDOW_SECONDS, hop_seconds: float = HOP_SECONDS):
+    def __init__(self, checkpoint, hop_seconds: float = HOP_SECONDS):
         self.model = resolve_model(checkpoint)
         if not self.model.config.causal:
             raise ValueError("streaming inference requires a causal checkpoint (causal=True)")
-        self.fs, self.win, self.hop, self.half = _window_geometry(
-            self.model.config, window_seconds, hop_seconds
-        )
+        self.fs, self.win, self.hop, self.half = _window_geometry(self.model.config, hop_seconds)
         self.track = DecisionTrack(hop_seconds=self.hop / self.fs)
         # first slot on the i*hop grid whose centered window fits
         self._next_slot = -(-self.half // self.hop)
@@ -199,18 +190,13 @@ class StreamingSession:
         return self.track
 
 
-def infer_streaming(
-    frames,
-    checkpoint,
-    window_seconds: float = WINDOW_SECONDS,
-    hop_seconds: float = HOP_SECONDS,
-) -> DecisionTrack:
+def infer_streaming(frames, checkpoint, hop_seconds: float = HOP_SECONDS) -> DecisionTrack:
     """Run a streaming session over an iterable of sample chunks.
 
     Raises AudioTooShortError when the chunks end before the first full
     window, as infer_offline does.
     """
-    session = StreamingSession(checkpoint, window_seconds, hop_seconds)
+    session = StreamingSession(checkpoint, hop_seconds)
     for chunk in frames:
         session.feed(chunk)
     track = session.close()

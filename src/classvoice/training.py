@@ -39,8 +39,8 @@ class TrainConfig:
     validation-loss decrease before stopping early. lr_start/lr_end:
     learning rate at the first epoch and reached at the last, decayed
     exponentially in between. batch_size: windows per Adam step.
-    window_seconds: analysis window length. window_hop_seconds: stride
-    between the training windows cut from each sample. seed: model
+    window_hop_seconds: stride between the training windows, each
+    ``streaming.WINDOW_SECONDS`` long, cut from each sample. seed: model
     initialisation and shuffling seed.
     """
 
@@ -49,7 +49,6 @@ class TrainConfig:
     lr_start: float = 1e-5
     lr_end: float = 1e-8
     batch_size: int = 32
-    window_seconds: float = WINDOW_SECONDS
     window_hop_seconds: float = 0.5
     seed: int = 0
 
@@ -58,8 +57,6 @@ class TrainConfig:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not 0 < self.patience < self.epochs:
             raise ValueError(f"patience must lie in (0, epochs), got {self.patience}")
-        if self.window_seconds <= 0:
-            raise ValueError(f"window_seconds must be positive, got {self.window_seconds}")
         if self.window_hop_seconds <= 0:
             raise ValueError(f"window_hop_seconds must be positive, got {self.window_hop_seconds}")
         if self.batch_size < 1:
@@ -243,7 +240,7 @@ def train(
     for s in train_samples + valid_samples:
         if s.sample_rate != fs:
             raise ValueError(f"sample rate {s.sample_rate} does not match model ({fs})")
-    win = round(train_config.window_seconds * fs)
+    win = round(WINDOW_SECONDS * fs)
     hop = max(1, round(train_config.window_hop_seconds * fs))
     train_set = _WindowSet.build(train_samples, win, hop)
     valid_set = _WindowSet.build(valid_samples, win, hop)
@@ -362,13 +359,7 @@ class EvalReport:
         }
 
 
-def evaluate(
-    checkpoint: Checkpoint,
-    test_manifest,
-    window_seconds: float = WINDOW_SECONDS,
-    hop_seconds: float = HOP_SECONDS,
-    batch_size: int = 32,
-) -> EvalReport:
+def evaluate(checkpoint: Checkpoint, test_manifest, hop_seconds: float = HOP_SECONDS) -> EvalReport:
     """Score sliding-window decisions against ground truth at each timestamp."""
     model = resolve_model(checkpoint)
     fs = model.config.sample_rate
@@ -380,9 +371,7 @@ def evaluate(
                 f"{record.wav}: sample rate {record.sample_rate} does not match checkpoint ({fs})"
             )
         sample = load_sample(record)
-        track = infer_offline(
-            sample.audio, model, window_seconds=window_seconds, hop_seconds=hop_seconds, batch_size=batch_size
-        )
+        track = infer_offline(sample.audio, model, hop_seconds=hop_seconds)
         for d in track.decisions:
             truth = sample.category_at(int(round(d.timestamp * fs)))
             confusion[CATEGORY_ORDER.index(truth), CATEGORY_ORDER.index(d.category)] += 1

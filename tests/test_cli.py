@@ -71,9 +71,9 @@ class TestKeys:
         assert len(names) == len(set(names))
 
     def test_shared_keys(self):
-        assert resolve("eval", "--checkpoint", "c", "--test-manifest", "m", "--out", "o")["window-seconds"] == 3.0
-        assert resolve("simulate", "--out", "o", "--expert-dir", "e", "--assistant-dir", "a",
-                       "--noise-dir", "n", "--seed", "9")["seed"] == 9
+        cfg = resolve("simulate", "--out", "o", "--expert-dir", "e", "--assistant-dir", "a",
+                      "--noise-dir", "n", "--seed", "9", "--sample-rate", "8000")
+        assert (cfg["seed"], cfg["sample-rate"]) == (9, 8000)
 
 
 class TestConfigResolution:

@@ -1,7 +1,13 @@
 """Network architecture tests: shapes, causality, locality, decoding, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import classvoice.model
 
 from classvoice import autodiff as ad
 from classvoice.autodiff import ShapeError, Tensor
@@ -9,6 +15,7 @@ from classvoice.model import (
     CATEGORY_ORDER,
     NUM_CLASSES,
     Category,
+    CHECKPOINT_MAGIC,
     Checkpoint,
     ModelConfig,
     MultiScaleTCN,
@@ -16,6 +23,7 @@ from classvoice.model import (
     load_checkpoint,
     param_count,
     receptive_field,
+    reduced_config,
     save_checkpoint,
 )
 
@@ -353,22 +361,93 @@ class TestReceptiveFieldAndParamCount:
         # + res 1+1 + skip 1+1; classifier 1+1 + 1+1 + 2+2
         expected = 1 + 2 + (2 + 1 + 2 + 1 + 2 + 2) + (2 + 2 + 4)
         assert param_count(c) == expected
-        assert MultiScaleTCN(c, seed=0).param_count() == expected
+        assert sum(p.size for p in MultiScaleTCN(c, seed=0).parameters()) == expected
 
+    @pytest.mark.parametrize(
+        "cfg,expected",
+        [
+            (ModelConfig(), 15_477_938),
+            (ModelConfig(features_mode="last_layer"), 9_448_626),
+            (ModelConfig(norm_mode="none"), 15_427_762),
+            (reduced_config(), 116_402),
+        ],
+        ids=["paper", "last_layer", "no_norm", "reduced"],
+    )
+    def test_pinned_counts(self, cfg, expected):
+        assert param_count(cfg) == expected
+
+
+def reference_init(config, seed=0, dtype=np.float32):
+    """The parameter arrays of the per-layer initialisation the layout table replaced, frozen as a test oracle."""
+    params = {}
+    rng = np.random.default_rng(seed)
+    c = config
+
+    def weight(name, shape, fan_in):
+        data = rng.uniform(-1.0, 1.0, size=shape) * fan_in**-0.5
+        params[name] = data.astype(dtype)
+
+    def zeros(name, shape):
+        params[name] = np.zeros(shape, dtype)
+
+    def const(name, shape, value):
+        params[name] = np.full(shape, value, dtype)
+
+    def norm(prefix, channels):
+        if c.norm_mode != "none":
+            const(prefix + ".gain", (channels, 1), 1.0)
+            zeros(prefix + ".bias", (channels, 1))
+
+    weight("encoder.weight", (c.enc_channels, c.frame_len), c.frame_len)
+    norm("bottleneck.norm", c.enc_channels)
+    weight("bottleneck.conv.weight", (c.bottleneck_channels, c.enc_channels, 1), c.enc_channels)
+    zeros("bottleneck.conv.bias", (c.bottleneck_channels,))
+    for r in range(c.repeats):
+        for m in range(c.blocks_per_repeat):
+            pre = f"block.{r}.{m}"
+            weight(f"{pre}.in_conv.weight", (c.block_channels, c.bottleneck_channels, 1), c.bottleneck_channels)
+            zeros(f"{pre}.in_conv.bias", (c.block_channels,))
+            const(f"{pre}.prelu1.alpha", (1,), 0.25)
+            norm(f"{pre}.norm1", c.block_channels)
+            weight(f"{pre}.dw_conv.weight", (c.block_channels, 1, c.kernel_size), c.kernel_size)
+            zeros(f"{pre}.dw_conv.bias", (c.block_channels,))
+            const(f"{pre}.prelu2.alpha", (1,), 0.25)
+            norm(f"{pre}.norm2", c.block_channels)
+            weight(f"{pre}.res_conv.weight", (c.bottleneck_channels, c.block_channels, 1), c.block_channels)
+            zeros(f"{pre}.res_conv.bias", (c.bottleneck_channels,))
+            weight(f"{pre}.skip_conv.weight", (c.skip_channels, c.block_channels, 1), c.block_channels)
+            zeros(f"{pre}.skip_conv.bias", (c.skip_channels,))
+    d = c.classifier_input_dim
+    weight("classifier.fc1.weight", (c.hidden1, d), d)
+    zeros("classifier.fc1.bias", (c.hidden1,))
+    weight("classifier.fc2.weight", (c.hidden2, c.hidden1), c.hidden1)
+    zeros("classifier.fc2.bias", (c.hidden2,))
+    weight("classifier.fc3.weight", (NUM_CLASSES, c.hidden2), c.hidden2)
+    zeros("classifier.fc3.bias", (NUM_CLASSES,))
+    return params
+
+
+class TestInitParity:
     @pytest.mark.parametrize(
         "cfg",
         [
             ModelConfig(),
+            reduced_config(),
             ModelConfig(norm_mode="none"),
             ModelConfig(features_mode="last_layer"),
+            ModelConfig(norm_mode="gLN", causal=False),
         ],
+        ids=["paper", "reduced", "no_norm", "last_layer", "gln_noncausal"],
     )
-    def test_formula_matches_enumeration(self, cfg):
-        assert param_count(cfg) == MultiScaleTCN(cfg, seed=0).param_count()
-
-    def test_tiny_formula_matches_enumeration(self):
-        cfg = tiny_config()
-        assert param_count(cfg) == MultiScaleTCN(cfg, seed=0).param_count()
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_table_init_matches_reference(self, cfg, seed):
+        model = MultiScaleTCN(cfg, seed=seed)
+        expected = reference_init(cfg, seed=seed)
+        assert list(model.params) == list(expected)
+        for name, arr in expected.items():
+            got = model.params[name]
+            assert got.requires_grad and got.dtype == arr.dtype, name
+            assert np.array_equal(got.data, arr), name
 
 
 class TestEndToEndShapes:
@@ -425,6 +504,165 @@ class TestCheckpoint:
         del ckpt.params["encoder.weight"]
         with pytest.raises(ValueError, match="missing"):
             ckpt.build_model()
+
+    def test_build_model_checks_shape_and_finiteness(self):
+        ckpt = Checkpoint.from_model(MultiScaleTCN(tiny_config(), seed=25))
+        ckpt.params["classifier.fc3.bias"] = np.zeros(3, np.float32)
+        with pytest.raises(ValueError, match=r"classifier.fc3.bias has shape \(3,\), expected \(2,\)"):
+            ckpt.build_model()
+        ckpt.params["classifier.fc3.bias"] = np.array([0.0, np.nan], np.float32)
+        with pytest.raises(ValueError, match="classifier.fc3.bias contains non-finite"):
+            ckpt.build_model()
+
+    def test_build_model_draws_no_initialisation(self, monkeypatch):
+        source = MultiScaleTCN(tiny_config(), seed=26)
+        ckpt = Checkpoint.from_model(source)
+        audio = np.random.default_rng(21).standard_normal((2, 160)).astype(np.float32)
+        before = source.window_probs(audio).data
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("build_model drew random numbers")
+
+        monkeypatch.setattr(classvoice.model.np.random, "default_rng", no_rng)
+        built = ckpt.build_model()
+        assert list(built.params) == list(source.params)
+        assert not any(p.requires_grad for p in built.parameters())
+        np.testing.assert_array_equal(built.window_probs(audio).data, before)
+        # copies: the model does not alias the checkpoint's arrays
+        assert not any(np.shares_memory(built.params[n].data, a) for n, a in ckpt.params.items())
+
+
+def write_raw(path, header, payload: bytes):
+    text = json.dumps(header).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + len(text).to_bytes(8, "little") + text + payload)
+
+
+def split(path):
+    """(header dict, payload bytes) of a checkpoint file."""
+    blob = path.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    end = start + int.from_bytes(blob[len(CHECKPOINT_MAGIC) : start], "little")
+    return json.loads(blob[start:end]), blob[end:]
+
+
+@pytest.fixture(scope="module")
+def tiny_ckpt(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "tiny.ckpt"
+    save_checkpoint(path, Checkpoint.from_model(MultiScaleTCN(tiny_config(), seed=27), metadata={"n": 1}))
+    return path
+
+
+class TestMalformedCheckpoint:
+    """Every malformed file raises ValueError starting with its path."""
+
+    def rejects(self, path, match):
+        with pytest.raises(ValueError, match=match) as info:
+            load_checkpoint(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_trailing_payload_bytes(self, tiny_ckpt, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(tiny_ckpt.read_bytes() + b"\x00\x00\x00\x00")
+        self.rejects(path, "tensors cover .* payload bytes, but the file holds")
+
+    def test_truncated_payload(self, tiny_ckpt, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(tiny_ckpt.read_bytes()[:-1])
+        self.rejects(path, "payload bytes, but the file holds")
+
+    def test_missing_tensors_key(self, tiny_ckpt, tmp_path):
+        header, payload = split(tiny_ckpt)
+        del header["tensors"]
+        path = tmp_path / "c.ckpt"
+        write_raw(path, header, payload)
+        self.rejects(path, "header has no list 'tensors'")
+
+    def test_tensor_entry_without_offset(self, tiny_ckpt, tmp_path):
+        header, payload = split(tiny_ckpt)
+        del header["tensors"][0]["offset"]
+        path = tmp_path / "c.ckpt"
+        write_raw(path, header, payload)
+        self.rejects(path, "tensor entry has no int 'offset'")
+
+    def test_header_length_beyond_file(self, tiny_ckpt, tmp_path):
+        blob = tiny_ckpt.read_bytes()
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + (2**62).to_bytes(8, "little") + blob[len(CHECKPOINT_MAGIC) + 8 :])
+        self.rejects(path, f"header length {2**62} exceeds")
+
+    def test_file_ends_inside_header_length(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + b"\x01\x00")
+        self.rejects(path, "header length")
+
+    def test_header_not_json(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + (3).to_bytes(8, "little") + b"{\xff}")
+        self.rejects(path, "not UTF-8 JSON")
+
+    def test_shape_disagrees_with_nbytes(self, tiny_ckpt, tmp_path):
+        header, payload = split(tiny_ckpt)
+        header["tensors"][0]["shape"] = [6, 8]
+        path = tmp_path / "c.ckpt"
+        write_raw(path, header, payload)
+        self.rejects(path, r"encoder.weight has nbytes 384, but shape \[6, 8\] needs 192")
+
+    def test_overlapping_ranges(self, tiny_ckpt, tmp_path):
+        header, payload = split(tiny_ckpt)
+        header["tensors"][1]["offset"] -= 4
+        path = tmp_path / "c.ckpt"
+        write_raw(path, header, payload)
+        self.rejects(path, "starts at payload byte")
+
+    def test_wrong_shape_for_config(self, tiny_ckpt, tmp_path):
+        header, payload = split(tiny_ckpt)
+        header["tensors"][0]["shape"] = [16, 6]  # same bytes, transposed
+        path = tmp_path / "c.ckpt"
+        write_raw(path, header, payload)
+        self.rejects(path, r"encoder.weight has shape \(16, 6\), expected \(6, 16\)")
+
+    def test_names_disagree_with_config(self, tiny_ckpt, tmp_path):
+        header, payload = split(tiny_ckpt)
+        header["tensors"][0]["name"] = "encoder.kernel"
+        path = tmp_path / "c.ckpt"
+        write_raw(path, header, payload)
+        self.rejects(path, r"missing \['encoder.weight'\], unexpected \['encoder.kernel'\]")
+
+    def test_config_with_more_blocks_than_tensors(self, tiny_ckpt, tmp_path):
+        header, payload = split(tiny_ckpt)
+        header["config"]["repeats"] = 10**12
+        path = tmp_path / "c.ckpt"
+        write_raw(path, header, payload)
+        self.rejects(path, "conv blocks but the file holds")
+
+    @pytest.mark.parametrize("key,value,match", [
+        ("threshold", 1.5, "threshold must lie"),
+        ("threshold", "high", "bad model config"),
+        ("norm_mode", "batch", "norm_mode must be"),
+    ])
+    def test_invalid_config_value(self, tiny_ckpt, tmp_path, key, value, match):
+        header, payload = split(tiny_ckpt)
+        header["config"][key] = value
+        path = tmp_path / "c.ckpt"
+        write_raw(path, header, payload)
+        self.rejects(path, match)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_or_flipped_file_loads_or_names_the_path(self, tiny_ckpt, tmp_path_factory, data):
+        blob = bytearray(tiny_ckpt.read_bytes())
+        start = len(CHECKPOINT_MAGIC) + 8
+        header_end = start + int.from_bytes(blob[len(CHECKPOINT_MAGIC) : start], "little")
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[: data.draw(st.integers(0, len(blob)), label="length")]
+        else:
+            blob[data.draw(st.integers(0, header_end - 1), label="at")] ^= data.draw(st.integers(1, 255), label="mask")
+        path = tmp_path_factory.mktemp("prop") / "c.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
 
 class TestGradientFlow:

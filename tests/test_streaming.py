@@ -49,7 +49,7 @@ def audio_12s():
 
 class TestInferOffline:
     def test_slot_arithmetic_12s(self, causal_model, audio_12s):
-        track = infer_offline(audio_12s, causal_model, window_seconds=3.0, hop_seconds=0.1)
+        track = infer_offline(audio_12s, causal_model, hop_seconds=0.1)
         assert len(track) == 120
         ts = [d.timestamp for d in track.decisions]
         np.testing.assert_allclose(np.diff(ts), 0.1, atol=1e-12)
@@ -102,7 +102,7 @@ class TestInferOffline:
 
 class TestStreaming:
     def test_no_decision_before_first_window(self, causal_model):
-        session = StreamingSession(causal_model, window_seconds=3.0, hop_seconds=0.1)
+        session = StreamingSession(causal_model, hop_seconds=0.1)
         audio = np.random.default_rng(2).uniform(-0.5, 0.5, 3 * FS).astype(np.float32)
         assert session.feed(audio[: 3 * FS - 1]) == []
         emitted = session.feed(audio[3 * FS - 1 :])
@@ -111,8 +111,8 @@ class TestStreaming:
 
     def test_streaming_matches_offline_interior(self, causal_model):
         audio = np.random.default_rng(3).uniform(-0.5, 0.5, 6 * FS).astype(np.float32)
-        offline = infer_offline(audio, causal_model, window_seconds=3.0, hop_seconds=0.1)
-        session = StreamingSession(causal_model, window_seconds=3.0, hop_seconds=0.1)
+        offline = infer_offline(audio, causal_model, hop_seconds=0.1)
+        session = StreamingSession(causal_model, hop_seconds=0.1)
         for start in range(0, len(audio), 1000):
             session.feed(audio[start : start + 1000])
         stream = session.close()

@@ -57,13 +57,12 @@ class TestTrainConfig:
         c = TrainConfig()
         assert (c.epochs, c.patience) == (150, 10)
         assert (c.lr_start, c.lr_end) == (1e-5, 1e-8)
-        assert c.window_seconds == 3.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(epochs=5, patience=5)
-        with pytest.raises(ValueError, match="window_seconds"):
-            TrainConfig(window_seconds=0)
+        with pytest.raises(ValueError, match="window_hop_seconds"):
+            TrainConfig(window_hop_seconds=0)
 
 
 class TestWindowLabel:
