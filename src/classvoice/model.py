@@ -3,11 +3,22 @@
 A learned filterbank encoder turns raw audio into a non-negative feature
 map. A normalized 1x1 bottleneck compresses channels, then stacks of
 dilated depthwise-separable convolution blocks (dilations 1, 2, 4, ...
-per repeat) produce one skip output each. All skip outputs are
-concatenated (repeat-major, block-minor) into the multi-scale feature
-used by a three-layer classifier, which emits per-class probabilities
-for the assistant and expert voices. Per-class thresholding yields one
-of four categories.
+per repeat) produce one skip output each. The classifier reads the time
+mean of all skip outputs concatenated (repeat-major, block-minor), the
+multi-scale feature, and emits per-class probabilities for the assistant
+and expert voices. Per-class thresholding yields one of four categories.
+
+Where pooling happens: each block's skip output is a 1x1 conv of its
+normalised activations, and a 1x1 conv is linear, so
+mean_t(W·y_t + b) = W·mean_t(y_t) + b. Each block therefore pools its
+normalised activations over time first and applies the skip conv to one
+vector (``ad.norm_pointwise_mean``); the per-frame skip maps are never
+built, and the function computed is the same up to float rounding. The
+layer norms in front of the bottleneck conv and of each block's residual
+conv are folded into that conv (``ad.norm_pointwise``). Outputs nothing
+reads are skipped: the final block's residual conv, and in last_layer
+mode every skip conv but the final block's. Their parameters stay in
+the layout.
 
 The layout is written once, in ``_param_shapes``: every parameter's name
 and shape in creation order (encoder, bottleneck, blocks
@@ -133,6 +144,8 @@ class ModelConfig:
             raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
         if self.features_mode not in FEATURES_MODES:
             raise ValueError(f"features_mode must be one of {FEATURES_MODES}, got {self.features_mode!r}")
+        if not isinstance(self.causal, bool):  # a string such as "false" would be truthy
+            raise ValueError(f"causal must be a bool, got {self.causal!r}")
 
     @property
     def classifier_input_dim(self) -> int:
@@ -267,6 +280,14 @@ class MultiScaleTCN:
         fn = ad.global_layer_norm if mode == "gLN" else ad.cumulative_layer_norm
         return fn(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"])
 
+    def _folded_norm(self, x: Tensor, prefix: str):
+        """The ``norm`` argument of ``ad.norm_pointwise``/``norm_pointwise_mean`` for the norm at prefix."""
+        mode = self.config.norm_mode
+        if mode == "none":
+            return None
+        stats = ad.layer_norm_stats(x, cumulative=mode == "cLN")
+        return stats, self.params[prefix + ".gain"], self.params[prefix + ".bias"]
+
     def encode(self, audio) -> Tensor:
         """Frame audio into overlapping segments and apply the ReLU filterbank.
 
@@ -289,21 +310,31 @@ class MultiScaleTCN:
         return ad.relu(ad.matmul(self.params["encoder.weight"], Tensor(frames, dtype=self.dtype)))
 
     def bottleneck(self, w: Tensor) -> Tensor:
-        """Layer-normalize and compress encoder channels with a 1x1 conv."""
+        """Layer-normalize and compress encoder channels with a 1x1 conv (one fused op)."""
         c = self.config
         if w.shape[-2] != c.enc_channels:
             raise ShapeError(
                 f"bottleneck expects {c.enc_channels} channels, got {w.shape[-2]}"
             )
-        x = self._norm(w, "bottleneck.norm")
-        return ad.conv1d(x, self.params["bottleneck.conv.weight"], self.params["bottleneck.conv.bias"])
+        return ad.norm_pointwise(
+            w,
+            self.params["bottleneck.conv.weight"],
+            self.params["bottleneck.conv.bias"],
+            self._folded_norm(w, "bottleneck.norm"),
+        )
 
-    def conv_block(self, x: Tensor, repeat_idx: int, block_idx: int) -> tuple[Tensor, Tensor]:
+    def conv_block(self, x: Tensor, repeat_idx: int, block_idx: int) -> tuple[Tensor | None, Tensor | None]:
         """One dilated depthwise-separable block at dilation 2**block_idx.
 
-        Returns (residual_out, skip_out): residual_out = x + residual
-        branch, both with the input frame count (padding keeps T fixed:
-        all-left when causal, symmetric otherwise).
+        Returns (residual_out, skip_mean). residual_out = x + res_conv(h)
+        keeps the input frame count (padding keeps T fixed: all-left when
+        causal, symmetric otherwise). skip_mean is the time mean of the
+        per-frame skip map skip_conv(h), [skip_channels] or batched: the
+        conv is linear, so it is computed from mean_t of the normalised h
+        (``ad.norm_pointwise_mean``) and the per-frame map is never built.
+        Outputs nothing reads are not computed: residual_out is None for
+        the final block, and skip_mean is None for the other blocks in
+        last_layer mode.
         """
         c = self.config
         if x.shape[-2] != c.bottleneck_channels:
@@ -326,44 +357,54 @@ class MultiScaleTCN:
             padding=pad,
         )
         h = ad.prelu(h, self.params[f"{pre}.prelu2.alpha"])
-        h = self._norm(h, f"{pre}.norm2")
-        res = ad.conv1d(h, self.params[f"{pre}.res_conv.weight"], self.params[f"{pre}.res_conv.bias"])
-        skip = ad.conv1d(h, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"])
-        return ad.add(x, res), skip
+        norm = self._folded_norm(h, f"{pre}.norm2")
+        final = (repeat_idx, block_idx) == (c.repeats - 1, c.blocks_per_repeat - 1)
+        res = skip = None
+        if not final:
+            res = ad.add(
+                x,
+                ad.norm_pointwise(h, self.params[f"{pre}.res_conv.weight"], self.params[f"{pre}.res_conv.bias"], norm),
+            )
+        if final or c.features_mode == "multiscale":
+            skip = ad.norm_pointwise_mean(
+                h, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"], norm
+            )
+        return res, skip
 
     def extract(self, x: Tensor) -> Tensor:
-        """Run all blocks, threading the residual path; gather skip outputs.
+        """Run all blocks, threading the residual path; gather the pooled skip outputs.
 
-        Multiscale mode concatenates the skip outputs of every block along
-        channels in (repeat, block) order; last_layer mode returns only the
-        final block's skip output.
+        Returns the [classifier_input_dim] (or batched) feature: multiscale
+        mode concatenates every block's skip_mean in (repeat, block) order,
+        last_layer mode returns only the final block's. This equals the
+        time mean of the concatenated per-frame skip maps, which is what
+        the classifier reads.
         """
         c = self.config
-        skips = []
+        pooled = []
         cur = x
         for r in range(c.repeats):
             for m in range(c.blocks_per_repeat):
                 cur, skip = self.conv_block(cur, r, m)
-                skips.append(skip)
-        if c.features_mode == "last_layer":
-            return skips[-1]
-        return ad.concat(skips, axis=-2)
+                if skip is not None:
+                    pooled.append(skip)
+        return ad.concat(pooled, axis=-1)
 
     def classify(self, features: Tensor) -> Tensor:
-        """Mean-pool features over time and run the three linear layers.
+        """Run the three linear layers on the time-pooled features from ``extract``.
 
+        features is [classifier_input_dim] or [B, classifier_input_dim].
         Output is the per-class probability vector (assistant, expert),
         two independent sigmoids, each in (0, 1), so all four categories
-        can be decoded. Pooling makes the window decision order-free in
-        time.
+        can be decoded. The features are time means of the skip maps, so
+        every frame of the window counts equally.
         """
         c = self.config
-        if features.shape[-2] != c.classifier_input_dim:
+        if features.shape[-1] != c.classifier_input_dim:
             raise ShapeError(
-                f"classifier expects {c.classifier_input_dim} feature channels, got {features.shape[-2]}"
+                f"classifier expects {c.classifier_input_dim} pooled feature channels, got {features.shape[-1]}"
             )
-        pooled = ad.tmean(features, axis=-1)
-        h = ad.relu(ad.linear(pooled, self.params["classifier.fc1.weight"], self.params["classifier.fc1.bias"]))
+        h = ad.relu(ad.linear(features, self.params["classifier.fc1.weight"], self.params["classifier.fc1.bias"]))
         h = ad.relu(ad.linear(h, self.params["classifier.fc2.weight"], self.params["classifier.fc2.bias"]))
         logits = ad.linear(h, self.params["classifier.fc3.weight"], self.params["classifier.fc3.bias"])
         return ad.sigmoid(logits)

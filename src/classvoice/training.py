@@ -15,6 +15,7 @@ segment at each decision timestamp, one-vs-rest per category.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +43,14 @@ class TrainConfig:
     window_hop_seconds: stride between the training windows, each
     ``streaming.WINDOW_SECONDS`` long, cut from each sample. seed: model
     initialisation and shuffling seed.
+
+    The default lr (1e-5 decaying to 1e-8) does not learn at small sizes.
+    With the learning gate's small config and data
+    (``gates/test_learning.py``, 30 epochs), the best validation loss
+    only moves from 1.383 to 1.379 and Assistant recall is 0, while the
+    gate's 1e-3 to 1e-4 reaches >= 85% recall and precision in every
+    category. The defaults are kept because the paper states no learning
+    rate to replace them with.
     """
 
     epochs: int = 150
@@ -57,6 +66,10 @@ class TrainConfig:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not 0 < self.patience < self.epochs:
             raise ValueError(f"patience must lie in (0, epochs), got {self.patience}")
+        for name in ("lr_start", "lr_end"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # also false for NaN
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         if self.window_hop_seconds <= 0:
             raise ValueError(f"window_hop_seconds must be positive, got {self.window_hop_seconds}")
         if self.batch_size < 1:

@@ -141,18 +141,29 @@ class TestRuns:
         assert not (out / "decisions.csv").exists()
         assert not out.exists()
 
-    def test_inspect_unknown_config_key_exits_2_naming_the_file(self, tmp_path, capsys):
-        path = tmp_path / "old.ckpt"
+    @staticmethod
+    def checkpoint_with_config(path, **changes):
+        """A valid reduced checkpoint at path whose header config is edited by ``changes``."""
         save_checkpoint(path, Checkpoint.from_model(MultiScaleTCN(reduced_config(), seed=0)))
         blob = path.read_bytes()
         start = len(CHECKPOINT_MAGIC) + 8
         end = start + int.from_bytes(blob[len(CHECKPOINT_MAGIC) : start], "little")
         header = json.loads(blob[start:end])
-        header["config"]["class_activation"] = "sigmoid"
+        header["config"].update(changes)
         text = json.dumps(header).encode()
         path.write_bytes(CHECKPOINT_MAGIC + len(text).to_bytes(8, "little") + text + blob[end:])
+
+    def test_inspect_unknown_config_key_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "old.ckpt"
+        self.checkpoint_with_config(path, class_activation="sigmoid")
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
         assert f"{path}: unknown model config key 'class_activation'" in capsys.readouterr().err
+
+    def test_inspect_string_causal_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "causal.ckpt"
+        self.checkpoint_with_config(path, causal="false")
+        assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
+        assert f"{path}: causal must be a bool, got 'false'" in capsys.readouterr().err
 
     def test_train_with_bad_manifest_exits_2_without_out(self, runs, tmp_path, capsys):
         manifest = tmp_path / "bad.jsonl"

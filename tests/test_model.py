@@ -1,6 +1,7 @@
 """Network architecture tests: shapes, causality, locality, decoding, checkpoints."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,9 @@ class TestModelConfig:
             ModelConfig(norm_mode="batch")
         with pytest.raises(ValueError, match="positive"):
             ModelConfig(repeats=0)
+        for causal in ("false", "no", 0, 1, None):
+            with pytest.raises(ValueError, match="causal must be a bool"):
+                ModelConfig(causal=causal)
 
     def test_last_layer_input_dim(self):
         assert ModelConfig(features_mode="last_layer").classifier_input_dim == 128
@@ -126,18 +130,20 @@ class TestBottleneck:
             model.bottleneck(Tensor(np.zeros((5, 4), np.float32)))
 
     def test_matches_op_composition(self):
-        # the bottleneck is exactly norm -> 1x1 conv with the same parameters
-        model = MultiScaleTCN(tiny_config(norm_mode="cLN"), seed=6)
-        rng = np.random.default_rng(4)
-        w = Tensor(rng.standard_normal((6, 7)).astype(np.float32))
-        expected = ad.conv1d(
-            ad.cumulative_layer_norm(
-                w, model.params["bottleneck.norm.gain"], model.params["bottleneck.norm.bias"]
-            ),
-            model.params["bottleneck.conv.weight"],
-            model.params["bottleneck.conv.bias"],
-        )
-        np.testing.assert_array_equal(model.bottleneck(w).data, expected.data)
+        # the bottleneck is norm -> 1x1 conv with the same parameters; the
+        # norm is folded into the conv, so they agree up to rounding
+        for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-9)):
+            model = MultiScaleTCN(tiny_config(norm_mode="cLN"), seed=6, dtype=dtype)
+            rng = np.random.default_rng(4)
+            w = Tensor(rng.standard_normal((6, 7)), dtype=dtype)
+            expected = ad.conv1d(
+                ad.cumulative_layer_norm(
+                    w, model.params["bottleneck.norm.gain"], model.params["bottleneck.norm.bias"]
+                ),
+                model.params["bottleneck.conv.weight"],
+                model.params["bottleneck.conv.bias"],
+            )
+            np.testing.assert_allclose(model.bottleneck(w).data, expected.data, rtol=0, atol=tol)
 
 
 class TestConvBlock:
@@ -151,19 +157,20 @@ class TestConvBlock:
         x = Tensor(np.random.default_rng(5).standard_normal((4, 9)).astype(np.float32))
         res, skip = model.conv_block(x, 0, 0)
         np.testing.assert_array_equal(res.data, x.data)
-        np.testing.assert_allclose(skip.data, np.tile(skip_bias[:, None], (1, 9)))
+        np.testing.assert_allclose(skip.data, skip_bias)
 
     def test_causal_blocks_ignore_future(self):
+        # the per-frame target is the residual stream; skip_mean pools every frame
         model = MultiScaleTCN(tiny_config(norm_mode="none", causal=True), seed=8)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 12)).astype(np.float32)
-        res0, skip0 = model.conv_block(Tensor(x), 0, 1)
+        res0, _ = model.conv_block(Tensor(x), 0, 1)
         for t in (3, 7, 10):
             x2 = x.copy()
             x2[:, t + 1 :] += 1.0
-            res1, skip1 = model.conv_block(Tensor(x2), 0, 1)
+            res1, _ = model.conv_block(Tensor(x2), 0, 1)
             assert np.array_equal(res1.data[:, : t + 1], res0.data[:, : t + 1])
-            assert np.array_equal(skip1.data[:, : t + 1], skip0.data[:, : t + 1])
+            assert not np.array_equal(res1.data, res0.data)
 
     def test_frame_count_preserved_all_dilations(self):
         for causal in (True, False):
@@ -173,8 +180,31 @@ class TestConvBlock:
             x = Tensor(np.random.default_rng(7).standard_normal((4, 11)).astype(np.float32))
             for m in range(4):
                 res, skip = model.conv_block(x, 0, m)
-                assert res.shape == (4, 11)
-                assert skip.shape == (3, 11)
+                assert skip.shape == (3,)
+                if m < 3:
+                    assert res.shape == (4, 11)
+                else:  # the final block's residual output feeds nothing
+                    assert res is None
+
+    def test_outputs_nothing_reads_are_not_computed(self, monkeypatch):
+        calls = []
+
+        def counted(name):
+            real = getattr(ad, name)
+
+            def op(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return op
+
+        for name in ("norm_pointwise", "norm_pointwise_mean"):
+            monkeypatch.setattr(ad, name, counted(name))
+        model = MultiScaleTCN(tiny_config(features_mode="last_layer"), seed=9)
+        x = Tensor(np.random.default_rng(7).standard_normal((4, 11)).astype(np.float32))
+        assert model.conv_block(x, 0, 0)[1] is None  # last_layer: no skip before the final block
+        assert model.conv_block(x, 1, 1)[0] is None  # the final block's residual feeds nothing
+        assert calls == ["norm_pointwise", "norm_pointwise_mean"]
 
     def test_paper_size_block_parameter_arithmetic(self):
         # weights+biases of one full-size block: (128*512+512) + (512*3+512)
@@ -187,12 +217,28 @@ class TestConvBlock:
         assert block_total == 199_426 + 2048
 
 
+def residual_stream(cfg, x, seed):
+    """The [C, T] residual stream after all of cfg's blocks.
+
+    The final block's residual output is not computed, so the stack runs in
+    a model with one more repeat, where none of cfg's blocks is the final one.
+    """
+    model = MultiScaleTCN(replace(cfg, repeats=cfg.repeats + 1), seed=seed)
+    cur = Tensor(x)
+    for r in range(cfg.repeats):
+        for m in range(cfg.blocks_per_repeat):
+            cur, _ = model.conv_block(cur, r, m)
+    return cur.data
+
+
 class TestExtract:
     def test_multiscale_channel_count(self):
         model = MultiScaleTCN(tiny_config(), seed=10)
         x = Tensor(np.random.default_rng(8).standard_normal((4, 9)).astype(np.float32))
         out = model.extract(x)
-        assert out.shape == (2 * 2 * 3, 9)
+        assert out.shape == (2 * 2 * 3,)
+        batched = model.extract(Tensor(np.stack([x.data] * 2)))
+        assert batched.shape == (2, 2 * 2 * 3)
 
     def test_single_block_equals_its_skip(self):
         model = MultiScaleTCN(tiny_config(blocks_per_repeat=1, repeats=1), seed=11)
@@ -203,7 +249,7 @@ class TestExtract:
     def test_last_layer_mode(self):
         model = MultiScaleTCN(tiny_config(features_mode="last_layer"), seed=12)
         x = Tensor(np.random.default_rng(10).standard_normal((4, 9)).astype(np.float32))
-        assert model.extract(x).shape == (3, 9)
+        assert model.extract(x).shape == (3,)
 
     def test_locality_noncausal(self):
         # with norm disabled, a single perturbed frame can only reach
@@ -221,13 +267,12 @@ class TestExtract:
         half = (receptive_field(cfg) - 1) // 2
         t_len = 2 * half + 21
         rng = np.random.default_rng(11)
-        model = MultiScaleTCN(cfg, seed=13)
         x = rng.standard_normal((3, t_len)).astype(np.float32)
-        base = model.extract(Tensor(x)).data
+        base = residual_stream(cfg, x, seed=13)
         p = t_len // 2
         x2 = x.copy()
         x2[:, p] += 1.0
-        out = model.extract(Tensor(x2)).data
+        out = residual_stream(cfg, x2, seed=13)
         diff = np.any(out != base, axis=0)
         touched = np.nonzero(diff)[0]
         assert touched.size > 0
@@ -247,13 +292,12 @@ class TestExtract:
         span = receptive_field(cfg) - 1
         t_len = span + 40
         rng = np.random.default_rng(12)
-        model = MultiScaleTCN(cfg, seed=14)
         x = rng.standard_normal((3, t_len)).astype(np.float32)
-        base = model.extract(Tensor(x)).data
+        base = residual_stream(cfg, x, seed=14)
         p = 10
         x2 = x.copy()
         x2[:, p] += 1.0
-        out = model.extract(Tensor(x2)).data
+        out = residual_stream(cfg, x2, seed=14)
         diff = np.any(out != base, axis=0)
         touched = np.nonzero(diff)[0]
         assert touched.size > 0
@@ -261,33 +305,49 @@ class TestExtract:
         assert touched.max() <= p + span
 
 
+def final_skip_mean(model, h):
+    """The final block's pooled skip output for a block-channel map h, as conv_block computes it."""
+    c = model.config
+    pre = f"block.{c.repeats - 1}.{c.blocks_per_repeat - 1}"
+    h = Tensor(h, dtype=model.dtype)
+    norm = None
+    if c.norm_mode != "none":
+        stats = ad.layer_norm_stats(h, cumulative=c.norm_mode == "cLN")
+        norm = (stats, model.params[f"{pre}.norm2.gain"], model.params[f"{pre}.norm2.bias"])
+    return ad.norm_pointwise_mean(h, model.params[f"{pre}.skip_conv.weight"], model.params[f"{pre}.skip_conv.bias"], norm)
+
+
 class TestClassify:
     def test_zero_final_layer_gives_half(self):
         model = MultiScaleTCN(tiny_config(), seed=15)
         model.params["classifier.fc3.weight"].data[...] = 0
         model.params["classifier.fc3.bias"].data[...] = 0
-        feats = Tensor(np.random.default_rng(13).standard_normal((12, 5)).astype(np.float32))
+        feats = Tensor(np.random.default_rng(13).standard_normal(12).astype(np.float32))
         np.testing.assert_allclose(model.classify(feats).data, [0.5, 0.5])
 
     def test_single_frame_pooling_identity(self):
-        model = MultiScaleTCN(tiny_config(), seed=16)
-        rng = np.random.default_rng(14)
-        col = rng.standard_normal((12, 1)).astype(np.float32)
-        np.testing.assert_allclose(
-            model.classify(Tensor(col)).data,
-            model.classify(Tensor(np.tile(col, (1, 7)))).data,
-            rtol=1e-5,
-            atol=1e-7,
-        )
+        # pooling happens before the skip conv: a constant map pools to its column
+        for norm_mode in ("none", "gLN"):
+            model = MultiScaleTCN(tiny_config(norm_mode=norm_mode, causal=False), seed=16)
+            rng = np.random.default_rng(14)
+            col = rng.standard_normal((5, 1)).astype(np.float32)
+            np.testing.assert_allclose(
+                final_skip_mean(model, col).data,
+                final_skip_mean(model, np.tile(col, (1, 7))).data,
+                rtol=1e-5,
+                atol=1e-6,
+            )
 
     def test_permutation_invariance(self):
-        model = MultiScaleTCN(tiny_config(), seed=17)
-        rng = np.random.default_rng(15)
-        feats = rng.standard_normal((12, 9)).astype(np.float64)
-        perm = rng.permutation(9)
-        a = model.classify(Tensor(feats, dtype=np.float32)).data
-        b = model.classify(Tensor(feats[:, perm], dtype=np.float32)).data
-        np.testing.assert_allclose(a, b, atol=1e-6)
+        # with time-invariant statistics the pooled skip output is order-free in time
+        for norm_mode in ("none", "gLN"):
+            model = MultiScaleTCN(tiny_config(norm_mode=norm_mode, causal=False), seed=17)
+            rng = np.random.default_rng(15)
+            h = rng.standard_normal((5, 9)).astype(np.float32)
+            perm = rng.permutation(9)
+            a = final_skip_mean(model, h).data
+            b = final_skip_mean(model, h[:, perm]).data
+            np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_channel_mismatch(self):
         model = MultiScaleTCN(tiny_config(), seed=18)
@@ -450,6 +510,100 @@ class TestInitParity:
             assert np.array_equal(got.data, arr), name
 
 
+def reference_window_probs(model, audio):
+    """(probs, pooled features) of the per-frame forward that pooling-first replaced, frozen as a test oracle.
+
+    Plain numpy in the model's dtype, written from the op definitions: every
+    block builds its per-frame skip map skip_conv(norm2(h)); the maps are
+    concatenated over channels and mean-pooled over time before the three
+    linear layers. The final block's residual output is computed and unused.
+    """
+    c = model.config
+    p = {name: t.data for name, t in model.params.items()}
+    audio = np.asarray(audio, dtype=model.dtype)
+    frames = np.lib.stride_tricks.sliding_window_view(audio, c.frame_len, axis=-1)[..., :: c.frame_stride, :]
+    x = np.maximum(p["encoder.weight"] @ np.swapaxes(frames, -1, -2), 0)
+
+    def norm(a, prefix):
+        if c.norm_mode == "none":
+            return a
+        if c.norm_mode == "gLN":
+            mu = a.mean(axis=(-2, -1), keepdims=True)
+            var = ((a - mu) ** 2).mean(axis=(-2, -1), keepdims=True)
+        else:
+            counts = np.arange(1, a.shape[-1] + 1) * a.shape[-2]
+            mu = np.cumsum(a.sum(axis=-2, keepdims=True), axis=-1) / counts
+            var = np.maximum(np.cumsum((a * a).sum(axis=-2, keepdims=True), axis=-1) / counts - mu * mu, 0)
+        return p[prefix + ".gain"] * (a - mu) / np.sqrt(var + 1e-8) + p[prefix + ".bias"]
+
+    def pointwise(a, prefix):
+        return p[prefix + ".weight"][:, :, 0] @ a + p[prefix + ".bias"][:, None]
+
+    def depthwise(a, prefix, dilation, pad):
+        w = p[prefix + ".weight"]
+        ap = np.pad(a, [(0, 0)] * (a.ndim - 1) + [pad])
+        t = a.shape[-1]
+        out = sum(w[:, 0, k, None] * ap[..., k * dilation : k * dilation + t] for k in range(c.kernel_size))
+        return out + p[prefix + ".bias"][:, None]
+
+    def prelu(a, alpha):
+        return np.where(a > 0, a, alpha[0] * a)
+
+    x = pointwise(norm(x, "bottleneck.norm"), "bottleneck.conv")
+    skips = []
+    for r in range(c.repeats):
+        for m in range(c.blocks_per_repeat):
+            pre = f"block.{r}.{m}"
+            span = (c.kernel_size - 1) * 2**m
+            pad = (span, 0) if c.causal else (span // 2, span - span // 2)
+            h = norm(prelu(pointwise(x, f"{pre}.in_conv"), p[f"{pre}.prelu1.alpha"]), f"{pre}.norm1")
+            h = norm(prelu(depthwise(h, f"{pre}.dw_conv", 2**m, pad), p[f"{pre}.prelu2.alpha"]), f"{pre}.norm2")
+            x = x + pointwise(h, f"{pre}.res_conv")
+            skips.append(pointwise(h, f"{pre}.skip_conv"))
+    features = skips[-1] if c.features_mode == "last_layer" else np.concatenate(skips, axis=-2)
+    pooled = features.mean(axis=-1)
+    h = np.maximum(pooled @ p["classifier.fc1.weight"].T + p["classifier.fc1.bias"], 0)
+    h = np.maximum(h @ p["classifier.fc2.weight"].T + p["classifier.fc2.bias"], 0)
+    logits = h @ p["classifier.fc3.weight"].T + p["classifier.fc3.bias"]
+    return 1 / (1 + np.exp(-logits)), pooled
+
+
+PARITY_CONFIGS = [
+    ModelConfig(),
+    reduced_config(),
+    ModelConfig(norm_mode="none"),
+    ModelConfig(features_mode="last_layer"),
+    ModelConfig(norm_mode="gLN", causal=False),
+]
+
+
+class TestPooledForwardParity:
+    """The pooled, folded forward against the per-frame one; float64 catches algebra errors float32 would hide."""
+
+    @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=["paper", "reduced", "no_norm", "last_layer", "gln_noncausal"])
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-9)], ids=["float32", "float64"])
+    def test_matches_reference(self, cfg, dtype, tol):
+        model = MultiScaleTCN(cfg, seed=3, dtype=dtype)
+        for batch in (1, 4):
+            rng = np.random.default_rng(batch)
+            # 0.5 s (99 frames) keeps paper size cheap; the deep dilations then pad past the window
+            audio = rng.uniform(-0.5, 0.5, (batch, 8000) if batch > 1 else 8000)
+            want_probs, want_features = reference_window_probs(model, audio)
+            features = model.extract(model.bottleneck(model.encode(audio)))
+            probs = model.window_probs(audio)
+            assert probs.dtype == dtype and probs.shape == want_probs.shape
+            np.testing.assert_allclose(features.data, want_features, rtol=0, atol=tol)
+            np.testing.assert_allclose(probs.data, want_probs, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-9)], ids=["float32", "float64"])
+    def test_full_window_at_paper_size(self, dtype, tol):
+        model = MultiScaleTCN(ModelConfig(), seed=4, dtype=dtype)
+        audio = np.random.default_rng(5).uniform(-0.5, 0.5, 48000)
+        want_probs, want_features = reference_window_probs(model, audio)
+        np.testing.assert_allclose(model.extract(model.bottleneck(model.encode(audio))).data, want_features, rtol=0, atol=tol)
+        np.testing.assert_allclose(model.window_probs(audio).data, want_probs, rtol=0, atol=tol)
+
+
 class TestEndToEndShapes:
     def test_frame_count_preserved_through_pipeline(self):
         model = MultiScaleTCN(tiny_config(), seed=21)
@@ -457,10 +611,11 @@ class TestEndToEndShapes:
         w = model.encode(audio)
         t = w.shape[-1]
         b = model.bottleneck(w)
-        f = model.extract(b)
         assert b.shape[-1] == t
-        assert f.shape[-1] == t
-        assert f.shape[-2] == model.config.classifier_input_dim
+        res, _ = model.conv_block(b, 0, 0)
+        assert res.shape == b.shape
+        f = model.extract(b)
+        assert f.shape == (model.config.classifier_input_dim,)
 
 
 class TestCheckpoint:
@@ -639,6 +794,7 @@ class TestMalformedCheckpoint:
         ("threshold", 1.5, "threshold must lie"),
         ("threshold", "high", "bad model config"),
         ("norm_mode", "batch", "norm_mode must be"),
+        ("causal", "false", "causal must be a bool"),
     ])
     def test_invalid_config_value(self, tiny_ckpt, tmp_path, key, value, match):
         header, payload = split(tiny_ckpt)
@@ -678,3 +834,14 @@ class TestGradientFlow:
         last = f"block.{model.config.repeats - 1}.{model.config.blocks_per_repeat - 1}.res_conv"
         missing = [n for n, p in model.params.items() if p.grad is None]
         assert sorted(missing) == [f"{last}.bias", f"{last}.weight"]
+
+    def test_last_layer_mode_reads_only_the_final_skip_conv(self):
+        # skip convs whose pooled output nothing reads are not computed, so get no gradient
+        model = MultiScaleTCN(tiny_config(features_mode="last_layer"), seed=27)
+        audio = np.random.default_rng(22).standard_normal((2, 80)).astype(np.float32)
+        ad.backward(ad.binary_cross_entropy(model.window_probs(audio), np.array([[1.0, 0.0], [0.0, 1.0]])))
+        c = model.config
+        blocks = [(r, m) for r in range(c.repeats) for m in range(c.blocks_per_repeat)]
+        expected = [f"block.{r}.{m}.skip_conv.{k}" for r, m in blocks[:-1] for k in ("bias", "weight")]
+        expected += [f"block.{r}.{m}.res_conv.{k}" for r, m in blocks[-1:] for k in ("bias", "weight")]
+        assert sorted(n for n, p in model.params.items() if p.grad is None) == sorted(expected)

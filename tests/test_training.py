@@ -64,6 +64,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="window_hop_seconds"):
             TrainConfig(window_hop_seconds=0)
 
+    @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["lr_start", "lr_end"])
+    def test_learning_rates_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            TrainConfig(**{name: value})
+
 
 class TestWindowLabel:
     def test_category_mapping(self, tiny_dataset):
