@@ -5,13 +5,11 @@ depthwise conv, activations, layer norms, linear, losses, Adam, and a
 finite-difference gradient checker. Arrays are numpy; float32 is the
 working precision, float64 is used when checking gradients.
 
-Fused ops, each with a hand-written backward, carry the network's
-layer norms. ``layer_norm_stats`` computes a cLN (cumulative, as in
-Conv-TasNet) or gLN's per-step mean and inverse deviation once;
-``normalize`` applies them (``cumulative_layer_norm`` and
-``global_layer_norm`` are that pair); ``norm_pointwise`` folds them into
-the 1x1 conv that follows the norm, and ``norm_pointwise_mean`` gives
-that conv's time mean without its per-frame output.
+The network's layer norms are two fused ops, each with a hand-written
+backward: ``layer_norm_stats`` computes a cLN (cumulative, as in
+Conv-TasNet) or gLN's per-step mean and inverse deviation, and
+``normalize`` applies them. ``cumulative_layer_norm`` and
+``global_layer_norm`` are that pair.
 
 An op records its graph exactly when one of its inputs has
 ``requires_grad``; there is no process-wide switch. A frozen parameter
@@ -498,9 +496,7 @@ def layer_norm_stats(x: Tensor, cumulative: bool, eps: float = 1e-8) -> Tensor:
     jointly over channels and per batch item. cumulative=True (cLN) takes
     them over the time prefix 1..t, so column t depends only on input
     columns 1..t; otherwise (gLN) over all time steps, repeated in every
-    column. Every layer norm of the network goes through these statistics:
-    ``normalize`` applies them, and ``norm_pointwise``/``norm_pointwise_mean``
-    fold them into a 1x1 conv.
+    column. ``normalize`` applies them.
     """
     _check_norm_shapes(x)
     c, t = x.shape[-2], x.shape[-1]
@@ -540,26 +536,16 @@ def _suffix_sum(a):
     return np.flip(np.cumsum(np.flip(a, -1), axis=-1), -1)
 
 
-def _split_stats(x: Tensor, stats: Tensor):
-    """(mu, r) views of shape [.., 1, T], after checking that stats belongs to x."""
-    want = x.shape[:-2] + (2, x.shape[-1])
-    if stats.shape != want:
-        raise ShapeError(f"layer norm statistics must have shape {want}, got {stats.shape}")
-    return stats.data[..., 0:1, :], stats.data[..., 1:2, :]
-
-
-def _per_channel(a: np.ndarray) -> np.ndarray:
-    """Sum over every axis but channels (-2), as a [C, 1] gain/bias gradient."""
-    return a.sum(axis=tuple(i for i in range(a.ndim) if i != a.ndim - 2)).reshape(-1, 1)
-
-
 def normalize(x: Tensor, stats: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """gain * (x - mu_t) * r_t + bias, with (mu, r) from ``layer_norm_stats(x, ...)``.
 
     x is [C, T] or [B, C, T]; gain/bias are [C, 1] and apply per channel.
     """
     _check_norm_shapes(x, gain, bias)
-    mu, r = _split_stats(x, stats)
+    want = x.shape[:-2] + (2, x.shape[-1])
+    if stats.shape != want:
+        raise ShapeError(f"layer norm statistics must have shape {want}, got {stats.shape}")
+    mu, r = stats.data[..., 0:1, :], stats.data[..., 1:2, :]
     out_data = x.data - mu
     out_data *= r
     out_data *= gain.data
@@ -567,8 +553,9 @@ def normalize(x: Tensor, stats: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     def back(g):
         d = x.data - mu
-        _accum(gain, _per_channel(g * d * r))
-        _accum(bias, _per_channel(g))
+        per_channel = tuple(i for i in range(g.ndim) if i != g.ndim - 2)  # to a [C, 1] gradient
+        _accum(gain, (g * d * r).sum(axis=per_channel)[:, None])
+        _accum(bias, g.sum(axis=per_channel)[:, None])
         h = g * gain.data
         dx = h * r
         g_stats = np.concatenate([-dx.sum(axis=-2, keepdims=True), (h * d).sum(axis=-2, keepdims=True)], axis=-2)
@@ -605,118 +592,6 @@ def _check_norm_shapes(x: Tensor, gain: Tensor | None = None, bias: Tensor | Non
             raise ShapeError(f"layer norm {name} must have shape ({c}, 1), got {t.shape}")
     if x.shape[-1] < 1:
         raise ShapeError("layer norm needs at least one time step")
-
-
-# ---------------------------------------------------------------------------
-# a layer norm folded into the 1x1 conv that reads it
-
-
-def _check_folded(x: Tensor, weight: Tensor, bias: Tensor, norm):
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"1x1 conv input must be [C,T] or [B,C,T], got {x.shape}")
-    if weight.ndim != 3 or weight.shape[1:] != (x.shape[-2], 1):
-        raise ShapeError(f"1x1 conv weight must be [C_out, {x.shape[-2]}, 1], got {weight.shape}")
-    if bias.shape != (weight.shape[0],):
-        raise ShapeError(f"bias shape {bias.shape} does not match output channels {weight.shape[0]}")
-    if norm is None:
-        return None, None
-    stats, gain, beta = norm
-    _check_norm_shapes(x, gain, beta)
-    return _split_stats(x, stats)
-
-
-def _parents(x, weight, bias, norm):
-    return (x, weight, bias) if norm is None else (x, weight, bias, *norm)
-
-
-def norm_pointwise(x: Tensor, weight: Tensor, bias: Tensor, norm=None) -> Tensor:
-    """The 1x1 conv ``weight``/``bias`` of the layer-normalised x, per frame.
-
-    x is [C, T] or [B, C, T] and weight is [O, C, 1]. norm is None (no
-    norm) or (stats, gain, beta), with stats from ``layer_norm_stats(x)``.
-    With xhat_t = (x_t - mu_t) r_t, the output W·(g*xhat_t + beta) + b
-    is evaluated as r_t (Wg x_t - s mu_t) + c, where Wg = W diag(g),
-    s = Wg·1 and c = W beta + b. The GEMM reads x as it is, and the
-    normalisation touches the O output rows instead of the C input rows.
-    """
-    mu, r = _check_folded(x, weight, bias, norm)
-    w = weight.data[:, :, 0]
-    if norm is None:
-        wg, c = w, bias.data
-    else:
-        stats, gain, beta = norm
-        wg, c = w * gain.data.T, w @ beta.data[:, 0] + bias.data
-    out_data = np.matmul(wg, x.data)
-    if norm is not None:
-        s = wg.sum(axis=1, keepdims=True)
-        out_data -= s * mu
-        out_data *= r
-    out_data += c[:, None]
-    batched = x.ndim == 3
-
-    def back(g):
-        gb, xb = (g, x.data) if batched else (g[None], x.data[None])
-        d_c = gb.sum(axis=(0, 2))
-        _accum(bias, d_c)
-        gr = gb if norm is None else gb * r
-        d_wg = np.tensordot(gr, xb, axes=([0, 2], [0, 2]))
-        dx = np.matmul(wg.T, gr)
-        _accum(x, dx if batched else dx[0])
-        if norm is None:
-            _accum(weight, d_wg[:, :, None])
-            return
-        d_wg -= (gr * mu).sum(axis=(0, 2))[:, None]
-        _accum(weight, (d_wg * gain.data.T + np.outer(d_c, beta.data[:, 0]))[:, :, None])
-        _accum(gain, (d_wg * w).sum(axis=0)[:, None])
-        _accum(beta, (w.T @ d_c)[:, None])
-        # (out - c)/r is Wg x - s mu, the output before the scaling by r
-        ob = out_data if batched else out_data[None]
-        d_stats = np.concatenate([-np.matmul(s.T, gr), (gb * (ob - c[:, None])).sum(axis=-2, keepdims=True) / r], axis=-2)
-        _accum(stats, d_stats if batched else d_stats[0])
-
-    return _make(out_data, _parents(x, weight, bias, norm), back)
-
-
-def norm_pointwise_mean(x: Tensor, weight: Tensor, bias: Tensor, norm=None) -> Tensor:
-    """The time mean of ``norm_pointwise(x, weight, bias, norm)``, [O] or [B, O].
-
-    A 1x1 conv is linear, so the mean over t of W·(g*xhat_t + beta) + b is
-    W·(g*mean_t(xhat_t) + beta) + b: the per-frame output is never built,
-    and mean_t(xhat_t) = (x·r - mu·r)/T is one GEMV over x.
-    """
-    mu, r = _check_folded(x, weight, bias, norm)
-    w = weight.data[:, :, 0]
-    t = x.shape[-1]
-    if norm is None:
-        m = x.data.mean(axis=-1)
-        v = m
-    else:
-        stats, gain, beta = norm
-        m = (np.matmul(x.data, r[..., 0, :, None])[..., 0] - (mu * r).sum(axis=-1)) / t
-        v = m * gain.data[:, 0] + beta.data[:, 0]
-    out_data = v @ w.T + bias.data
-    batched = x.ndim == 3
-
-    def back(g):
-        gb, vb, xb = (g, v, x.data) if batched else (g[None], v[None], x.data[None])
-        _accum(bias, gb.sum(axis=0))
-        _accum(weight, (gb.T @ vb)[:, :, None])
-        dv = gb @ w  # [B, C]
-        if norm is None:
-            dx = np.broadcast_to(dv[:, :, None] / t, xb.shape)
-        else:
-            mb = m if batched else m[None]
-            _accum(gain, (dv * mb).sum(axis=0)[:, None])
-            _accum(beta, dv.sum(axis=0)[:, None])
-            dm = (dv * gain.data[:, 0] / t)[:, :, None]  # [B, C, 1]
-            mu_b, r_b = (mu, r) if batched else (mu[None], r[None])
-            dm_sum = dm.sum(axis=1, keepdims=True)  # [B, 1, 1]
-            d_stats = np.concatenate([-r_b * dm_sum, np.matmul(dm.transpose(0, 2, 1), xb) - mu_b * dm_sum], axis=-2)
-            _accum(stats, d_stats if batched else d_stats[0])
-            dx = dm * r_b
-        _accum(x, dx if batched else dx[0])
-
-    return _make(out_data, _parents(x, weight, bias, norm), back)
 
 
 def _const_like(t: Tensor, value: float) -> Tensor:

@@ -12,13 +12,10 @@ Where pooling happens: each block's skip output is a 1x1 conv of its
 normalised activations, and a 1x1 conv is linear, so
 mean_t(W·y_t + b) = W·mean_t(y_t) + b. Each block therefore pools its
 normalised activations over time first and applies the skip conv to one
-vector (``ad.norm_pointwise_mean``); the per-frame skip maps are never
-built, and the function computed is the same up to float rounding. The
-layer norms in front of the bottleneck conv and of each block's residual
-conv are folded into that conv (``ad.norm_pointwise``). Outputs nothing
-reads are skipped: the final block's residual conv, and in last_layer
-mode every skip conv but the final block's. Their parameters stay in
-the layout.
+column; the per-frame skip maps are never built, and the function
+computed is the same up to float rounding. Outputs nothing reads are
+skipped: the final block's residual conv, and in last_layer mode every
+skip conv but the final block's. Their parameters stay in the layout.
 
 The layout is written once, in ``_param_shapes``: every parameter's name
 and shape in creation order (encoder, bottleneck, blocks
@@ -280,14 +277,6 @@ class MultiScaleTCN:
         fn = ad.global_layer_norm if mode == "gLN" else ad.cumulative_layer_norm
         return fn(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"])
 
-    def _folded_norm(self, x: Tensor, prefix: str):
-        """The ``norm`` argument of ``ad.norm_pointwise``/``norm_pointwise_mean`` for the norm at prefix."""
-        mode = self.config.norm_mode
-        if mode == "none":
-            return None
-        stats = ad.layer_norm_stats(x, cumulative=mode == "cLN")
-        return stats, self.params[prefix + ".gain"], self.params[prefix + ".bias"]
-
     def encode(self, audio) -> Tensor:
         """Frame audio into overlapping segments and apply the ReLU filterbank.
 
@@ -310,18 +299,14 @@ class MultiScaleTCN:
         return ad.relu(ad.matmul(self.params["encoder.weight"], Tensor(frames, dtype=self.dtype)))
 
     def bottleneck(self, w: Tensor) -> Tensor:
-        """Layer-normalize and compress encoder channels with a 1x1 conv (one fused op)."""
+        """Layer-normalize and compress encoder channels with a 1x1 conv."""
         c = self.config
         if w.shape[-2] != c.enc_channels:
             raise ShapeError(
                 f"bottleneck expects {c.enc_channels} channels, got {w.shape[-2]}"
             )
-        return ad.norm_pointwise(
-            w,
-            self.params["bottleneck.conv.weight"],
-            self.params["bottleneck.conv.bias"],
-            self._folded_norm(w, "bottleneck.norm"),
-        )
+        x = self._norm(w, "bottleneck.norm")
+        return ad.conv1d(x, self.params["bottleneck.conv.weight"], self.params["bottleneck.conv.bias"])
 
     def conv_block(self, x: Tensor, repeat_idx: int, block_idx: int) -> tuple[Tensor | None, Tensor | None]:
         """One dilated depthwise-separable block at dilation 2**block_idx.
@@ -330,11 +315,10 @@ class MultiScaleTCN:
         keeps the input frame count (padding keeps T fixed: all-left when
         causal, symmetric otherwise). skip_mean is the time mean of the
         per-frame skip map skip_conv(h), [skip_channels] or batched: the
-        conv is linear, so it is computed from mean_t of the normalised h
-        (``ad.norm_pointwise_mean``) and the per-frame map is never built.
-        Outputs nothing reads are not computed: residual_out is None for
-        the final block, and skip_mean is None for the other blocks in
-        last_layer mode.
+        conv is linear, so it runs on mean_t of the normalised h and the
+        per-frame map is never built. Outputs nothing reads are not
+        computed: residual_out is None for the final block, and skip_mean
+        is None for the other blocks in last_layer mode.
         """
         c = self.config
         if x.shape[-2] != c.bottleneck_channels:
@@ -357,17 +341,17 @@ class MultiScaleTCN:
             padding=pad,
         )
         h = ad.prelu(h, self.params[f"{pre}.prelu2.alpha"])
-        norm = self._folded_norm(h, f"{pre}.norm2")
+        h = self._norm(h, f"{pre}.norm2")
         final = (repeat_idx, block_idx) == (c.repeats - 1, c.blocks_per_repeat - 1)
         res = skip = None
         if not final:
-            res = ad.add(
-                x,
-                ad.norm_pointwise(h, self.params[f"{pre}.res_conv.weight"], self.params[f"{pre}.res_conv.bias"], norm),
-            )
+            res = ad.add(x, ad.conv1d(h, self.params[f"{pre}.res_conv.weight"], self.params[f"{pre}.res_conv.bias"]))
         if final or c.features_mode == "multiscale":
-            skip = ad.norm_pointwise_mean(
-                h, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"], norm
+            # the skip conv of the [C, 1] time mean; the outer tmean drops that unit time axis
+            pooled = ad.tmean(h, axis=-1, keepdims=True)
+            skip = ad.tmean(
+                ad.conv1d(pooled, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"]),
+                axis=-1,
             )
         return res, skip
 

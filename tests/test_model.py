@@ -130,20 +130,18 @@ class TestBottleneck:
             model.bottleneck(Tensor(np.zeros((5, 4), np.float32)))
 
     def test_matches_op_composition(self):
-        # the bottleneck is norm -> 1x1 conv with the same parameters; the
-        # norm is folded into the conv, so they agree up to rounding
-        for dtype, tol in ((np.float32, 1e-5), (np.float64, 1e-9)):
-            model = MultiScaleTCN(tiny_config(norm_mode="cLN"), seed=6, dtype=dtype)
-            rng = np.random.default_rng(4)
-            w = Tensor(rng.standard_normal((6, 7)), dtype=dtype)
-            expected = ad.conv1d(
-                ad.cumulative_layer_norm(
-                    w, model.params["bottleneck.norm.gain"], model.params["bottleneck.norm.bias"]
-                ),
-                model.params["bottleneck.conv.weight"],
-                model.params["bottleneck.conv.bias"],
-            )
-            np.testing.assert_allclose(model.bottleneck(w).data, expected.data, rtol=0, atol=tol)
+        # the bottleneck is exactly norm -> 1x1 conv with the same parameters
+        model = MultiScaleTCN(tiny_config(norm_mode="cLN"), seed=6)
+        rng = np.random.default_rng(4)
+        w = Tensor(rng.standard_normal((6, 7)).astype(np.float32))
+        expected = ad.conv1d(
+            ad.cumulative_layer_norm(
+                w, model.params["bottleneck.norm.gain"], model.params["bottleneck.norm.bias"]
+            ),
+            model.params["bottleneck.conv.weight"],
+            model.params["bottleneck.conv.bias"],
+        )
+        np.testing.assert_array_equal(model.bottleneck(w).data, expected.data)
 
 
 class TestConvBlock:
@@ -187,24 +185,27 @@ class TestConvBlock:
                     assert res is None
 
     def test_outputs_nothing_reads_are_not_computed(self, monkeypatch):
-        calls = []
-
-        def counted(name):
-            real = getattr(ad, name)
-
-            def op(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-
-            return op
-
-        for name in ("norm_pointwise", "norm_pointwise_mean"):
-            monkeypatch.setattr(ad, name, counted(name))
         model = MultiScaleTCN(tiny_config(features_mode="last_layer"), seed=9)
+        names = {id(p): n for n, p in model.params.items()}
+        convs = []
+        real = ad.conv1d
+
+        def counted(x, weight, *args, **kwargs):
+            convs.append(names[id(weight)])
+            return real(x, weight, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "conv1d", counted)
         x = Tensor(np.random.default_rng(7).standard_normal((4, 11)).astype(np.float32))
         assert model.conv_block(x, 0, 0)[1] is None  # last_layer: no skip before the final block
         assert model.conv_block(x, 1, 1)[0] is None  # the final block's residual feeds nothing
-        assert calls == ["norm_pointwise", "norm_pointwise_mean"]
+        assert convs == [
+            "block.0.0.in_conv.weight",
+            "block.0.0.dw_conv.weight",
+            "block.0.0.res_conv.weight",
+            "block.1.1.in_conv.weight",
+            "block.1.1.dw_conv.weight",
+            "block.1.1.skip_conv.weight",
+        ]
 
     def test_paper_size_block_parameter_arithmetic(self):
         # weights+biases of one full-size block: (128*512+512) + (512*3+512)
@@ -305,16 +306,9 @@ class TestExtract:
         assert touched.max() <= p + span
 
 
-def final_skip_mean(model, h):
-    """The final block's pooled skip output for a block-channel map h, as conv_block computes it."""
-    c = model.config
-    pre = f"block.{c.repeats - 1}.{c.blocks_per_repeat - 1}"
-    h = Tensor(h, dtype=model.dtype)
-    norm = None
-    if c.norm_mode != "none":
-        stats = ad.layer_norm_stats(h, cumulative=c.norm_mode == "cLN")
-        norm = (stats, model.params[f"{pre}.norm2.gain"], model.params[f"{pre}.norm2.bias"])
-    return ad.norm_pointwise_mean(h, model.params[f"{pre}.skip_conv.weight"], model.params[f"{pre}.skip_conv.bias"], norm)
+def one_block_config(norm_mode):
+    """One block with a one-tap kernel, so every stage before the pooling acts frame by frame."""
+    return tiny_config(norm_mode=norm_mode, causal=False, kernel_size=1, blocks_per_repeat=1, repeats=1)
 
 
 class TestClassify:
@@ -326,27 +320,27 @@ class TestClassify:
         np.testing.assert_allclose(model.classify(feats).data, [0.5, 0.5])
 
     def test_single_frame_pooling_identity(self):
-        # pooling happens before the skip conv: a constant map pools to its column
-        for norm_mode in ("none", "gLN"):
-            model = MultiScaleTCN(tiny_config(norm_mode=norm_mode, causal=False), seed=16)
-            rng = np.random.default_rng(14)
-            col = rng.standard_normal((5, 1)).astype(np.float32)
+        # pooling happens in each block, before its skip conv: with a
+        # one-tap kernel, a time-constant input pools to its own column
+        for norm_mode in ("none", "gLN", "cLN"):
+            model = MultiScaleTCN(one_block_config(norm_mode), seed=16)
+            col = np.random.default_rng(14).standard_normal((4, 1)).astype(np.float32)
             np.testing.assert_allclose(
-                final_skip_mean(model, col).data,
-                final_skip_mean(model, np.tile(col, (1, 7))).data,
+                model.extract(Tensor(col)).data,
+                model.extract(Tensor(np.tile(col, (1, 7)))).data,
                 rtol=1e-5,
                 atol=1e-6,
             )
 
     def test_permutation_invariance(self):
-        # with time-invariant statistics the pooled skip output is order-free in time
+        # with a one-tap kernel and time-invariant statistics the pooled feature is order-free in time
         for norm_mode in ("none", "gLN"):
-            model = MultiScaleTCN(tiny_config(norm_mode=norm_mode, causal=False), seed=17)
+            model = MultiScaleTCN(one_block_config(norm_mode), seed=17)
             rng = np.random.default_rng(15)
-            h = rng.standard_normal((5, 9)).astype(np.float32)
+            x = rng.standard_normal((4, 9)).astype(np.float32)
             perm = rng.permutation(9)
-            a = final_skip_mean(model, h).data
-            b = final_skip_mean(model, h[:, perm]).data
+            a = model.extract(Tensor(x)).data
+            b = model.extract(Tensor(x[:, perm])).data
             np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_channel_mismatch(self):
