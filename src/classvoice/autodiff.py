@@ -18,6 +18,14 @@ makes) therefore builds no graph, and many threads can evaluate it at
 once without changing what any other caller's tensors record. Tensors are
 treated as immutable values outside an explicit optimizer step; only
 ``adam_step`` mutates data in place.
+
+``backward`` consumes the graph it walks: each node drops its gradient,
+its backward closure and its parents once its backward has run, so the
+activations only the graph holds are freed during the pass rather than
+after it. Leaf gradients stay; a second ``backward`` through a consumed
+graph raises GraphError. Gradients are read-only values that may be
+shared: an op may hand the same array to several inputs, and a later
+gradient is added out of place, never into an array already handed over.
 """
 
 from __future__ import annotations
@@ -113,12 +121,14 @@ def _make(data, parents, backward_fn):
 
 
 def _accum(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t``'s gradient: the first is stored as is, later ones are added out of place.
+
+    So gradients are shared, read-only values: no backward writes into an
+    array after handing it over, and none writes into its incoming ``g``.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -132,16 +142,25 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     return g
 
 
-def backward(loss: Tensor):
-    """Populate grad slots of everything reachable from a scalar loss.
+def _consumed(g):
+    raise GraphError("this part of the graph was already consumed by backward")
 
-    Traversal is reverse-topological; a back edge (cycle) raises
-    GraphError, as does a loss that carries no graph.
+
+def backward(loss: Tensor):
+    """Populate grad slots of every leaf reachable from a scalar loss, consuming the graph.
+
+    Traversal is reverse-topological. Once a node's backward has run, the
+    node drops its gradient, its backward closure and its parents, so the
+    activations only the graph holds are freed as the pass goes. Leaf
+    gradients stay. A back edge (cycle), a loss that carries no graph, and
+    a loss whose graph an earlier backward consumed raise GraphError.
     """
     if loss.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         raise GraphError("loss is not connected to any tensor that requires grad")
+    if loss._backward is _consumed:
+        raise GraphError("backward already ran on this loss; its graph is consumed")
 
     order = []
     state = {}  # id -> 1 visiting, 2 done
@@ -154,6 +173,8 @@ def backward(loss: Tensor):
             s = state.get(id(parent))
             if s == 1:
                 raise GraphError("cycle detected in computation graph")
+            if parent._backward is _consumed:
+                raise GraphError("the loss depends on a graph that an earlier backward consumed")
             if s is None and parent._parents:
                 state[id(parent)] = 1
                 stack.append((parent, iter(parent._parents)))
@@ -166,9 +187,16 @@ def backward(loss: Tensor):
             order.append(node)
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    del node, it  # the traversal's last references into the graph
+    while order:
+        node = order.pop()
+        if node._backward is None:  # a leaf loss keeps its gradient
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad = None
+        node._parents = ()
+        node._backward = _consumed
 
 
 def zero_grads(params):
@@ -452,7 +480,7 @@ def conv1d(
             _accum(bias, gb.sum(axis=(0, 2)))
         if pointwise:
             gy = gb[:, :, left : left + t_in]
-            dw = np.tensordot(gy, xd, axes=([0, 2], [0, 2]))[:, :, None]
+            dw = np.matmul(gy, xd.transpose(0, 2, 1)).sum(axis=0)[:, :, None]  # no transposed copies
             dx = np.matmul(w[:, :, 0].T, gy)
         else:
             dw = np.einsum("bct,bctk->ck", gb, _tap_view(xd, left, right, k, dilation, t_out))[:, None, :]
@@ -552,15 +580,17 @@ def normalize(x: Tensor, stats: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out_data += bias.data
 
     def back(g):
-        d = x.data - mu
-        per_channel = tuple(i for i in range(g.ndim) if i != g.ndim - 2)  # to a [C, 1] gradient
-        _accum(gain, (g * d * r).sum(axis=per_channel)[:, None])
-        _accum(bias, g.sum(axis=per_channel)[:, None])
+        xhat = x.data - mu
+        xhat *= r
+        g3, xhat3 = g.reshape((-1,) + g.shape[-2:]), xhat.reshape((-1,) + g.shape[-2:])
+        _accum(gain, np.einsum("bct,bct->c", g3, xhat3)[:, None])
+        _accum(bias, np.einsum("bct->c", g3)[:, None])
         h = g * gain.data
-        dx = h * r
-        g_stats = np.concatenate([-dx.sum(axis=-2, keepdims=True), (h * d).sum(axis=-2, keepdims=True)], axis=-2)
-        _accum(x, dx)
-        _accum(stats, g_stats)
+        # d/dr of sum_c h*(x - mu)*r is sum_c h*(x - mu) = sum_c h*xhat / r
+        g_r = np.einsum("...ct,...ct->...t", h, xhat)[..., None, :] / r
+        h *= r  # now the gradient in x
+        _accum(stats, np.concatenate([-h.sum(axis=-2, keepdims=True), g_r], axis=-2))
+        _accum(x, h)
 
     return _make(out_data, (x, stats, gain, bias), back)
 
@@ -602,12 +632,15 @@ def _const_like(t: Tensor, value: float) -> Tensor:
 # loss
 
 
-def binary_cross_entropy(p: Tensor, y) -> Tensor:
+def binary_cross_entropy(p: Tensor, y, rows: int | None = None) -> Tensor:
     """Summed per-class binary cross-entropy against {0,1} targets.
 
     p holds probabilities; they are clamped to [1e-7, 1 - 1e-7] before the
-    logs. A [C] input yields the class sum; a [B, C] batch yields the mean
-    over rows of the per-row class sums.
+    logs. A [C] input yields the class sum; a [B, C] batch yields the sum
+    of the per-row class sums divided by ``rows`` (default B, the mean over
+    rows). A micro-batch of a larger batch passes that batch's row count,
+    so the losses, and the gradients, of its micro-batches add up to the
+    whole batch's.
     """
     y = np.asarray(y, dtype=p.dtype)
     if y.shape != p.shape:
@@ -620,7 +653,7 @@ def binary_cross_entropy(p: Tensor, y) -> Tensor:
     per = neg(add(mul(yt, log(pc)), mul(sub(one, yt), log(sub(one, pc)))))
     total = tsum(per)
     if p.ndim == 2:
-        return mul(total, _const_like(total, 1.0 / p.shape[0]))
+        return mul(total, _const_like(total, 1.0 / (rows or p.shape[0])))
     return total
 
 

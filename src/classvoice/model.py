@@ -129,7 +129,7 @@ class ModelConfig:
             "sample_rate",
         ):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # a bool is an int to isinstance
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.frame_stride > self.frame_len:
             raise ValueError(

@@ -8,6 +8,12 @@ sigmoid outputs, averaged over the batch. Early stopping requires a
 strict decrease of the validation loss to reset its patience counter,
 and the returned checkpoint is the best-validation one.
 
+Each Adam batch of ``TrainConfig.batch_size`` windows runs as
+micro-batches of at most ``streaming.BATCH_WINDOWS`` windows, whose
+gradients add up in the parameters' ``grad``: the effective batch, and so
+the recipe, is unchanged, while only one micro-batch's graph is alive at a
+time. Validation runs in the same micro-batches, without a graph.
+
 Evaluation scores sliding-window decisions against the ground-truth
 segment at each decision timestamp, one-vs-rest per category.
 """
@@ -24,7 +30,7 @@ import numpy as np
 from .autodiff import AdamState, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
 from .model import CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN
 from .simulate import LabeledSample
-from .streaming import HOP_SECONDS, WINDOW_SECONDS, infer_offline, resolve_model
+from .streaming import BATCH_WINDOWS, HOP_SECONDS, WINDOW_SECONDS, infer_offline, resolve_model
 from .wavio import read_wav
 
 
@@ -62,6 +68,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "patience", "batch_size", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is an int to isinstance
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not 0 < self.patience < self.epochs:
@@ -222,16 +232,42 @@ class _WindowSet:
             yield self.batch(range(start, min(start + batch_size, n)))
 
 
-def _mean_loss(model: MultiScaleTCN, window_set: _WindowSet, batch_size: int) -> float:
+def _mean_loss(model: MultiScaleTCN, window_set: _WindowSet) -> float:
     frozen = resolve_model(model)
     total = 0.0
-    for xs, ys in window_set.batches(batch_size):
+    for xs, ys in window_set.batches(BATCH_WINDOWS):
         total += binary_cross_entropy(frozen.window_probs(xs), ys).item() * len(xs)
     return total / len(window_set.windows)
 
 
 # ---------------------------------------------------------------------------
 # training
+
+
+def batch_gradients(model: MultiScaleTCN, xs: np.ndarray, ys: np.ndarray) -> tuple[float, list[np.ndarray]]:
+    """The mean loss of a batch of windows and its gradient, one array per parameter.
+
+    The windows run in micro-batches of at most ``BATCH_WINDOWS``. Each
+    micro-batch's loss is its row-summed BCE over the whole batch's row
+    count, so the micro-batch gradients accumulated in the parameters'
+    ``grad`` add up to the batch gradient with no rescaling. A parameter
+    the loss does not reach gets zeros. Raises TrainingDivergedError,
+    before that micro-batch's backward, when a micro-batch loss is not
+    finite.
+    """
+    params = model.parameters()
+    zero_grads(params)
+    rows = len(xs)
+    total = 0.0
+    for start in range(0, rows, BATCH_WINDOWS):
+        stop = start + BATCH_WINDOWS
+        loss = binary_cross_entropy(model.window_probs(xs[start:stop]), ys[start:stop], rows)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise TrainingDivergedError(f"non-finite training loss on windows {start}..{min(stop, rows) - 1}")
+        backward(loss)
+        total += value
+    return total, [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
 
 def train(
@@ -278,19 +314,14 @@ def train(
         for start in range(0, len(order), train_config.batch_size):
             batch_idx = order[start : start + train_config.batch_size]
             xs, ys = train_set.batch(batch_idx)
-            zero_grads(params)
-            loss = binary_cross_entropy(model.window_probs(xs), ys)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise TrainingDivergedError(
-                    f"non-finite training loss at epoch {epoch}, window {start} (lr={lr:g})"
-                )
-            backward(loss)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+            try:
+                value, grads = batch_gradients(model, xs, ys)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(f"{exc} of the batch at epoch {epoch}, window {start} (lr={lr:g})") from None
             adam_step(params, grads, state, lr)
             total += value * len(xs)
         train_loss = total / len(train_set.windows)
-        valid_loss = _mean_loss(model, valid_set, train_config.batch_size)
+        valid_loss = _mean_loss(model, valid_set)
         if not np.isfinite(valid_loss):
             raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         stats = EpochStats(epoch=epoch, train_loss=train_loss, valid_loss=valid_loss, lr=lr)

@@ -1,5 +1,7 @@
 """Tensor-core tests: oracles for conv/norm/linear, gradient checks, Adam."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -323,6 +325,83 @@ class TestBackward:
         y._parents = (z,)
         with pytest.raises(GraphError, match="cycle"):
             backward(z)
+
+
+class TestGraphRelease:
+    """backward consumes the graph as it goes; gradients are shared, never written after hand-over."""
+
+    def test_interior_activation_freed_while_loss_held(self):
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal((2, 4, 9)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 4, 1)), requires_grad=True)
+        gain, bias = Tensor(np.ones((4, 1)), requires_grad=True), Tensor(np.zeros((4, 1)), requires_grad=True)
+        h = conv1d(x, w)
+        activation = weakref.ref(h.data)
+        loss = ad.tsum(cumulative_layer_norm(prelu(h, Tensor([0.25])), gain, bias))
+        del h
+        assert activation() is not None  # the graph holds it until backward
+        backward(loss)
+        assert activation() is None
+        assert loss.grad is None and loss._parents == ()
+        for leaf in (x, w, gain, bias):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+    def test_second_backward_raises(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        loss = ad.tsum(ad.mul(x, x))
+        backward(loss)
+        grad = x.grad
+        with pytest.raises(GraphError, match="already ran"):
+            backward(loss)
+        assert x.grad is grad
+
+    def test_loss_over_a_consumed_subgraph_raises_before_any_gradient(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        h = ad.mul(x, x)
+        backward(ad.tsum(h))
+        grad = x.grad
+        with pytest.raises(GraphError, match="consumed"):
+            backward(ad.tsum(relu(h)))
+        assert x.grad is grad
+
+    def test_tensor_feeding_one_op_twice(self):
+        x = Tensor([1.0, -2.0, 3.0], requires_grad=True, dtype=np.float64)
+        backward(ad.tsum(ad.add(x, x)))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        h = ad.mul(x, Tensor([1.0, 1.0, 1.0], dtype=np.float64))  # an interior node used twice
+        x.grad = None
+        backward(ad.tsum(ad.add(h, h)))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
+    def test_residual_path_gradient(self):
+        # out = h + sigmoid(h) with h = x*x: h feeds the skip and the branch
+        x = Tensor([0.5, -1.5, 2.0], requires_grad=True, dtype=np.float64)
+        h = ad.mul(x, x)
+        backward(ad.tsum(ad.add(h, sigmoid(h))))
+        s = 1 / (1 + np.exp(-x.data**2))
+        np.testing.assert_allclose(x.grad, (1 + s * (1 - s)) * 2 * x.data, rtol=1e-12)
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_pass_through_gradient_unchanged_by_other_branch(self, add_first):
+        # add hands its incoming g to both inputs as is; a also feeds mul(a, a),
+        # whose gradient must accumulate into a without writing into g (b's grad)
+        a = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+        b = Tensor([3.0, 4.0], requires_grad=True, dtype=np.float64)
+        w = Tensor([5.0, 7.0], dtype=np.float64)
+        z = ad.add(a, b)
+        seen = {}
+        through = z._backward
+
+        def spy(g):
+            seen["g"], seen["copy"] = g, g.copy()
+            through(g)
+
+        z._backward = spy
+        terms = [ad.mul(z, w), ad.mul(a, a)]
+        backward(ad.tsum(ad.add(*(terms if add_first else terms[::-1]))))
+        np.testing.assert_array_equal(seen["g"], seen["copy"])
+        np.testing.assert_array_equal(b.grad, w.data)
+        np.testing.assert_array_equal(a.grad, w.data + 2 * a.data)
 
 
 class TestGradCheck:

@@ -165,6 +165,12 @@ class TestRuns:
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
         assert f"{path}: causal must be a bool, got 'false'" in capsys.readouterr().err
 
+    def test_inspect_bool_repeats_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "repeats.ckpt"
+        self.checkpoint_with_config(path, repeats=True)
+        assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
+        assert f"{path}: repeats must be a positive integer, got True" in capsys.readouterr().err
+
     def test_train_with_bad_manifest_exits_2_without_out(self, runs, tmp_path, capsys):
         manifest = tmp_path / "bad.jsonl"
         manifest.write_text('{"wav": "x.wav"}\n')

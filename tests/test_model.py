@@ -65,6 +65,9 @@ class TestModelConfig:
             ModelConfig(norm_mode="batch")
         with pytest.raises(ValueError, match="positive"):
             ModelConfig(repeats=0)
+        for name, value in (("repeats", True), ("hidden1", True), ("kernel_size", 3.0), ("sample_rate", "16000")):
+            with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
+                ModelConfig(**{name: value})
         for causal in ("false", "no", 0, 1, None):
             with pytest.raises(ValueError, match="causal must be a bool"):
                 ModelConfig(causal=causal)
@@ -789,6 +792,7 @@ class TestMalformedCheckpoint:
         ("threshold", "high", "bad model config"),
         ("norm_mode", "batch", "norm_mode must be"),
         ("causal", "false", "causal must be a bool"),
+        ("repeats", True, "repeats must be a positive integer, got True"),
     ])
     def test_invalid_config_value(self, tiny_ckpt, tmp_path, key, value, match):
         header, payload = split(tiny_ckpt)

@@ -7,9 +7,11 @@ from classvoice import autodiff as ad
 from classvoice.autodiff import AdamState, adam_step, binary_cross_entropy, zero_grads
 from classvoice.model import CATEGORY_ORDER, Category, ModelConfig, MultiScaleTCN
 from classvoice.simulate import SceneGrid, generate_dataset, Corpora, write_synthetic_corpus
+from classvoice.streaming import BATCH_WINDOWS
 from classvoice.training import (
     EvalReport,
     TrainConfig,
+    batch_gradients,
     evaluate,
     load_sample,
     parse_labels,
@@ -63,6 +65,13 @@ class TestTrainConfig:
             TrainConfig(epochs=5, patience=5)
         with pytest.raises(ValueError, match="window_hop_seconds"):
             TrainConfig(window_hop_seconds=0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("batch_size", True), ("batch_size", 2.5), ("epochs", True), ("patience", 2.0), ("seed", False), ("seed", "0"),
+    ])
+    def test_integer_fields_reject_bools_and_non_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["lr_start", "lr_end"])
@@ -222,15 +231,58 @@ class TestTrainLoop:
         state = AdamState.for_params(params)
         losses = []
         for _ in range(50):
-            zero_grads(params)
-            loss = binary_cross_entropy(model.window_probs(xs), ys)
-            losses.append(loss.item())
-            ad.backward(loss)
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
+            loss, grads = batch_gradients(model, xs, ys)
+            losses.append(loss)
             adam_step(params, grads, state, lr=1e-3)
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-7), f"loss increased at steps {np.nonzero(diffs > 1e-7)[0]}"
         assert losses[-1] < losses[0]
+
+
+def whole_batch_gradients(model, xs, ys):
+    """Loss and per-parameter gradient of one graph over the whole batch."""
+    params = model.parameters()
+    zero_grads(params)
+    loss = binary_cross_entropy(model.window_probs(xs), ys)
+    value = loss.item()
+    ad.backward(loss)
+    return value, [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+
+
+class TestMicroBatches:
+    # float32 rounding bound: the micro-batched and the whole-batch float32
+    # gradients were both 1.1e-6 to 6.4e-6 from the float64 oracle (seeds 11-13);
+    # dividing a micro-batch by its own row count instead would be ~0.3 off
+    REL = 2e-5
+
+    def test_step_gradient_matches_float64_whole_batch_oracle(self, tiny_dataset, monkeypatch):
+        sample = load_sample(read_manifest(tiny_dataset["train"])[0])
+        win, hop = 3 * FS_TINY, FS_TINY // 2
+        n = BATCH_WINDOWS + 3  # one full micro-batch and a ragged one
+        xs = np.stack([sample.audio[i * hop : i * hop + win] for i in range(n)])
+        ys = np.stack([window_label(sample, i * hop + win // 2) for i in range(n)])
+        model = MultiScaleTCN(tiny_model_config(), seed=11)
+        oracle = MultiScaleTCN._frozen(
+            model.config, {name: p.data.astype(np.float64) for name, p in model.params.items()}, np.float64
+        )
+        for p in oracle.parameters():
+            p.requires_grad = True
+        want_loss, want = whole_batch_gradients(oracle, xs, ys)
+        whole_loss, whole = whole_batch_gradients(model, xs, ys)
+
+        rows = []
+        forward = model.window_probs
+        monkeypatch.setattr(model, "window_probs", lambda x: rows.append(len(x)) or forward(x))
+        loss, grads = batch_gradients(model, xs, ys)
+        assert rows == [BATCH_WINDOWS, 3]
+
+        scale = max(float(np.abs(g).max()) for g in want)
+        for got_loss, got in ((loss, grads), (whole_loss, whole)):
+            assert got_loss == pytest.approx(want_loss, rel=self.REL)
+            for name, g, w in zip(model.params, got, want):
+                assert g.dtype == np.float32
+                err = float(np.abs(g - w).max()) / max(float(np.abs(w).max()), 1e-3 * scale)
+                assert err <= self.REL, f"{name}: relative error {err:.3g}"
 
 
 class TestEvaluate:
