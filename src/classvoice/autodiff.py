@@ -608,7 +608,7 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e
     """Normalize over channels and the time prefix 1..t at each step t (cLN).
 
     Column t of the output only depends on columns 1..t of the input,
-    which is what makes the causal configuration causal.
+    which is what makes the model's "window" context causal.
     """
     return normalize(x, layer_norm_stats(x, cumulative=True, eps=eps), gain, bias)
 

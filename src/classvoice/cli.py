@@ -77,7 +77,7 @@ KEYS = [
     _Key("assistant-dir", "str", None, "directory of assistant WAV clips", ("simulate",)),
     _Key("noise-dir", "str", None, "directory of noise WAV clips", ("simulate",)),
     _Key("hop-seconds", "float", HOP_SECONDS, "decision hop for eval/infer", ("eval", "infer")),
-    _Key("streaming", "bool", False, "use the streaming engine (causal checkpoints)", ("infer",)),
+    _Key("streaming", "bool", False, "use the streaming engine (checkpoints with context 'window')", ("infer",)),
     _Key("out", "str", None, "output directory", ("simulate", "train", "eval", "infer")),
     _Key("train-manifest", "str", None, "training manifest (JSONL)", ("train",)),
     _Key("valid-manifest", "str", None, "validation manifest (JSONL)", ("train",)),

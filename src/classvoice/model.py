@@ -7,6 +7,8 @@ per repeat) produce one skip output each. The classifier reads the time
 mean of all skip outputs concatenated (repeat-major, block-minor), the
 multi-scale feature, and emits per-class probabilities for the assistant
 and expert voices. Per-class thresholding yields one of four categories.
+``ModelConfig.context`` sets the norms and paddings: causal ("window", for
+live streams) or seeing the whole window ("offline", for recordings).
 
 Where pooling happens: each block's skip output is a 1x1 conv of its
 normalised activations, and a 1x1 conv is linear, so
@@ -45,7 +47,7 @@ from .autodiff import NonFiniteError, ShapeError, Tensor
 CHECKPOINT_MAGIC = b"CVCHKPT1"
 CHECKPOINT_VERSION = 1
 
-NORM_MODES = ("gLN", "cLN", "none")
+CONTEXTS = ("window", "offline")
 FEATURES_MODES = ("multiscale", "last_layer")
 NUM_CLASSES = 2  # classifier outputs: P(assistant), P(expert), each its own sigmoid
 
@@ -89,10 +91,10 @@ class ModelConfig:
     2^(blocks_per_repeat-1). repeats: how many times the stack repeats.
     hidden1/hidden2: classifier hidden sizes. threshold: per-class
     decision threshold. sample_rate: audio sample rate in Hz.
-    norm_mode: gLN | cLN | none ("none" exists for
-    receptive-field locality tests; the layer norms have global reach).
-    causal: left-only padding (pairs with cLN) vs symmetric (pairs with
-    gLN). features_mode: "multiscale" concatenates all skip outputs,
+    context: "window" (cLN, left-only padding) makes each frame depend only
+    on the window up to it, so the model can stream; "offline" (gLN,
+    symmetric padding) lets every frame see the whole window.
+    features_mode: "multiscale" concatenates all skip outputs,
     "last_layer" keeps only the final block's (plain-TCN ablation).
     """
 
@@ -109,8 +111,7 @@ class ModelConfig:
     hidden2: int = 2048
     threshold: float = 0.5
     sample_rate: int = 16000
-    norm_mode: str = "cLN"
-    causal: bool = True
+    context: str = "window"
     features_mode: str = "multiscale"
 
     def __post_init__(self):
@@ -137,12 +138,10 @@ class ModelConfig:
             )
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
+        if self.context not in CONTEXTS:
+            raise ValueError(f"context must be one of {CONTEXTS}, got {self.context!r}")
         if self.features_mode not in FEATURES_MODES:
             raise ValueError(f"features_mode must be one of {FEATURES_MODES}, got {self.features_mode!r}")
-        if not isinstance(self.causal, bool):  # a string such as "false" would be truthy
-            raise ValueError(f"causal must be a bool, got {self.causal!r}")
 
     @property
     def classifier_input_dim(self) -> int:
@@ -166,8 +165,7 @@ def _param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     table = [("encoder.weight", (c.enc_channels, c.frame_len))]
 
     def norm(prefix, channels):
-        if c.norm_mode != "none":
-            table.extend([(prefix + ".gain", (channels, 1)), (prefix + ".bias", (channels, 1))])
+        table.extend([(prefix + ".gain", (channels, 1)), (prefix + ".bias", (channels, 1))])
 
     def conv(prefix, c_out, c_in, taps=1):
         table.extend([(prefix + ".weight", (c_out, c_in, taps)), (prefix + ".bias", (c_out,))])
@@ -271,10 +269,7 @@ class MultiScaleTCN:
     # -- forward pieces ----------------------------------------------------
 
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
-        mode = self.config.norm_mode
-        if mode == "none":
-            return x
-        fn = ad.global_layer_norm if mode == "gLN" else ad.cumulative_layer_norm
+        fn = ad.cumulative_layer_norm if self.config.context == "window" else ad.global_layer_norm
         return fn(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"])
 
     def encode(self, audio) -> Tensor:
@@ -312,8 +307,8 @@ class MultiScaleTCN:
         """One dilated depthwise-separable block at dilation 2**block_idx.
 
         Returns (residual_out, skip_mean). residual_out = x + res_conv(h)
-        keeps the input frame count (padding keeps T fixed: all-left when
-        causal, symmetric otherwise). skip_mean is the time mean of the
+        keeps the input frame count (padding keeps T fixed: all-left in the
+        window context, symmetric offline). skip_mean is the time mean of the
         per-frame skip map skip_conv(h), [skip_channels] or batched: the
         conv is linear, so it runs on mean_t of the normalised h and the
         per-frame map is never built. Outputs nothing reads are not
@@ -328,7 +323,7 @@ class MultiScaleTCN:
         pre = f"block.{repeat_idx}.{block_idx}"
         dilation = 2**block_idx
         span = (c.kernel_size - 1) * dilation
-        pad = (span, 0) if c.causal else (span // 2, span - span // 2)
+        pad = (span, 0) if c.context == "window" else (span // 2, span - span // 2)
         h = ad.conv1d(x, self.params[f"{pre}.in_conv.weight"], self.params[f"{pre}.in_conv.bias"])
         h = ad.prelu(h, self.params[f"{pre}.prelu1.alpha"])
         h = self._norm(h, f"{pre}.norm1")

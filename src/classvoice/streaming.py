@@ -139,7 +139,7 @@ def infer_offline(audio, checkpoint, hop_seconds: float = HOP_SECONDS) -> Decisi
 
 
 class StreamingSession:
-    """Rolling-window causal inference over an incrementally fed signal.
+    """Rolling-window inference over an incrementally fed signal, for a "window"-context model.
 
     Decisions appear on the same i*hop grid as infer_offline; the first
     one is emitted once the first full window has arrived, tagged to
@@ -148,8 +148,8 @@ class StreamingSession:
 
     def __init__(self, checkpoint, hop_seconds: float = HOP_SECONDS):
         self.model = resolve_model(checkpoint)
-        if not self.model.config.causal:
-            raise ValueError("streaming inference requires a causal checkpoint (causal=True)")
+        if self.model.config.context != "window":
+            raise ValueError(f"streaming needs a checkpoint with context 'window', got {self.model.config.context!r}")
         self.fs, self.win, self.hop, self.half = _window_geometry(self.model.config, hop_seconds)
         self.track = DecisionTrack(hop_seconds=self.hop / self.fs)
         # first slot on the i*hop grid whose centered window fits

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
+from .autodiff import AdamState, NonFiniteError, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
 from .model import CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN
 from .simulate import LabeledSample
 from .streaming import BATCH_WINDOWS, HOP_SECONDS, WINDOW_SECONDS, infer_offline, resolve_model
@@ -35,7 +35,7 @@ from .wavio import read_wav
 
 
 class TrainingDivergedError(RuntimeError):
-    """The loss went non-finite; carries the epoch/batch diagnostics."""
+    """A NaN or Inf appeared in a training or validation pass; names the epoch, window and lr."""
 
 
 @dataclass(frozen=True)
@@ -113,34 +113,41 @@ class SampleRecord:
     scene: dict | None = None
 
 
+def _lines(path) -> list[tuple[int, str]]:
+    """(line number, line) of each non-blank line of a UTF-8 text file; ValueError naming it otherwise."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
+    return [(ln, line) for ln, line in enumerate(text.splitlines(), start=1) if line.strip()]
+
+
 def read_manifest(path) -> list[SampleRecord]:
-    """Parse a JSONL manifest; file paths resolve relative to the manifest."""
+    """Parse a JSONL manifest, paths relative to it; raises ValueError naming the file and line."""
     path = Path(path)
     base = path.parent
     records = []
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for ln, line in _lines(path):
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}:{ln}: invalid manifest record ({exc})") from exc
+        except (ValueError, RecursionError) as exc:  # bad JSON, an over-long integer, deep nesting
+            raise ValueError(f"{path}:{ln}: invalid manifest record ({exc})") from None
         if not isinstance(rec, dict):
             raise ValueError(f"{path}:{ln}: manifest record must be a JSON object, got {line.strip()!r}")
         for key in ("wav", "labels"):
             if not isinstance(rec.get(key), str):
                 raise ValueError(f"{path}:{ln}: manifest record needs a {key!r} path string")
-        try:
-            sample_rate = int(rec.get("sample_rate", 16000))
-            peak_scale = float(rec.get("peak_scale", 1.0))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}:{ln}: invalid manifest record ({exc})") from exc
+        sample_rate, peak_scale = rec.get("sample_rate", 16000), rec.get("peak_scale", 1.0)
+        if type(sample_rate) is not int or sample_rate < 1:  # a bool is an int to isinstance
+            raise ValueError(f"{path}:{ln}: invalid manifest record (sample_rate {sample_rate!r} is not a positive integer)")
+        if type(peak_scale) not in (int, float) or not 0 < peak_scale < math.inf:  # also false for NaN
+            raise ValueError(f"{path}:{ln}: invalid manifest record (peak_scale {peak_scale!r} is not finite and positive)")
         records.append(
             SampleRecord(
                 wav=base / rec["wav"],
                 labels=base / rec["labels"],
                 sample_rate=sample_rate,
-                peak_scale=peak_scale,
+                peak_scale=float(peak_scale),
                 scene=rec.get("scene"),
             )
         )
@@ -151,11 +158,8 @@ def read_manifest(path) -> list[SampleRecord]:
 
 def parse_labels(path) -> list[tuple[Category, int, int]]:
     """Parse a ``start,end,category`` label sidecar; raises ValueError naming the file and line."""
-    path = Path(path)
     segments = []
-    for ln, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
+    for ln, line in _lines(path):
         try:
             start, end, code = line.split(",")
             segments.append((Category(code), int(start), int(end)))
@@ -170,12 +174,19 @@ def load_sample(record: SampleRecord) -> LabeledSample:
         raise ValueError(
             f"{record.wav}: sample rate {wav.sample_rate} does not match manifest ({record.sample_rate})"
         )
-    return LabeledSample(
-        audio=wav.samples,
-        segments=parse_labels(record.labels),
-        sample_rate=wav.sample_rate,
-        peak_scale=record.peak_scale,
-    )
+    segments = parse_labels(record.labels)
+    try:
+        return LabeledSample(audio=wav.samples, segments=segments, sample_rate=wav.sample_rate, peak_scale=record.peak_scale)
+    except ValueError as exc:  # the labels do not tile the 12 s of audio
+        raise ValueError(f"{record.labels}: {exc} (audio {record.wav})") from None
+
+
+def _samples(manifest, fs: int, owner: str):
+    """Load a manifest's samples in turn; ValueError names a wav whose declared rate is not ``fs``."""
+    for record in read_manifest(manifest):
+        if record.sample_rate != fs:
+            raise ValueError(f"{record.wav}: sample rate {record.sample_rate} does not match {owner} ({fs})")
+        yield load_sample(record)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +262,8 @@ def batch_gradients(model: MultiScaleTCN, xs: np.ndarray, ys: np.ndarray) -> tup
     micro-batch's loss is its row-summed BCE over the whole batch's row
     count, so the micro-batch gradients accumulated in the parameters'
     ``grad`` add up to the batch gradient with no rescaling. A parameter
-    the loss does not reach gets zeros. Raises TrainingDivergedError,
-    before that micro-batch's backward, when a micro-batch loss is not
-    finite.
+    the loss does not reach gets zeros. Raises TrainingDivergedError when
+    a micro-batch's forward meets a NaN or Inf.
     """
     params = model.parameters()
     zero_grads(params)
@@ -261,12 +271,12 @@ def batch_gradients(model: MultiScaleTCN, xs: np.ndarray, ys: np.ndarray) -> tup
     total = 0.0
     for start in range(0, rows, BATCH_WINDOWS):
         stop = start + BATCH_WINDOWS
-        loss = binary_cross_entropy(model.window_probs(xs[start:stop]), ys[start:stop], rows)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainingDivergedError(f"non-finite training loss on windows {start}..{min(stop, rows) - 1}")
+        try:
+            loss = binary_cross_entropy(model.window_probs(xs[start:stop]), ys[start:stop], rows)
+        except NonFiniteError:
+            raise TrainingDivergedError(f"non-finite training forward on windows {start}..{min(stop, rows) - 1}") from None
         backward(loss)
-        total += value
+        total += loss.item()
     return total, [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
 
@@ -283,12 +293,9 @@ def train(
     ``patience`` consecutive epochs. ``log`` is an optional callable
     receiving one EpochStats per epoch.
     """
-    train_samples = [load_sample(r) for r in read_manifest(train_manifest)]
-    valid_samples = [load_sample(r) for r in read_manifest(valid_manifest)]
     fs = model_config.sample_rate
-    for s in train_samples + valid_samples:
-        if s.sample_rate != fs:
-            raise ValueError(f"sample rate {s.sample_rate} does not match model ({fs})")
+    train_samples = list(_samples(train_manifest, fs, "model"))
+    valid_samples = list(_samples(valid_manifest, fs, "model"))
     win = round(WINDOW_SECONDS * fs)
     hop = max(1, round(train_config.window_hop_seconds * fs))
     train_set = _WindowSet.build(train_samples, win, hop)
@@ -321,9 +328,10 @@ def train(
             adam_step(params, grads, state, lr)
             total += value * len(xs)
         train_loss = total / len(train_set.windows)
-        valid_loss = _mean_loss(model, valid_set)
-        if not np.isfinite(valid_loss):
-            raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
+        try:
+            valid_loss = _mean_loss(model, valid_set)
+        except NonFiniteError:
+            raise TrainingDivergedError(f"non-finite validation forward at epoch {epoch} (lr={lr:g})") from None
         stats = EpochStats(epoch=epoch, train_loss=train_loss, valid_loss=valid_loss, lr=lr)
         history.append(stats)
         if log is not None:
@@ -409,12 +417,7 @@ def evaluate(checkpoint: Checkpoint, test_manifest, hop_seconds: float = HOP_SEC
     fs = model.config.sample_rate
     confusion = np.zeros((4, 4), dtype=np.int64)
     total = 0
-    for record in read_manifest(test_manifest):
-        if record.sample_rate != fs:
-            raise ValueError(
-                f"{record.wav}: sample rate {record.sample_rate} does not match checkpoint ({fs})"
-            )
-        sample = load_sample(record)
+    for sample in _samples(test_manifest, fs, "checkpoint"):
         track = infer_offline(sample.audio, model, hop_seconds=hop_seconds)
         for d in track.decisions:
             truth = sample.category_at(int(round(d.timestamp * fs)))

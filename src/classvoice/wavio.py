@@ -44,8 +44,8 @@ def read_wav(path) -> WavFile:
             frames = w.readframes(n)
     except wave.Error as exc:
         raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
-    except EOFError as exc:
-        raise WavFormatError(f"{path}: truncated WAV file") from exc
+    except (EOFError, RuntimeError) as exc:  # wave raises a bare RuntimeError for some bad chunk sizes
+        raise WavFormatError(f"{path}: truncated WAV file or bad chunk size") from exc
     if len(frames) != 2 * n:
         raise WavFormatError(
             f"{path}: truncated WAV payload ({len(frames)} bytes for {n} declared frames)"

@@ -110,10 +110,12 @@ class TestConfigResolution:
         path.write_text(json.dumps({"epochs": 2.5}))
         with pytest.raises(cli.UsageError, match="epochs: expected int"):
             resolve("train", "--config", str(path))
-        path.write_text(json.dumps({"threshold": 1, "causal": "false", "out": "o"}))
+        path.write_text(json.dumps({"threshold": 1, "out": "o"}))
         cfg = resolve("train", "--config", str(path), "--train-manifest", "t", "--valid-manifest", "v")
-        assert (cfg["threshold"], cfg["causal"]) == (1.0, False)
-        assert type(cfg["threshold"]) is float
+        assert cfg["threshold"] == 1.0 and type(cfg["threshold"]) is float
+        path.write_text(json.dumps({"streaming": "false", "out": "o"}))
+        cfg = resolve("infer", "--config", str(path), "--checkpoint", "c", "--wav", "w")
+        assert cfg["streaming"] is False
 
 
 class TestRuns:
@@ -159,11 +161,15 @@ class TestRuns:
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
         assert f"{path}: unknown model config key 'class_activation'" in capsys.readouterr().err
 
-    def test_inspect_string_causal_exits_2_naming_the_file(self, tmp_path, capsys):
-        path = tmp_path / "causal.ckpt"
-        self.checkpoint_with_config(path, causal="false")
+    @pytest.mark.parametrize("key,value,message", [
+        ("context", "stream", "context must be one of ('window', 'offline'), got 'stream'"),
+        ("causal", True, "unknown model config key 'causal'"),
+    ], ids=["stream-context", "old-causal-key"])
+    def test_inspect_bad_context_exits_2_naming_the_file(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "context.ckpt"
+        self.checkpoint_with_config(path, **{key: value})
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
-        assert f"{path}: causal must be a bool, got 'false'" in capsys.readouterr().err
+        assert f"{path}: {message}" in capsys.readouterr().err
 
     def test_inspect_bool_repeats_exits_2_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "repeats.ckpt"
@@ -171,14 +177,32 @@ class TestRuns:
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
         assert f"{path}: repeats must be a positive integer, got True" in capsys.readouterr().err
 
-    def test_train_with_bad_manifest_exits_2_without_out(self, runs, tmp_path, capsys):
+    @pytest.mark.parametrize("case", ["no-labels", "not-utf8", "bool-sample-rate", "nan-peak-scale", "labels-not-tiling"])
+    def test_train_with_bad_manifest_exits_2_without_out(self, runs, tmp_path, capsys, case):
+        record = json.loads((runs / "sim" / "manifest_train.jsonl").read_text().splitlines()[0])
+        record["wav"] = str(runs / "sim" / record["wav"])
+        record["labels"] = str(runs / "sim" / record["labels"])
         manifest = tmp_path / "bad.jsonl"
-        manifest.write_text('{"wav": "x.wav"}\n')
+        named = "bad.jsonl:1: "
+        if case == "no-labels":
+            manifest.write_text('{"wav": "x.wav"}\n')
+        elif case == "not-utf8":
+            manifest.write_bytes(json.dumps(record).encode() + b"\n\xff\n")
+            named = "bad.jsonl: not UTF-8"
+        elif case == "bool-sample-rate":
+            manifest.write_text(json.dumps({**record, "sample_rate": True}) + "\n")
+        elif case == "nan-peak-scale":
+            manifest.write_text(json.dumps({**record, "peak_scale": float("nan")}) + "\n")
+        else:
+            labels = tmp_path / "short.labels"
+            labels.write_text("".join(f"{i * 2000},{(i + 1) * 2000},{c}\n" for i, c in enumerate(["00", "01", "10", "11"])))
+            manifest.write_text(json.dumps({**record, "labels": str(labels)}) + "\n")
+            named = f"{labels}: segments must tile the audio"
         out = tmp_path / "train"
         argv = ["train", "--out", str(out), "--train-manifest", str(manifest),
                 "--valid-manifest", str(runs / "sim" / "manifest_valid.jsonl"), *TINY_MODEL_FLAGS]
         assert cli.main(argv) == 2
-        assert "bad.jsonl:1" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
         assert not out.exists()
 
     def test_simulate_with_empty_corpus_exits_2_without_out(self, corpus_dirs, tmp_path, capsys):

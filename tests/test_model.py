@@ -61,16 +61,14 @@ class TestModelConfig:
             ModelConfig(frame_len=100, frame_stride=200)
         with pytest.raises(ValueError, match="threshold"):
             ModelConfig(threshold=1.5)
-        with pytest.raises(ValueError, match="norm_mode"):
-            ModelConfig(norm_mode="batch")
+        for context in ("stream", "Window", "causal", None, True):
+            with pytest.raises(ValueError, match=r"context must be one of \('window', 'offline'\)"):
+                ModelConfig(context=context)
         with pytest.raises(ValueError, match="positive"):
             ModelConfig(repeats=0)
         for name, value in (("repeats", True), ("hidden1", True), ("kernel_size", 3.0), ("sample_rate", "16000")):
             with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
                 ModelConfig(**{name: value})
-        for causal in ("false", "no", 0, 1, None):
-            with pytest.raises(ValueError, match="causal must be a bool"):
-                ModelConfig(causal=causal)
 
     def test_last_layer_input_dim(self):
         assert ModelConfig(features_mode="last_layer").classifier_input_dim == 128
@@ -120,7 +118,7 @@ class TestBottleneck:
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 100.0])
     def test_scale_invariance(self, scale):
-        model = MultiScaleTCN(tiny_config(norm_mode="gLN", causal=False), seed=5)
+        model = MultiScaleTCN(tiny_config(context="offline"), seed=5)
         rng = np.random.default_rng(3)
         w = np.abs(rng.standard_normal((6, 9))).astype(np.float32)
         a = model.bottleneck(Tensor(w)).data
@@ -134,7 +132,7 @@ class TestBottleneck:
 
     def test_matches_op_composition(self):
         # the bottleneck is exactly norm -> 1x1 conv with the same parameters
-        model = MultiScaleTCN(tiny_config(norm_mode="cLN"), seed=6)
+        model = MultiScaleTCN(tiny_config(), seed=6)
         rng = np.random.default_rng(4)
         w = Tensor(rng.standard_normal((6, 7)).astype(np.float32))
         expected = ad.conv1d(
@@ -162,7 +160,7 @@ class TestConvBlock:
 
     def test_causal_blocks_ignore_future(self):
         # the per-frame target is the residual stream; skip_mean pools every frame
-        model = MultiScaleTCN(tiny_config(norm_mode="none", causal=True), seed=8)
+        model = MultiScaleTCN(tiny_config(context="window"), seed=8)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 12)).astype(np.float32)
         res0, _ = model.conv_block(Tensor(x), 0, 1)
@@ -174,9 +172,9 @@ class TestConvBlock:
             assert not np.array_equal(res1.data, res0.data)
 
     def test_frame_count_preserved_all_dilations(self):
-        for causal in (True, False):
+        for context in ("window", "offline"):
             model = MultiScaleTCN(
-                tiny_config(blocks_per_repeat=4, repeats=1, causal=causal), seed=9
+                tiny_config(blocks_per_repeat=4, repeats=1, context=context), seed=9
             )
             x = Tensor(np.random.default_rng(7).standard_normal((4, 11)).astype(np.float32))
             for m in range(4):
@@ -221,13 +219,24 @@ class TestConvBlock:
         assert block_total == 199_426 + 2048
 
 
+def without_norms(model):
+    """The model with every layer norm replaced by the identity (a test fake).
+
+    Both layer norms pool statistics over time (cLN over the past, gLN over
+    the whole window), so a perturbed frame reaches every later frame, or
+    every frame; without them each frame sees only its receptive field.
+    """
+    model._norm = lambda x, prefix: x
+    return model
+
+
 def residual_stream(cfg, x, seed):
-    """The [C, T] residual stream after all of cfg's blocks.
+    """The [C, T] residual stream after all of cfg's blocks, with the layer norms faked away.
 
     The final block's residual output is not computed, so the stack runs in
     a model with one more repeat, where none of cfg's blocks is the final one.
     """
-    model = MultiScaleTCN(replace(cfg, repeats=cfg.repeats + 1), seed=seed)
+    model = without_norms(MultiScaleTCN(replace(cfg, repeats=cfg.repeats + 1), seed=seed))
     cur = Tensor(x)
     for r in range(cfg.repeats):
         for m in range(cfg.blocks_per_repeat):
@@ -265,8 +274,7 @@ class TestExtract:
             skip_channels=2,
             blocks_per_repeat=3,
             repeats=2,
-            norm_mode="none",
-            causal=False,
+            context="offline",
         )
         half = (receptive_field(cfg) - 1) // 2
         t_len = 2 * half + 21
@@ -290,8 +298,7 @@ class TestExtract:
             skip_channels=2,
             blocks_per_repeat=3,
             repeats=2,
-            norm_mode="none",
-            causal=True,
+            context="window",
         )
         span = receptive_field(cfg) - 1
         t_len = span + 40
@@ -309,9 +316,10 @@ class TestExtract:
         assert touched.max() <= p + span
 
 
-def one_block_config(norm_mode):
+def one_block_model(context, seed, norms=True):
     """One block with a one-tap kernel, so every stage before the pooling acts frame by frame."""
-    return tiny_config(norm_mode=norm_mode, causal=False, kernel_size=1, blocks_per_repeat=1, repeats=1)
+    model = MultiScaleTCN(tiny_config(context=context, kernel_size=1, blocks_per_repeat=1, repeats=1), seed=seed)
+    return model if norms else without_norms(model)
 
 
 class TestClassify:
@@ -325,8 +333,8 @@ class TestClassify:
     def test_single_frame_pooling_identity(self):
         # pooling happens in each block, before its skip conv: with a
         # one-tap kernel, a time-constant input pools to its own column
-        for norm_mode in ("none", "gLN", "cLN"):
-            model = MultiScaleTCN(one_block_config(norm_mode), seed=16)
+        models = [one_block_model("offline", 16, norms=False), one_block_model("offline", 16), one_block_model("window", 16)]
+        for model in models:
             col = np.random.default_rng(14).standard_normal((4, 1)).astype(np.float32)
             np.testing.assert_allclose(
                 model.extract(Tensor(col)).data,
@@ -337,8 +345,7 @@ class TestClassify:
 
     def test_permutation_invariance(self):
         # with a one-tap kernel and time-invariant statistics the pooled feature is order-free in time
-        for norm_mode in ("none", "gLN"):
-            model = MultiScaleTCN(one_block_config(norm_mode), seed=17)
+        for model in (one_block_model("offline", 17, norms=False), one_block_model("offline", 17)):
             rng = np.random.default_rng(15)
             x = rng.standard_normal((4, 9)).astype(np.float32)
             perm = rng.permutation(9)
@@ -412,11 +419,11 @@ class TestReceptiveFieldAndParamCount:
             repeats=1,
             hidden1=1,
             hidden2=1,
-            norm_mode="none",
         )
-        # encoder 1; bottleneck conv 1+1; block: in 1+1 +2 alphas + dw 1+1
-        # + res 1+1 + skip 1+1; classifier 1+1 + 1+1 + 2+2
-        expected = 1 + 2 + (2 + 1 + 2 + 1 + 2 + 2) + (2 + 2 + 4)
+        # encoder 1; bottleneck norm 1+1, conv 1+1; block: in 1+1, prelu 1,
+        # norm 1+1, dw 1+1, prelu 1, norm 1+1, res 1+1, skip 1+1;
+        # classifier 1+1 + 1+1 + 2+2
+        expected = 1 + (2 + 2) + (2 + 1 + 2 + 2 + 1 + 2 + 2 + 2) + (2 + 2 + 4)
         assert param_count(c) == expected
         assert sum(p.size for p in MultiScaleTCN(c, seed=0).parameters()) == expected
 
@@ -425,10 +432,9 @@ class TestReceptiveFieldAndParamCount:
         [
             (ModelConfig(), 15_477_938),
             (ModelConfig(features_mode="last_layer"), 9_448_626),
-            (ModelConfig(norm_mode="none"), 15_427_762),
             (reduced_config(), 116_402),
         ],
-        ids=["paper", "last_layer", "no_norm", "reduced"],
+        ids=["paper", "last_layer", "reduced"],
     )
     def test_pinned_counts(self, cfg, expected):
         assert param_count(cfg) == expected
@@ -451,9 +457,8 @@ def reference_init(config, seed=0, dtype=np.float32):
         params[name] = np.full(shape, value, dtype)
 
     def norm(prefix, channels):
-        if c.norm_mode != "none":
-            const(prefix + ".gain", (channels, 1), 1.0)
-            zeros(prefix + ".bias", (channels, 1))
+        const(prefix + ".gain", (channels, 1), 1.0)
+        zeros(prefix + ".bias", (channels, 1))
 
     weight("encoder.weight", (c.enc_channels, c.frame_len), c.frame_len)
     norm("bottleneck.norm", c.enc_channels)
@@ -490,11 +495,10 @@ class TestInitParity:
         [
             ModelConfig(),
             reduced_config(),
-            ModelConfig(norm_mode="none"),
             ModelConfig(features_mode="last_layer"),
-            ModelConfig(norm_mode="gLN", causal=False),
+            ModelConfig(context="offline"),
         ],
-        ids=["paper", "reduced", "no_norm", "last_layer", "gln_noncausal"],
+        ids=["paper", "reduced", "last_layer", "offline"],
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_table_init_matches_reference(self, cfg, seed):
@@ -522,9 +526,7 @@ def reference_window_probs(model, audio):
     x = np.maximum(p["encoder.weight"] @ np.swapaxes(frames, -1, -2), 0)
 
     def norm(a, prefix):
-        if c.norm_mode == "none":
-            return a
-        if c.norm_mode == "gLN":
+        if c.context == "offline":
             mu = a.mean(axis=(-2, -1), keepdims=True)
             var = ((a - mu) ** 2).mean(axis=(-2, -1), keepdims=True)
         else:
@@ -552,7 +554,7 @@ def reference_window_probs(model, audio):
         for m in range(c.blocks_per_repeat):
             pre = f"block.{r}.{m}"
             span = (c.kernel_size - 1) * 2**m
-            pad = (span, 0) if c.causal else (span // 2, span - span // 2)
+            pad = (span, 0) if c.context == "window" else (span // 2, span - span // 2)
             h = norm(prelu(pointwise(x, f"{pre}.in_conv"), p[f"{pre}.prelu1.alpha"]), f"{pre}.norm1")
             h = norm(prelu(depthwise(h, f"{pre}.dw_conv", 2**m, pad), p[f"{pre}.prelu2.alpha"]), f"{pre}.norm2")
             x = x + pointwise(h, f"{pre}.res_conv")
@@ -568,16 +570,15 @@ def reference_window_probs(model, audio):
 PARITY_CONFIGS = [
     ModelConfig(),
     reduced_config(),
-    ModelConfig(norm_mode="none"),
     ModelConfig(features_mode="last_layer"),
-    ModelConfig(norm_mode="gLN", causal=False),
+    ModelConfig(context="offline"),
 ]
 
 
 class TestPooledForwardParity:
     """The pooled, folded forward against the per-frame one; float64 catches algebra errors float32 would hide."""
 
-    @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=["paper", "reduced", "no_norm", "last_layer", "gln_noncausal"])
+    @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=["paper", "reduced", "last_layer", "offline"])
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-9)], ids=["float32", "float64"])
     def test_matches_reference(self, cfg, dtype, tol):
         model = MultiScaleTCN(cfg, seed=3, dtype=dtype)
@@ -790,8 +791,9 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize("key,value,match", [
         ("threshold", 1.5, "threshold must lie"),
         ("threshold", "high", "bad model config"),
-        ("norm_mode", "batch", "norm_mode must be"),
-        ("causal", "false", "causal must be a bool"),
+        ("context", "stream", r"context must be one of \('window', 'offline'\), got 'stream'"),
+        ("norm_mode", "cLN", "unknown model config key 'norm_mode'"),
+        ("causal", True, "unknown model config key 'causal'"),
         ("repeats", True, "repeats must be a positive integer, got True"),
     ])
     def test_invalid_config_value(self, tiny_ckpt, tmp_path, key, value, match):

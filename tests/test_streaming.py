@@ -39,7 +39,7 @@ def small_model(**over):
 
 @pytest.fixture(scope="module")
 def causal_model():
-    return small_model(norm_mode="cLN", causal=True)
+    return small_model(context="window")
 
 
 @pytest.fixture(scope="module")
@@ -131,8 +131,8 @@ class TestStreaming:
             session.feed(np.zeros(100, np.float32))
 
     def test_noncausal_checkpoint_rejected(self):
-        model = small_model(norm_mode="gLN", causal=False)
-        with pytest.raises(ValueError, match="causal"):
+        model = small_model(context="offline")
+        with pytest.raises(ValueError, match="needs a checkpoint with context 'window', got 'offline'"):
             StreamingSession(model)
 
     def test_too_short_rejected(self, causal_model):
@@ -155,7 +155,7 @@ class TestStreaming:
 
 class TestSharedModel:
     def test_threads_share_one_trainable_model(self, audio_12s):
-        model = small_model(norm_mode="cLN", causal=True)
+        model = small_model(context="window")
         chunks = [audio_12s[i : i + 1600] for i in range(0, 8 * FS, 1600)]
 
         def run():

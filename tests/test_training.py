@@ -1,7 +1,14 @@
 """Training/eval tests: window labels, metrics oracle, early stopping, determinism."""
 
+import json
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classvoice import autodiff as ad
 from classvoice.autodiff import AdamState, adam_step, binary_cross_entropy, zero_grads
@@ -11,6 +18,7 @@ from classvoice.streaming import BATCH_WINDOWS
 from classvoice.training import (
     EvalReport,
     TrainConfig,
+    TrainingDivergedError,
     batch_gradients,
     evaluate,
     load_sample,
@@ -166,8 +174,14 @@ class TestMalformedInput:
             ('{"wav": "x.wav"}', "needs a 'labels' path string"),
             ('["x.wav", "x.labels"]', "must be a JSON object"),
             ('{"wav": "x.wav", "labels": "x.labels", "sample_rate": "fast"}', "invalid manifest record"),
+            ('{"wav": "x.wav", "labels": "x.labels", "sample_rate": true}', "sample_rate True is not a positive integer"),
+            ('{"wav": "x.wav", "labels": "x.labels", "sample_rate": 0}', "sample_rate 0 is not a positive integer"),
+            ('{"wav": "x.wav", "labels": "x.labels", "peak_scale": NaN}', "peak_scale nan is not finite and positive"),
+            ('{"wav": "x.wav", "labels": "x.labels", "sample_rate": ' + "1" * 5000 + "}", "invalid manifest record"),
+            ("[" * 100_000, "invalid manifest record"),
         ],
-        ids=["no-wav", "no-labels", "not-an-object", "bad-sample-rate"],
+        ids=["no-wav", "no-labels", "not-an-object", "bad-sample-rate", "bool-sample-rate", "zero-sample-rate",
+             "nan-peak-scale", "long-integer", "deep-nesting"],
     )
     def test_manifest_record_error_names_file_and_line(self, tmp_path, record, message):
         path = tmp_path / "m.jsonl"
@@ -184,8 +198,85 @@ class TestMalformedInput:
         with pytest.raises(ValueError, match=r"s\.labels:2: expected 'start,end,category'"):
             parse_labels(path)
 
+    def test_labels_that_do_not_tile_the_audio_name_the_files(self, tiny_dataset, tmp_path):
+        record = read_manifest(tiny_dataset["train"])[0]
+        labels = tmp_path / "s.labels"
+        labels.write_text("\n".join(record.labels.read_text().splitlines()[:3]) + "\n")
+        with pytest.raises(ValueError, match="expected four segments, got 3") as info:
+            load_sample(replace(record, labels=labels))
+        assert str(info.value).startswith(f"{labels}: ") and str(record.wav) in str(info.value)
+
+
+RECORD = {"wav": "a.wav", "labels": "a.labels", "sample_rate": 800, "peak_scale": 0.5}
+ANY_JSON_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(-5, 10**6), st.floats(), st.text(max_size=4))
+
+
+class TestMalformedInputProperties:
+    """Manifests and label files parse, or raise ValueError starting with their path."""
+
+    @given(truncate=st.booleans(), length=st.integers(0, 10**3), at=st.integers(0, 10**3), mask=st.integers(1, 255))
+    @settings(max_examples=200, deadline=None)
+    def test_truncated_or_flipped_manifest_loads_or_names_the_file(self, tmp_path_factory, truncate, length, at, mask):
+        blob = bytearray("".join(json.dumps(r) + "\n" for r in (RECORD, {**RECORD, "scene": {"t60": 0.4}})).encode())
+        if truncate:
+            blob = blob[: length % (len(blob) + 1)]
+        else:
+            blob[at % len(blob)] ^= mask
+        path = tmp_path_factory.mktemp("manifest") / "m.jsonl"
+        path.write_bytes(bytes(blob))
+        try:
+            records = read_manifest(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert all(r.sample_rate >= 1 and 0 < r.peak_scale < math.inf for r in records)
+
+    @given(sample_rate=ANY_JSON_SCALAR, peak_scale=ANY_JSON_SCALAR)
+    @settings(max_examples=200, deadline=None)
+    def test_numeric_fields_load_only_when_valid(self, tmp_path_factory, sample_rate, peak_scale):
+        path = tmp_path_factory.mktemp("manifest") / "m.jsonl"
+        path.write_text(json.dumps({**RECORD, "sample_rate": sample_rate, "peak_scale": peak_scale}) + "\n")
+        rate_ok = type(sample_rate) is int and sample_rate > 0
+        scale_ok = type(peak_scale) in (int, float) and 0 < peak_scale < math.inf
+        if rate_ok and scale_ok:
+            [record] = read_manifest(path)
+            assert (record.sample_rate, record.peak_scale) == (sample_rate, peak_scale)
+        else:
+            with pytest.raises(ValueError) as info:
+                read_manifest(path)
+            assert str(info.value).startswith(f"{path}:1: invalid manifest record")
+
+    @given(blob=st.binary(max_size=64) | st.text("0123456789,+- \n\r_", max_size=40).map(str.encode))
+    @settings(max_examples=200, deadline=None)
+    def test_any_labels_bytes_parse_or_name_the_file(self, tmp_path_factory, blob):
+        path = tmp_path_factory.mktemp("labels") / "s.labels"
+        path.write_bytes(blob)
+        try:
+            segments = parse_labels(path)
+        except ValueError as exc:
+            assert str(exc).startswith(f"{path}:")
+        else:
+            assert all(isinstance(c, Category) and type(a) is int and type(b) is int for c, a, b in segments)
+
 
 class TestTrainLoop:
+    # the exploding weights overflow float32, and numpy warns (overflow, or
+    # invalid for inf - inf) before the op's output is rejected
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("batch_size,where", [
+        (8, r"training forward on windows 0\.\.7 of the batch at epoch 0, window \d+"),  # a later step of epoch 0
+        (128, "validation forward at epoch 0"),  # one step per epoch: validation is the next forward
+    ], ids=["training", "validation"])
+    def test_divergence_names_epoch_window_and_lr(self, tiny_dataset, batch_size, where):
+        cfg = TrainConfig(epochs=3, patience=1, lr_start=1e38, lr_end=1e38, batch_size=batch_size)
+        with pytest.raises(TrainingDivergedError, match=rf"^non-finite {where} \(lr=1e\+38\)$"):
+            train(tiny_model_config(), cfg, tiny_dataset["train"], tiny_dataset["valid"])
+
+    def test_sample_rate_mismatch_names_the_wav(self, tiny_dataset):
+        wav = read_manifest(tiny_dataset["train"])[0].wav
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(wav))}: sample rate 800 does not match model \(16000\)$"):
+            train(tiny_model_config(sample_rate=16000), TrainConfig(epochs=2, patience=1), tiny_dataset["train"], tiny_dataset["valid"])
+
     def test_negligible_lr_stops_after_patience(self, tiny_dataset):
         # constant validation loss never strictly improves after epoch 0,
         # so training runs exactly patience+1 epochs

@@ -5,6 +5,8 @@ import wave
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from classvoice.wavio import WavFile, WavFormatError, read_wav, write_wav
 
@@ -96,3 +98,32 @@ class TestRejection:
         path.write_bytes(b"this is not a wav file at all")
         with pytest.raises(WavFormatError):
             read_wav(path)
+
+
+@pytest.fixture(scope="module")
+def small_wav(tmp_path_factory):
+    path = tmp_path_factory.mktemp("wav") / "small.wav"
+    write_wav(path, WavFile(sample_rate=800, samples=np.linspace(-0.5, 0.5, 40, dtype=np.float32)))
+    return path
+
+
+class TestMalformedWav:
+    """Every damaged file reads or raises WavFormatError starting with its path."""
+
+    HEADER_BYTES = 44  # RIFF, fmt and data chunk headers of a plain PCM file
+
+    @given(truncate=st.booleans(), length=st.integers(0, 10**3), at=st.integers(0, HEADER_BYTES - 1), mask=st.integers(1, 255))
+    @example(truncate=False, length=0, at=16, mask=1)  # an odd fmt chunk size
+    @settings(max_examples=300, deadline=None)
+    def test_truncated_or_flipped_file_reads_or_names_the_path(self, small_wav, tmp_path_factory, truncate, length, at, mask):
+        blob = bytearray(small_wav.read_bytes())
+        if truncate:
+            blob = blob[: length % (len(blob) + 1)]
+        else:
+            blob[at] ^= mask
+        path = tmp_path_factory.mktemp("prop") / "c.wav"
+        path.write_bytes(bytes(blob))
+        try:
+            read_wav(path)
+        except WavFormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
