@@ -161,15 +161,19 @@ class TestRuns:
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
         assert f"{path}: unknown model config key 'class_activation'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key,value,message", [
-        ("context", "stream", "context must be one of ('window', 'offline'), got 'stream'"),
-        ("causal", True, "unknown model config key 'causal'"),
-    ], ids=["stream-context", "old-causal-key"])
-    def test_inspect_bad_context_exits_2_naming_the_file(self, tmp_path, capsys, key, value, message):
+    def test_inspect_stream_context_exits_2_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "context.ckpt"
-        self.checkpoint_with_config(path, **{key: value})
+        self.checkpoint_with_config(path, context="stream")
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
-        assert f"{path}: {message}" in capsys.readouterr().err
+        assert f"{path}: context must be one of ('window', 'offline'), got 'stream'" in capsys.readouterr().err
+
+    def test_inspect_string_causal_exits_2_naming_the_file(self, tmp_path, capsys):
+        # causal left the config with context; a header that still has it is rejected, whatever its value
+        path = tmp_path / "causal.ckpt"
+        for value in ("false", True):
+            self.checkpoint_with_config(path, causal=value)
+            assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
+            assert f"{path}: unknown model config key 'causal'" in capsys.readouterr().err
 
     def test_inspect_bool_repeats_exits_2_naming_the_file(self, tmp_path, capsys):
         path = tmp_path / "repeats.ckpt"
@@ -177,16 +181,24 @@ class TestRuns:
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
         assert f"{path}: repeats must be a positive integer, got True" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["no-labels", "not-utf8", "bool-sample-rate", "nan-peak-scale", "labels-not-tiling"])
-    def test_train_with_bad_manifest_exits_2_without_out(self, runs, tmp_path, capsys, case):
+    def test_train_with_bad_manifest_exits_2_without_out(self, runs, tmp_path, capsys):
+        manifest = tmp_path / "bad.jsonl"
+        manifest.write_text('{"wav": "x.wav"}\n')
+        out = tmp_path / "train"
+        argv = ["train", "--out", str(out), "--train-manifest", str(manifest),
+                "--valid-manifest", str(runs / "sim" / "manifest_valid.jsonl"), *TINY_MODEL_FLAGS]
+        assert cli.main(argv) == 2
+        assert "bad.jsonl:1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["not-utf8", "bool-sample-rate", "nan-peak-scale", "labels-not-tiling"])
+    def test_train_with_malformed_input_exits_2_naming_the_file(self, runs, tmp_path, capsys, case):
         record = json.loads((runs / "sim" / "manifest_train.jsonl").read_text().splitlines()[0])
         record["wav"] = str(runs / "sim" / record["wav"])
         record["labels"] = str(runs / "sim" / record["labels"])
         manifest = tmp_path / "bad.jsonl"
         named = "bad.jsonl:1: "
-        if case == "no-labels":
-            manifest.write_text('{"wav": "x.wav"}\n')
-        elif case == "not-utf8":
+        if case == "not-utf8":
             manifest.write_bytes(json.dumps(record).encode() + b"\n\xff\n")
             named = "bad.jsonl: not UTF-8"
         elif case == "bool-sample-rate":

@@ -498,7 +498,8 @@ class TestInitParity:
             ModelConfig(features_mode="last_layer"),
             ModelConfig(context="offline"),
         ],
-        ids=["paper", "reduced", "last_layer", "offline"],
+        # the offline context is gLN with symmetric (non-causal) padding
+        ids=["paper", "reduced", "last_layer", "gln_noncausal"],
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_table_init_matches_reference(self, cfg, seed):
@@ -511,13 +512,14 @@ class TestInitParity:
             assert np.array_equal(got.data, arr), name
 
 
-def reference_window_probs(model, audio):
+def reference_window_probs(model, audio, norms=True):
     """(probs, pooled features) of the per-frame forward that pooling-first replaced, frozen as a test oracle.
 
     Plain numpy in the model's dtype, written from the op definitions: every
     block builds its per-frame skip map skip_conv(norm2(h)); the maps are
     concatenated over channels and mean-pooled over time before the three
     linear layers. The final block's residual output is computed and unused.
+    With norms=False every layer norm is the identity, as in without_norms.
     """
     c = model.config
     p = {name: t.data for name, t in model.params.items()}
@@ -526,6 +528,8 @@ def reference_window_probs(model, audio):
     x = np.maximum(p["encoder.weight"] @ np.swapaxes(frames, -1, -2), 0)
 
     def norm(a, prefix):
+        if not norms:
+            return a
         if c.context == "offline":
             mu = a.mean(axis=(-2, -1), keepdims=True)
             var = ((a - mu) ** 2).mean(axis=(-2, -1), keepdims=True)
@@ -567,26 +571,31 @@ def reference_window_probs(model, audio):
     return 1 / (1 + np.exp(-logits)), pooled
 
 
+# (config, norms): the no_norm case fakes the layer norms away, so the
+# pooling and 1x1 algebra is checked without any normalisation in between
 PARITY_CONFIGS = [
-    ModelConfig(),
-    reduced_config(),
-    ModelConfig(features_mode="last_layer"),
-    ModelConfig(context="offline"),
+    (ModelConfig(), True),
+    (reduced_config(), True),
+    (ModelConfig(), False),
+    (ModelConfig(features_mode="last_layer"), True),
+    (ModelConfig(context="offline"), True),
 ]
 
 
 class TestPooledForwardParity:
     """The pooled, folded forward against the per-frame one; float64 catches algebra errors float32 would hide."""
 
-    @pytest.mark.parametrize("cfg", PARITY_CONFIGS, ids=["paper", "reduced", "last_layer", "offline"])
+    @pytest.mark.parametrize("cfg,norms", PARITY_CONFIGS, ids=["paper", "reduced", "no_norm", "last_layer", "gln_noncausal"])
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-9)], ids=["float32", "float64"])
-    def test_matches_reference(self, cfg, dtype, tol):
+    def test_matches_reference(self, cfg, norms, dtype, tol):
         model = MultiScaleTCN(cfg, seed=3, dtype=dtype)
+        if not norms:
+            without_norms(model)
         for batch in (1, 4):
             rng = np.random.default_rng(batch)
             # 0.5 s (99 frames) keeps paper size cheap; the deep dilations then pad past the window
             audio = rng.uniform(-0.5, 0.5, (batch, 8000) if batch > 1 else 8000)
-            want_probs, want_features = reference_window_probs(model, audio)
+            want_probs, want_features = reference_window_probs(model, audio, norms)
             features = model.extract(model.bottleneck(model.encode(audio)))
             probs = model.window_probs(audio)
             assert probs.dtype == dtype and probs.shape == want_probs.shape
