@@ -11,6 +11,15 @@ Conv-TasNet) or gLN's per-step mean and inverse deviation, and
 ``normalize`` applies them. ``cumulative_layer_norm`` and
 ``global_layer_norm`` are that pair.
 
+Batches are channel-major: a batch of B windows of [C, T] activations is
+one [C, B, T] array, not [B, C, T]. A 1x1 conv then multiplies its weight
+by a single [C, B*T] matrix, one GEMM in the forward and in each gradient
+rather than B small ones, and every per-channel broadcast (gain, bias,
+conv bias) runs over C rows of B*T steps rather than B*C rows of T, where
+numpy's per-row overhead would outweigh the arithmetic at T ~ 600. One
+window is the same [C, T] array either way, so its arithmetic does not
+depend on the layout.
+
 An op records its graph exactly when one of its inputs has
 ``requires_grad``; there is no process-wide switch. A frozen parameter
 set (tensors without ``requires_grad``, as ``streaming.resolve_model``
@@ -140,6 +149,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """The [C, B*T] rows of a [C, T] or channel-major [C, B, T] array; a view when ``a`` is contiguous."""
+    return a.reshape(a.shape[0], -1)
 
 
 def _consumed(g):
@@ -296,6 +310,17 @@ def concat(tensors, axis=0) -> Tensor:
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
 
 
+def transpose(a: Tensor) -> Tensor:
+    """The transpose of a 2-D tensor, as a C-contiguous copy."""
+    if a.ndim != 2:
+        raise ShapeError(f"transpose takes a 2-D tensor, got shape {a.shape}")
+
+    def back(g):
+        _accum(a, g.T)
+
+    return _make(np.ascontiguousarray(a.data.T), (a,), back)
+
+
 # ---------------------------------------------------------------------------
 # activations
 
@@ -348,23 +373,22 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b with a 2-D ``a`` and a 2-D or batched 3-D ``b``."""
+    """a @ b for a 2-D ``a`` [m, k] and a ``b`` of [k, n] or channel-major [k, B, n].
+
+    A batched ``b`` is one [k, B*n] matrix, so the product, and each
+    gradient, is one GEMM; the output is [m, n] or [m, B, n].
+    """
     if a.ndim != 2 or b.ndim not in (2, 3):
-        raise ShapeError(f"matmul supports [m,k] @ [k,n] or [m,k] @ [B,k,n]; got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape[1]} vs {b.shape[-2]}")
-    out_data = np.matmul(a.data, b.data)
+        raise ShapeError(f"matmul supports [m,k] @ [k,n] or [m,k] @ [k,B,n]; got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.shape[1]} vs {b.shape[0]}")
+    b2 = _rows(b.data)
+    out_data = (a.data @ b2).reshape(a.shape[:1] + b.shape[1:])
 
     def back(g):
-        if b.ndim == 2:
-            _accum(a, g @ b.data.T)
-            _accum(b, a.data.T @ g)
-        else:
-            m, k = a.shape
-            gb = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(m, -1)
-            bb = np.ascontiguousarray(b.data.transpose(1, 0, 2)).reshape(k, -1)
-            _accum(a, gb @ bb.T)
-            _accum(b, np.matmul(a.data.T, g))
+        g2 = _rows(g)
+        _accum(a, g2 @ b2.T)
+        _accum(b, (a.data.T @ g2).reshape(b.shape))
 
     return _make(out_data, (a, b), back)
 
@@ -413,15 +437,17 @@ def conv1d(
 ) -> Tensor:
     """Dilated 1-D convolution (stride 1) in the two forms the network uses.
 
-    x is [C_in, T] or [B, C_in, T]; weight is [C_out, C_in/groups, K];
+    x is [C_in, T] or channel-major [C_in, B, T], and the output [C_out,
+    T_out] or [C_out, B, T_out]; weight is [C_out, C_in/groups, K];
     padding is (left, right) zeros on the time axis. Pointwise is groups=1
-    with K=1; depthwise is groups=C_in=C_out with any K. Any other grouping
-    raises ShapeError. Output length is T + left + right - (K-1)*dilation.
+    with K=1, one GEMM over all B*T columns; depthwise is groups=C_in=C_out
+    with any K. Any other grouping raises ShapeError. Output length is
+    T_out = T + left + right - (K-1)*dilation.
     """
     x = _as_tensor(x)
     weight = _as_tensor(weight)
     if x.ndim not in (2, 3):
-        raise ShapeError(f"conv1d input must be [C,T] or [B,C,T], got {x.shape}")
+        raise ShapeError(f"conv1d input must be [C,T] or [C,B,T], got {x.shape}")
     if weight.ndim != 3:
         raise ShapeError(f"conv1d weight must be [C_out, C_in/groups, K], got {weight.shape}")
     dilation = int(dilation)
@@ -431,7 +457,7 @@ def conv1d(
     if groups < 1:
         raise ShapeError(f"groups must be positive, got {groups}")
 
-    c_in, t_in = x.shape[-2], x.shape[-1]
+    c_in, t_in = x.shape[0], x.shape[-1]
     c_out, cin_g, k = weight.shape
     if c_in % groups:
         raise ShapeError(f"input channels {c_in} not divisible by groups {groups}")
@@ -459,58 +485,64 @@ def conv1d(
         if bias.shape != (c_out,):
             raise ShapeError(f"bias shape {bias.shape} does not match output channels {c_out}")
 
-    batched = x.ndim == 3
-    xd = x.data if batched else x.data[None]
     w = weight.data
-
     if pointwise:
-        out = np.matmul(w[:, :, 0], xd)
+        # one GEMM over the B*T columns of the channel-major input
+        w2, x2 = w[:, :, 0], _rows(x.data)
+        out = (w2 @ x2).reshape((c_out,) + x.shape[1:])
         if left or right:
-            out = np.pad(out, ((0, 0), (0, 0), (left, right)))
+            out = np.pad(out, [(0, 0)] * (x.ndim - 1) + [(left, right)])
     else:
-        # one einsum over a [B, C, T_out, K] window view of the padded input:
-        # ~3x faster than accumulating K broadcast products into output slices
-        out = np.einsum("bctk,ck->bct", _tap_view(xd, left, right, k, dilation, t_out), w[:, 0, :])
+        x3 = x.data.reshape(c_in, -1, t_in)  # one window is B = 1
+        out = np.einsum("cbtk,ck->cbt", _taps(x3, left, right, k, dilation, t_out), w[:, 0, :])
+        out = out.reshape((c_out,) + x.shape[1:-1] + (t_out,))
     if bias is not None:
-        out += bias.data.reshape(1, -1, 1)
+        out += bias.data.reshape((-1,) + (1,) * (x.ndim - 1))
 
     def back(g):
-        gb = g if batched else g[None]
         if bias is not None:
-            _accum(bias, gb.sum(axis=(0, 2)))
+            _accum(bias, _rows(g).sum(axis=1))
         if pointwise:
-            gy = gb[:, :, left : left + t_in]
-            dw = np.matmul(gy, xd.transpose(0, 2, 1)).sum(axis=0)[:, :, None]  # no transposed copies
-            dx = np.matmul(w[:, :, 0].T, gy)
+            gy = _rows(g[..., left : left + t_in])
+            dw = (gy @ x2.T)[:, :, None]
+            dx = (w2.T @ gy).reshape(x.shape)
         else:
-            dw = np.einsum("bct,bctk->ck", gb, _tap_view(xd, left, right, k, dilation, t_out))[:, None, :]
+            g3 = g.reshape(c_out, -1, t_out)
+            dw = np.einsum("cbt,cbtk->ck", g3, _taps(x3, left, right, k, dilation, t_out))[:, None, :]
             # input step s collects tap kk of output step s + left - kk*dilation
             span = (k - 1) * dilation
-            dx = np.einsum("bctk,ck->bct", _tap_view(gb, span - left, span - right, k, dilation, t_in), w[:, 0, ::-1])
-        _accum(x, dx if batched else dx[0])
+            dx = np.einsum("cbtk,ck->cbt", _taps(g3, span - left, span - right, k, dilation, t_in), w[:, 0, ::-1])
+            dx = dx.reshape(x.shape)
+        _accum(x, dx)
         _accum(weight, dw.astype(w.dtype, copy=False))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out if batched else out[0], parents, back)
+    return _make(out, parents, back)
 
 
-def _tap_view(a: np.ndarray, left: int, right: int, k: int, dilation: int, t_out: int) -> np.ndarray:
-    """[B, C, t_out, k] view whose [.., t, kk] entry is step t + kk*dilation of ``a`` zero-padded by (left, right).
+def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int, t_out: int) -> np.ndarray:
+    """[..., t_out, k] array whose [.., t, kk] entry is step t + kk*dilation of ``a`` zero-padded by (left, right).
 
-    A negative pad crops that many steps instead.
+    A negative pad crops that many steps instead. It is a strided view of
+    the padded input, except at dilation 1: there the tap stride equals the
+    time stride, and einsum over such a view runs 4-6x slower than over a
+    copy laid out as [..., k, t_out] (the same values, the same bits).
     """
-    a = a[:, :, max(0, -left) : a.shape[-1] - max(0, -right)]
+    a = a[..., max(0, -left) : a.shape[-1] - max(0, -right)]
     left, right = max(0, left), max(0, right)
     padded = a
     if left or right:
-        padded = np.zeros(a.shape[:2] + (left + a.shape[-1] + right,), dtype=a.dtype)
-        padded[:, :, left : left + a.shape[-1]] = a
+        padded = np.zeros(a.shape[:-1] + (left + a.shape[-1] + right,), dtype=a.dtype)
+        padded[..., left : left + a.shape[-1]] = a
     if padded.shape[-1] < t_out + (k - 1) * dilation:  # as_strided does not bounds-check
         raise ShapeError(f"{padded.shape[-1]} padded steps cannot hold {t_out} outputs of a {k}-tap kernel")
     s = padded.strides
-    return np.lib.stride_tricks.as_strided(
-        padded, shape=a.shape[:2] + (t_out, k), strides=(s[0], s[1], s[2], s[2] * dilation), writeable=False
+    view = np.lib.stride_tricks.as_strided(
+        padded, shape=a.shape[:-1] + (t_out, k), strides=s + (s[-1] * dilation,), writeable=False
     )
+    if dilation == 1:
+        view = np.ascontiguousarray(np.swapaxes(view, -1, -2)).swapaxes(-1, -2)
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -518,34 +550,35 @@ def _tap_view(a: np.ndarray, left: int, right: int, k: int, dilation: int, t_out
 
 
 def layer_norm_stats(x: Tensor, cumulative: bool, eps: float = 1e-8) -> Tensor:
-    """Per-step mean and inverse deviation of a layer norm, as one [2, T] or [B, 2, T] tensor.
+    """Per-step mean and inverse deviation of a layer norm, as one [2, T] or [2, B, T] tensor.
 
-    Row 0 is mu_t and row 1 is r_t = 1/sqrt(var_t + eps), both taken
-    jointly over channels and per batch item. cumulative=True (cLN) takes
-    them over the time prefix 1..t, so column t depends only on input
-    columns 1..t; otherwise (gLN) over all time steps, repeated in every
-    column. ``normalize`` applies them.
+    x is [C, T] or channel-major [C, B, T]. Row 0 is mu_t and row 1 is
+    r_t = 1/sqrt(var_t + eps), both taken jointly over channels (axis 0)
+    and per batch item. cumulative=True (cLN) takes them over the time
+    prefix 1..t, so column t depends only on input columns 1..t; otherwise
+    (gLN) over all time steps, repeated in every column. ``normalize``
+    applies them.
     """
     _check_norm_shapes(x)
-    c, t = x.shape[-2], x.shape[-1]
+    c, t = x.shape[0], x.shape[-1]
     xd = x.data
     if cumulative:
         counts = np.arange(1, t + 1, dtype=xd.dtype) * c
-        mu = np.cumsum(xd.sum(axis=-2, keepdims=True), axis=-1) / counts
-        sq = np.einsum("...ct,...ct->...t", xd, xd)[..., None, :]  # no [C, T] temporary
+        mu = np.cumsum(xd.sum(axis=0, keepdims=True), axis=-1) / counts
+        sq = np.einsum("c...,c...->...", xd, xd)[None]  # no x*x temporary
         var = np.cumsum(sq, axis=-1) / counts - mu * mu
     else:
         counts = c * t
-        mu = xd.mean(axis=(-2, -1), keepdims=True)
+        mu = xd.mean(axis=(0, -1), keepdims=True)
         d = xd - mu
-        var = (d * d).mean(axis=(-2, -1), keepdims=True)
+        var = (d * d).mean(axis=(0, -1), keepdims=True)
     live = var > 0  # clamp mask; the gradient through var is zero where it binds
     r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(eps, dtype=xd.dtype))
-    column = xd.shape[:-2] + (1, t)
-    out_data = np.concatenate([np.broadcast_to(mu, column), np.broadcast_to(r, column)], axis=-2)
+    row = (1,) + xd.shape[1:]
+    out_data = np.concatenate([np.broadcast_to(mu, row), np.broadcast_to(r, row)])
 
     def back(g):
-        g_mu, g_r = g[..., 0:1, :], g[..., 1:2, :]
+        g_mu, g_r = g[0:1], g[1:2]
         g_var = -0.5 * g_r * (r * r * r) * live
         if cumulative:
             # mu_t = S_t/n_t and var_t = Q_t/n_t - mu_t^2 over the prefix sums S, Q of x and x^2
@@ -567,29 +600,31 @@ def _suffix_sum(a):
 def normalize(x: Tensor, stats: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """gain * (x - mu_t) * r_t + bias, with (mu, r) from ``layer_norm_stats(x, ...)``.
 
-    x is [C, T] or [B, C, T]; gain/bias are [C, 1] and apply per channel.
+    x is [C, T] or channel-major [C, B, T], and stats [2, T] or [2, B, T];
+    gain/bias are [C, 1] and apply per channel, over rows of B*T steps.
     """
     _check_norm_shapes(x, gain, bias)
-    want = x.shape[:-2] + (2, x.shape[-1])
+    want = (2,) + x.shape[1:]
     if stats.shape != want:
         raise ShapeError(f"layer norm statistics must have shape {want}, got {stats.shape}")
-    mu, r = stats.data[..., 0:1, :], stats.data[..., 1:2, :]
+    mu, r = stats.data[0:1], stats.data[1:2]
+    per_channel = (-1,) + (1,) * (x.ndim - 1)
+    gd = gain.data.reshape(per_channel)
     out_data = x.data - mu
     out_data *= r
-    out_data *= gain.data
-    out_data += bias.data
+    out_data *= gd
+    out_data += bias.data.reshape(per_channel)
 
     def back(g):
         xhat = x.data - mu
         xhat *= r
-        g3, xhat3 = g.reshape((-1,) + g.shape[-2:]), xhat.reshape((-1,) + g.shape[-2:])
-        _accum(gain, np.einsum("bct,bct->c", g3, xhat3)[:, None])
-        _accum(bias, np.einsum("bct->c", g3)[:, None])
-        h = g * gain.data
+        _accum(gain, np.einsum("cn,cn->c", _rows(g), _rows(xhat))[:, None])
+        _accum(bias, np.einsum("cn->c", _rows(g))[:, None])
+        h = g * gd
         # d/dr of sum_c h*(x - mu)*r is sum_c h*(x - mu) = sum_c h*xhat / r
-        g_r = np.einsum("...ct,...ct->...t", h, xhat)[..., None, :] / r
+        g_r = np.einsum("c...,c...->...", h, xhat)[None] / r
         h *= r  # now the gradient in x
-        _accum(stats, np.concatenate([-h.sum(axis=-2, keepdims=True), g_r], axis=-2))
+        _accum(stats, np.concatenate([-h.sum(axis=0, keepdims=True), g_r]))
         _accum(x, h)
 
     return _make(out_data, (x, stats, gain, bias), back)
@@ -598,7 +633,7 @@ def normalize(x: Tensor, stats: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def global_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
     """Normalize jointly over channels and all time steps (gLN).
 
-    x is [C, T] or [B, C, T]; gain/bias are [C, 1] and apply per channel.
+    x is [C, T] or [C, B, T]; gain/bias are [C, 1] and apply per channel.
     Statistics are per batch item, never across the batch.
     """
     return normalize(x, layer_norm_stats(x, cumulative=False, eps=eps), gain, bias)
@@ -615,8 +650,8 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e
 
 def _check_norm_shapes(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None):
     if x.ndim not in (2, 3):
-        raise ShapeError(f"layer norm input must be [C,T] or [B,C,T], got {x.shape}")
-    c = x.shape[-2]
+        raise ShapeError(f"layer norm input must be [C,T] or [C,B,T], got {x.shape}")
+    c = x.shape[0]
     for name, t in (("gain", gain), ("bias", bias)):
         if t is not None and t.shape != (c, 1):
             raise ShapeError(f"layer norm {name} must have shape ({c}, 1), got {t.shape}")

@@ -275,9 +275,10 @@ class MultiScaleTCN:
     def encode(self, audio) -> Tensor:
         """Frame audio into overlapping segments and apply the ReLU filterbank.
 
-        audio is [S] or [B, S] raw samples; output is [enc_channels, T]
-        (or batched) with T = (S - frame_len)//frame_stride + 1, elementwise
-        non-negative. The encoder has no bias term.
+        audio is [S] or [B, S] raw samples; output is [enc_channels, T], or
+        channel-major [enc_channels, B, T] for a batch, with
+        T = (S - frame_len)//frame_stride + 1, elementwise non-negative. The
+        encoder has no bias term.
         """
         c = self.config
         audio = np.asarray(audio, dtype=self.dtype)
@@ -289,16 +290,20 @@ class MultiScaleTCN:
                 f"audio has {s} samples but the encoder needs at least frame_len={c.frame_len}"
             )
         frames = np.lib.stride_tricks.sliding_window_view(audio, c.frame_len, axis=-1)
-        frames = frames[..., :: c.frame_stride, :]  # [..., T, L]
-        frames = np.ascontiguousarray(np.swapaxes(frames, -1, -2))  # [..., L, T]
+        frames = frames[..., :: c.frame_stride, :]  # [B, T, L] or [T, L]
+        frames = np.ascontiguousarray(np.moveaxis(frames, -1, 0))  # [L, B, T] or [L, T]
         return ad.relu(ad.matmul(self.params["encoder.weight"], Tensor(frames, dtype=self.dtype)))
 
     def bottleneck(self, w: Tensor) -> Tensor:
-        """Layer-normalize and compress encoder channels with a 1x1 conv."""
+        """Layer-normalize and compress encoder channels with a 1x1 conv.
+
+        w is [enc_channels, T] or [enc_channels, B, T]; the output is
+        [bottleneck_channels, T] or [bottleneck_channels, B, T].
+        """
         c = self.config
-        if w.shape[-2] != c.enc_channels:
+        if w.shape[0] != c.enc_channels:
             raise ShapeError(
-                f"bottleneck expects {c.enc_channels} channels, got {w.shape[-2]}"
+                f"bottleneck expects {c.enc_channels} channels, got {w.shape[0]}"
             )
         x = self._norm(w, "bottleneck.norm")
         return ad.conv1d(x, self.params["bottleneck.conv.weight"], self.params["bottleneck.conv.bias"])
@@ -306,19 +311,20 @@ class MultiScaleTCN:
     def conv_block(self, x: Tensor, repeat_idx: int, block_idx: int) -> tuple[Tensor | None, Tensor | None]:
         """One dilated depthwise-separable block at dilation 2**block_idx.
 
+        x is [bottleneck_channels, T] or [bottleneck_channels, B, T].
         Returns (residual_out, skip_mean). residual_out = x + res_conv(h)
-        keeps the input frame count (padding keeps T fixed: all-left in the
-        window context, symmetric offline). skip_mean is the time mean of the
-        per-frame skip map skip_conv(h), [skip_channels] or batched: the
-        conv is linear, so it runs on mean_t of the normalised h and the
-        per-frame map is never built. Outputs nothing reads are not
+        has x's shape (padding keeps T fixed: all-left in the window
+        context, symmetric offline). skip_mean is the time mean of the
+        per-frame skip map skip_conv(h), [skip_channels] or [skip_channels,
+        B]: the conv is linear, so it runs on mean_t of the normalised h and
+        the per-frame map is never built. Outputs nothing reads are not
         computed: residual_out is None for the final block, and skip_mean
         is None for the other blocks in last_layer mode.
         """
         c = self.config
-        if x.shape[-2] != c.bottleneck_channels:
+        if x.shape[0] != c.bottleneck_channels:
             raise ShapeError(
-                f"conv block expects {c.bottleneck_channels} channels, got {x.shape[-2]}"
+                f"conv block expects {c.bottleneck_channels} channels, got {x.shape[0]}"
             )
         pre = f"block.{repeat_idx}.{block_idx}"
         dilation = 2**block_idx
@@ -342,7 +348,7 @@ class MultiScaleTCN:
         if not final:
             res = ad.add(x, ad.conv1d(h, self.params[f"{pre}.res_conv.weight"], self.params[f"{pre}.res_conv.bias"]))
         if final or c.features_mode == "multiscale":
-            # the skip conv of the [C, 1] time mean; the outer tmean drops that unit time axis
+            # the skip conv of the [C, 1] (or [C, B, 1]) time mean; the outer tmean drops that unit time axis
             pooled = ad.tmean(h, axis=-1, keepdims=True)
             skip = ad.tmean(
                 ad.conv1d(pooled, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"]),
@@ -353,8 +359,10 @@ class MultiScaleTCN:
     def extract(self, x: Tensor) -> Tensor:
         """Run all blocks, threading the residual path; gather the pooled skip outputs.
 
-        Returns the [classifier_input_dim] (or batched) feature: multiscale
-        mode concatenates every block's skip_mean in (repeat, block) order,
+        x is [bottleneck_channels, T] or [bottleneck_channels, B, T].
+        Returns the [classifier_input_dim] feature, or [B,
+        classifier_input_dim] rows for a batch: multiscale mode
+        concatenates every block's skip_mean in (repeat, block) order,
         last_layer mode returns only the final block's. This equals the
         time mean of the concatenated per-frame skip maps, which is what
         the classifier reads.
@@ -367,7 +375,8 @@ class MultiScaleTCN:
                 cur, skip = self.conv_block(cur, r, m)
                 if skip is not None:
                     pooled.append(skip)
-        return ad.concat(pooled, axis=-1)
+        features = ad.concat(pooled, axis=0)  # [D] or [D, B]
+        return features if features.ndim == 1 else ad.transpose(features)
 
     def classify(self, features: Tensor) -> Tensor:
         """Run the three linear layers on the time-pooled features from ``extract``.
@@ -389,7 +398,11 @@ class MultiScaleTCN:
         return ad.sigmoid(logits)
 
     def window_probs(self, audio) -> Tensor:
-        """Full pipeline for one analysis window (or a batch of windows)."""
+        """Full pipeline for one analysis window, [S] -> [2], or a batch of windows, [B, S] -> [B, 2].
+
+        In between, a batch runs channel-major ([C, B, T], see ``autodiff``)
+        until ``extract`` hands the classifier one row per window.
+        """
         return self.classify(self.extract(self.bottleneck(self.encode(audio))))
 
 
@@ -466,7 +479,7 @@ def _parse_checkpoint(blob: bytes) -> Checkpoint:
     payload = start + header_len
     try:
         header = json.loads(blob[start:payload].decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer, deep nesting
         raise ValueError(f"header is not UTF-8 JSON ({exc})") from None
     if type(header) is dict and header.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported format version {header.get('format_version')}")

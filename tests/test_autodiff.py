@@ -102,15 +102,15 @@ class TestConv1d:
 
     def test_batched_matches_single(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((4, 3, 10))
+        x = rng.standard_normal((3, 4, 10))  # [C, B, T]
         for w_shape, groups in (((5, 3, 1), 1), ((3, 1, 3), 3)):  # pointwise, depthwise
             w = rng.standard_normal(w_shape)
             b = rng.standard_normal(w_shape[0])
             kw = dict(dilation=2, groups=groups, padding=(2, 2))
             batched = conv1d(Tensor(x), Tensor(w), Tensor(b), **kw)
             for i in range(4):
-                single = conv1d(Tensor(x[i]), Tensor(w), Tensor(b), **kw)
-                np.testing.assert_allclose(batched.data[i], single.data, rtol=1e-5, atol=1e-6)
+                single = conv1d(Tensor(x[:, i]), Tensor(w), Tensor(b), **kw)
+                np.testing.assert_allclose(batched.data[:, i], single.data, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize(
         "w_shape,groups",
@@ -332,7 +332,7 @@ class TestGraphRelease:
 
     def test_interior_activation_freed_while_loss_held(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((2, 4, 9)), requires_grad=True)
+        x = Tensor(rng.standard_normal((4, 2, 9)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 4, 1)), requires_grad=True)
         gain, bias = Tensor(np.ones((4, 1)), requires_grad=True), Tensor(np.zeros((4, 1)), requires_grad=True)
         h = conv1d(x, w)
@@ -411,9 +411,9 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_conv1d(self, seed):
-        # pointwise, batched and padded
+        # pointwise, batched ([C, B, T]) and padded
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.standard_normal((2, 3, 7)), requires_grad=True, dtype=np.float64)
+        x = Tensor(rng.standard_normal((3, 2, 7)), requires_grad=True, dtype=np.float64)
         w = Tensor(rng.standard_normal((4, 3, 1)) * 0.5, requires_grad=True, dtype=np.float64)
         b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64)
         f = lambda t: ad.tsum(ad.mul(c := conv1d(t, w, b, padding=(2, 1)), c))
@@ -490,7 +490,7 @@ class TestFusedOpGradCheck:
         rng = np.random.default_rng(seed)
         f64 = lambda a: Tensor(a, requires_grad=True, dtype=np.float64)
         return dict(
-            x=f64(rng.standard_normal((2, c, t)) + 0.5),
+            x=f64(rng.standard_normal((c, 2, t)) + 0.5),  # [C, B, T]
             gain=f64(rng.standard_normal((c, 1))),
             beta=f64(rng.standard_normal((c, 1))),
         )
@@ -517,14 +517,14 @@ class TestFusedOpGradCheck:
     )
     def test_depthwise_padding_and_dilation(self, padding, dilation):
         rng = np.random.default_rng(sum(padding) + dilation)
-        x = Tensor(rng.standard_normal((2, 3, 7)), requires_grad=True, dtype=np.float64)
+        x = Tensor(rng.standard_normal((3, 2, 7)), requires_grad=True, dtype=np.float64)  # [C, B, T]
         w = Tensor(rng.standard_normal((3, 1, 3)), requires_grad=True, dtype=np.float64)
         b = Tensor(rng.standard_normal(3), requires_grad=True, dtype=np.float64)
         kw = dict(dilation=dilation, groups=3, padding=padding)
         out = conv1d(x, w, b, **kw)
         for i in range(2):
-            want = naive_conv1d(x.data[i], w.data, b.data, dilation, 3, padding)
-            np.testing.assert_allclose(out.data[i], want, atol=1e-12)
+            want = naive_conv1d(x.data[:, i], w.data, b.data, dilation, 3, padding)
+            np.testing.assert_allclose(out.data[:, i], want, atol=1e-12)
         assert grad_check(lambda t: square_sum(conv1d(t, w, b, **kw)), x) < 1e-4
         assert grad_check(lambda t: square_sum(conv1d(x, t, b, **kw)), w) < 1e-4
         assert grad_check(lambda t: square_sum(conv1d(x, w, t, **kw)), b) < 1e-4
@@ -535,6 +535,108 @@ class TestFusedOpGradCheck:
         backward(ad.tsum(prelu(x, alpha)))
         np.testing.assert_array_equal(x.grad, [0.25, 0.0, 1.0])
         np.testing.assert_array_equal(alpha.grad, [-1.0])
+
+
+def weighted_sum(out, r):
+    """sum(out * r) for a fixed array r: the gradient reaching ``out`` is exactly r."""
+    return ad.tsum(ad.mul(out, Tensor(r, dtype=out.dtype)))
+
+
+class TestChannelMajorBatches:
+    """A [C, B, T] batch is B independent [C, T] windows: slice [:, b] of each op is the op on window b.
+
+    Checked for the output and for the gradient in every batched input,
+    with the same output weights per window. Bit-exact wherever each
+    window's reduction order is the batch's; gLN's mean over (C, T) is a
+    strided reduction across the batch axis, so its order, and the last
+    bit, may differ (REL below).
+    """
+
+    C, B, T = 6, 3, 11
+    REL = 1e-6  # float32: gLN slices were within 1.2e-7 of the windows
+
+    @staticmethod
+    def run(op, inputs, r):
+        """[output, gradient of each input] of op(**inputs) under the output weights r."""
+        leaves = {name: Tensor(a, requires_grad=True) for name, a in inputs.items()}
+        out = op(**leaves)
+        backward(weighted_sum(out, r))
+        return [out.data] + [leaves[name].grad for name in inputs]
+
+    def check(self, op, exact=True, **inputs):
+        """op(x, **inputs) on a random [C, B, T] x, batched against per window; inputs are batched on axis 1 too."""
+        rng = np.random.default_rng(0)
+        inputs = dict(x=rng.standard_normal((self.C, self.B, self.T)).astype(np.float32), **inputs)
+        r = rng.standard_normal(op(**{n: Tensor(a) for n, a in inputs.items()}).shape).astype(np.float32)
+        batch = self.run(op, inputs, r)
+        for b in range(self.B):
+            window = self.run(op, {n: a[:, b].copy() for n, a in inputs.items()}, r[:, b].copy())
+            for got, want in zip(batch, window):
+                if exact:
+                    assert np.array_equal(got[:, b], want), f"window {b}"
+                else:
+                    assert np.abs(got[:, b] - want).max() <= self.REL * np.abs(want).max(), f"window {b}"
+
+    def weights(self, *shape, seed=1):
+        return Tensor(np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
+
+    def test_conv1d_pointwise(self):
+        w, b = self.weights(4, self.C, 1), self.weights(4)
+        self.check(lambda x: conv1d(x, w, b))
+
+    @pytest.mark.parametrize("dilation", [1, 2])
+    def test_conv1d_depthwise_padded(self, dilation):
+        w, b = self.weights(self.C, 1, 3), self.weights(self.C)
+        self.check(lambda x: conv1d(x, w, b, dilation=dilation, groups=self.C, padding=(2 * dilation, 1)))
+
+    def test_layer_norm_stats_cln(self):
+        self.check(lambda x: ad.layer_norm_stats(x, cumulative=True))
+
+    def test_layer_norm_stats_gln(self):
+        self.check(lambda x: ad.layer_norm_stats(x, cumulative=False), exact=False)
+
+    def test_normalize(self):
+        gain, bias = self.weights(self.C, 1, seed=2), self.weights(self.C, 1, seed=3)
+        rng = np.random.default_rng(4)
+        mu = rng.standard_normal((1, self.B, self.T))
+        r = rng.uniform(0.5, 2.0, (1, self.B, self.T))
+        stats = np.concatenate([mu, r]).astype(np.float32)
+        self.check(lambda x, stats: ad.normalize(x, stats, gain, bias), stats=stats)
+
+    def test_matmul(self):
+        a = self.weights(5, self.C)
+        self.check(lambda x: ad.matmul(a, x))
+
+
+def strided_taps(a, left, right, k, dilation, t_out):
+    """[.., t_out, k] strided view of a zero-padded by (left, right), steps t + kk*dilation: the oracle layout."""
+    padded = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(left, right)])
+    s = padded.strides
+    return np.lib.stride_tricks.as_strided(padded, a.shape[:-1] + (t_out, k), s + (s[-1] * dilation,))
+
+
+class TestDilationOneTaps:
+    """At dilation 1 the taps are copied into a contiguous block; the einsums give the strided view's bits."""
+
+    @pytest.mark.parametrize("padding", [(0, 0), (2, 0), (1, 1)], ids=["unpadded", "causal", "symmetric"])
+    def test_matches_strided_view_einsum(self, padding):
+        rng = np.random.default_rng(sum(padding))
+        c, b, t, k = 5, 2, 13, 3
+        left, right = padding
+        x = Tensor(rng.standard_normal((c, b, t)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((c, 1, k)).astype(np.float32), requires_grad=True)
+        out = conv1d(x, w, groups=c, padding=padding)
+        t_out = out.shape[-1]
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        backward(weighted_sum(out, g))
+        span = k - 1
+        want_out = np.einsum("cbtk,ck->cbt", strided_taps(x.data, left, right, k, 1, t_out), w.data[:, 0])
+        want_dw = np.einsum("cbt,cbtk->ck", g, strided_taps(x.data, left, right, k, 1, t_out))
+        gpad = strided_taps(g, span - left, span - right, k, 1, t)
+        want_dx = np.einsum("cbtk,ck->cbt", gpad, w.data[:, 0, ::-1])
+        assert np.array_equal(out.data, want_out)
+        assert np.array_equal(w.grad[:, 0], want_dw)
+        assert np.array_equal(x.grad, want_dx)
 
 
 class TestAdam:

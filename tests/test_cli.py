@@ -181,6 +181,13 @@ class TestRuns:
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
         assert f"{path}: repeats must be a positive integer, got True" in capsys.readouterr().err
 
+    def test_inspect_deeply_nested_header_exits_2_naming_the_file(self, tmp_path, capsys):
+        path = tmp_path / "nested.ckpt"
+        header = b"[" * 100_000
+        path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
+        assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
+        assert f"{path}: header is not UTF-8 JSON" in capsys.readouterr().err
+
     def test_train_with_bad_manifest_exits_2_without_out(self, runs, tmp_path, capsys):
         manifest = tmp_path / "bad.jsonl"
         manifest.write_text('{"wav": "x.wav"}\n')

@@ -104,9 +104,9 @@ class TestEncode:
         model = MultiScaleTCN(tiny_config(), seed=3)
         rng = np.random.default_rng(1)
         audio = rng.standard_normal((3, 80)).astype(np.float32)
-        batched = model.encode(audio)
+        batched = model.encode(audio)  # [C, B, T]
         for i in range(3):
-            np.testing.assert_allclose(batched.data[i], model.encode(audio[i]).data, atol=1e-6)
+            np.testing.assert_allclose(batched.data[:, i], model.encode(audio[i]).data, atol=1e-6)
 
 
 class TestBottleneck:
@@ -250,7 +250,7 @@ class TestExtract:
         x = Tensor(np.random.default_rng(8).standard_normal((4, 9)).astype(np.float32))
         out = model.extract(x)
         assert out.shape == (2 * 2 * 3,)
-        batched = model.extract(Tensor(np.stack([x.data] * 2)))
+        batched = model.extract(Tensor(np.stack([x.data] * 2, axis=1)))  # [C, B, T] in, [B, D] out
         assert batched.shape == (2, 2 * 2 * 3)
 
     def test_single_block_equals_its_skip(self):
@@ -761,6 +761,13 @@ class TestMalformedCheckpoint:
         path = tmp_path / "c.ckpt"
         path.write_bytes(CHECKPOINT_MAGIC + (3).to_bytes(8, "little") + b"{\xff}")
         self.rejects(path, "not UTF-8 JSON")
+
+    def test_deeply_nested_header(self, tmp_path):
+        # json's decoder recurses once per level and raises RecursionError, not ValueError
+        header = b"[" * 100_000
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
+        self.rejects(path, "not UTF-8 JSON .*recursion")
 
     def test_shape_disagrees_with_nbytes(self, tiny_ckpt, tmp_path):
         header, payload = split(tiny_ckpt)

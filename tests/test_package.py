@@ -3,6 +3,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import classvoice
 from classvoice import autodiff, model, simulate, streaming, training
 
@@ -21,12 +23,17 @@ def test_helper_modules_are_not_reexported():
     assert set(namespace) - {"__builtins__"} == set(classvoice.__all__)
 
 
-def test_benchmark_tracer_patches_and_restores_every_hook():
-    # bench/tracer.py patches classvoice attributes by name: a renamed one
-    # breaks the benchmark, and this keeps that visible in the tier-1 run
+def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", Path(__file__).parents[1] / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_benchmark_tracer_patches_and_restores_every_hook():
+    # bench/tracer.py patches classvoice attributes by name: a renamed one
+    # breaks the benchmark, and this keeps that visible in the tier-1 run
+    tracer = load_tracer()
     owners = (autodiff, model, model.MultiScaleTCN, simulate, simulate.RirCache, streaming.StreamingSession, training)
     before = [dict(vars(owner)) for owner in owners]
     with tracer.instrument(tracer.Tracer()):
@@ -40,3 +47,31 @@ def test_benchmark_tracer_patches_and_restores_every_hook():
         for owner, name in patched:
             assert vars(owner)[name].__wrapped__ is before[owners.index(owner)][name], name
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_benchmark_tracer_labels_and_counts_the_convs_of_a_batch():
+    # the tracer tells pointwise from depthwise convs by conv1d's positional
+    # groups argument and counts FLOPs from the output and weight shapes: a
+    # signature or layout slip would mislabel every traced conv silently
+    tracer = load_tracer()
+    cfg = model.reduced_config()
+    net = model.MultiScaleTCN(cfg, seed=0)
+    windows = 2
+    audio = np.random.default_rng(0).uniform(-0.5, 0.5, (windows, 3 * cfg.sample_rate)).astype(np.float32)
+    with tracer.instrument(tracer.Tracer()) as t:
+        net.window_probs(audio)
+    blocks = cfg.repeats * cfg.blocks_per_repeat
+    frames = (audio.shape[1] - cfg.frame_len) // cfg.frame_stride + 1
+    # (output channels, output steps per window, input channels) of each 1x1 conv
+    pointwise = (
+        [(cfg.bottleneck_channels, frames, cfg.enc_channels)]
+        + [(cfg.block_channels, frames, cfg.bottleneck_channels)] * blocks  # in_conv
+        + [(cfg.bottleneck_channels, frames, cfg.block_channels)] * (blocks - 1)  # res_conv, none in the final block
+        + [(cfg.skip_channels, 1, cfg.block_channels)] * blocks  # skip_conv of the time mean
+    )
+    assert (t.calls("autodiff.conv1d_pointwise"), t.calls("autodiff.conv1d_depthwise")) == (24, 8)
+    assert t.counters["autodiff.conv1d_pointwise.flop"] == sum(2.0 * c * n * windows * k for c, n, k in pointwise)
+    assert t.counters["autodiff.conv1d_depthwise.flop"] == 2.0 * cfg.block_channels * frames * windows * cfg.kernel_size * blocks
+    metrics = tracer.layer_metrics(t, 0.0)
+    assert metrics["autodiff.conv1d_pointwise.calls"] == (12.0, "calls/win")
+    assert metrics["autodiff.conv1d_depthwise.calls"] == (4.0, "calls/win")
