@@ -1,15 +1,19 @@
 """Dense-tensor math with reverse-mode differentiation.
 
-Just enough for a 1-D convolutional voice detector: pointwise and dilated
-depthwise conv, activations, layer norms, linear, losses, Adam, and a
-finite-difference gradient checker. Arrays are numpy; float32 is the
-working precision, float64 is used when checking gradients.
+Just enough for a 1-D convolutional voice detector, and no more: ``add``,
+``mul``, ``tsum``, ``tmean``, ``concat`` and ``transpose``; ``relu``,
+``prelu`` and ``sigmoid``; ``matmul``, ``linear`` and ``conv1d`` (pointwise
+and dilated depthwise); the layer norms; ``binary_cross_entropy``; Adam;
+and a finite-difference gradient checker. Arrays are numpy; float32 is
+the working precision, float64 is used when checking gradients.
 
-The network's layer norms are two fused ops, each with a hand-written
-backward: ``layer_norm_stats`` computes a cLN (cumulative, as in
-Conv-TasNet) or gLN's per-step mean and inverse deviation, and
-``normalize`` applies them. ``cumulative_layer_norm`` and
-``global_layer_norm`` are that pair.
+Elementwise ops take operands of a single shape and do not broadcast;
+every op takes Tensors. The network's layer norms are two fused ops, each
+with a hand-written backward: ``layer_norm_stats`` computes a cLN
+(cumulative, as in Conv-TasNet) or gLN's per-step mean and inverse
+deviation, and ``normalize`` applies them. ``cumulative_layer_norm`` and
+``global_layer_norm`` are that pair. The loss, ``binary_cross_entropy``,
+is one op with a hand-written backward too.
 
 Batches are channel-major: a batch of B windows of [C, T] activations is
 one [C, B, T] array, not [B, C, T]. A 1x1 conv then multiplies its weight
@@ -112,12 +116,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x)
-
-
 def _make(data, parents, backward_fn):
     """Build an op output, wiring the graph when any input requires grad."""
     data = np.asarray(data)
@@ -138,17 +136,6 @@ def _accum(t: Tensor, g: np.ndarray):
     if not t.requires_grad:
         return
     t.grad = g if t.grad is None else t.grad + g
-
-
-def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
-    """Reduce a broadcasted gradient back to ``shape``."""
-    extra = g.ndim - len(shape)
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -222,92 +209,62 @@ def zero_grads(params):
 # elementwise / reduction primitives
 
 
+def _same_shape(op: str, a: Tensor, b: Tensor):
+    if a.shape != b.shape:
+        raise ShapeError(f"{op} takes two tensors of one shape, got {a.shape} and {b.shape}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("add", a, b)
+
     def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(a, g)
+        _accum(b, g)
 
     return _make(a.data + b.data, (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def back(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _make(a.data - b.data, (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("mul", a, b)
+
     def back(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
+        _accum(a, g * b.data)
+        _accum(b, g * a.data)
 
     return _make(a.data * b.data, (a, b), back)
 
 
-def neg(a: Tensor) -> Tensor:
-    def back(g):
-        _accum(a, -g)
-
-    return _make(-a.data, (a,), back)
-
-
-def log(a: Tensor) -> Tensor:
-    def back(g):
-        _accum(a, g / a.data)
-
-    return _make(np.log(a.data), (a,), back)
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; the gradient is zero where the clamp binds."""
-    mask = (a.data > lo) & (a.data < hi)
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every entry, as a scalar."""
 
     def back(g):
-        _accum(a, g * mask)
-
-    return _make(np.clip(a.data, lo, hi), (a,), back)
-
-
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    def back(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(g, a.shape))
 
-    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), back)
+    return _make(a.data.sum(), (a,), back)
 
 
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    if axis is None:
-        n = a.size
-    else:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        n = 1
-        for ax in axes:
-            n *= a.shape[ax]
-    inv = 1.0 / n
+def tmean(a: Tensor, keepdims: bool = False) -> Tensor:
+    """The mean over the last (time) axis."""
+    inv = 1.0 / a.shape[-1]
 
     def back(g):
         g = g * inv
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
+        if not keepdims:
+            g = np.expand_dims(g, -1)
         _accum(a, np.broadcast_to(g, a.shape))
 
-    return _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), back)
+    return _make(a.data.mean(axis=-1, keepdims=keepdims), (a,), back)
 
 
-def concat(tensors, axis=0) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+def concat(tensors) -> Tensor:
+    """The tensors stacked along axis 0."""
+    splits = np.cumsum([t.shape[0] for t in tensors])[:-1]
 
     def back(g):
-        for t, piece in zip(tensors, np.split(g, splits, axis=axis)):
+        for t, piece in zip(tensors, np.split(g, splits)):
             _accum(t, piece)
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, back)
+    return _make(np.concatenate([t.data for t in tensors]), tensors, back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -408,16 +365,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         out_data = out_data + bias.data
 
     def back(g):
-        if x.ndim == 1:
-            _accum(weight, np.outer(g, x.data))
-            _accum(x, g @ weight.data)
-            if bias is not None:
-                _accum(bias, g)
-        else:
-            _accum(weight, g.T @ x.data)
-            _accum(x, g @ weight.data)
-            if bias is not None:
-                _accum(bias, g.sum(axis=0))
+        g2 = g.reshape(-1, g.shape[-1])  # one vector is one row: a K=1 GEMM gives the outer product's bits
+        _accum(weight, g2.T @ x.data.reshape(g2.shape[0], -1))
+        _accum(x, g @ weight.data)
+        if bias is not None:
+            _accum(bias, g2.sum(axis=0))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _make(out_data, parents, back)
@@ -444,8 +396,6 @@ def conv1d(
     with any K. Any other grouping raises ShapeError. Output length is
     T_out = T + left + right - (K-1)*dilation.
     """
-    x = _as_tensor(x)
-    weight = _as_tensor(weight)
     if x.ndim not in (2, 3):
         raise ShapeError(f"conv1d input must be [C,T] or [C,B,T], got {x.shape}")
     if weight.ndim != 3:
@@ -480,10 +430,8 @@ def conv1d(
             f"input length {t_in} with padding {padding} is too short for "
             f"kernel {k} at dilation {dilation} (needs >= {1 + (k - 1) * dilation})"
         )
-    if bias is not None:
-        bias = _as_tensor(bias)
-        if bias.shape != (c_out,):
-            raise ShapeError(f"bias shape {bias.shape} does not match output channels {c_out}")
+    if bias is not None and bias.shape != (c_out,):
+        raise ShapeError(f"bias shape {bias.shape} does not match output channels {c_out}")
 
     w = weight.data
     if pointwise:
@@ -659,41 +607,48 @@ def _check_norm_shapes(x: Tensor, gain: Tensor | None = None, bias: Tensor | Non
         raise ShapeError("layer norm needs at least one time step")
 
 
-def _const_like(t: Tensor, value: float) -> Tensor:
-    return Tensor(np.asarray(value, dtype=t.dtype), dtype=t.dtype)
-
-
 # ---------------------------------------------------------------------------
 # loss
 
 
 def binary_cross_entropy(p: Tensor, y, rows: int | None = None) -> Tensor:
-    """Summed per-class binary cross-entropy against {0,1} targets.
+    """Summed per-class binary cross-entropy against {0,1} targets, as one op.
 
-    p holds probabilities; they are clamped to [1e-7, 1 - 1e-7] before the
-    logs. A [C] input yields the class sum; a [B, C] batch yields the sum
-    of the per-row class sums divided by ``rows`` (default B, the mean over
-    rows). A micro-batch of a larger batch passes that batch's row count,
-    so the losses, and the gradients, of its micro-batches add up to the
-    whole batch's.
+    p holds probabilities; they are clamped to pc = clip(p, 1e-7, 1 - 1e-7)
+    before the logs. A [C] input yields the class sum; a [B, C] batch
+    yields the sum of the per-row class sums times s = 1/``rows`` (default
+    B, the mean over rows), rounded to p's dtype. A micro-batch of a larger
+    batch passes that batch's row count, so the losses, and the gradients,
+    of its micro-batches add up to the whole batch's.
+
+    The gradient in p, for an incoming gradient g, is
+    ((h*y)/pc - (h*(1-y))/(1-pc)) * live with h = -(g*s) (s = 1 for a [C]
+    input) and live = (1e-7 < p < 1 - 1e-7): zero where the clamp binds.
     """
     y = np.asarray(y, dtype=p.dtype)
     if y.shape != p.shape:
         raise ShapeError(f"targets shape {y.shape} does not match predictions {p.shape}")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("binary cross-entropy targets must be exactly 0 or 1")
-    pc = clip(p, 1e-7, 1.0 - 1e-7)
-    yt = Tensor(y, dtype=p.dtype)
-    one = _const_like(p, 1.0)
-    per = neg(add(mul(yt, log(pc)), mul(sub(one, yt), log(sub(one, pc)))))
-    total = tsum(per)
-    if p.ndim == 2:
-        return mul(total, _const_like(total, 1.0 / (rows or p.shape[0])))
-    return total
+    lo, hi = 1e-7, 1.0 - 1e-7
+    live = (p.data > lo) & (p.data < hi)
+    pc = np.clip(p.data, lo, hi)
+    total = (-(y * np.log(pc) + (1 - y) * np.log(1 - pc))).sum()
+    scale = np.asarray(1.0 / (rows or p.shape[0]) if p.ndim == 2 else 1.0, dtype=p.dtype)
+
+    def back(g):
+        h = -(g * scale)
+        _accum(p, ((h * y) / pc - (h * (1 - y)) / (1 - pc)) * live)
+
+    return _make(total * scale, (p,), back)
 
 
 # ---------------------------------------------------------------------------
 # optimizer and schedule
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -703,19 +658,12 @@ class AdamState:
     first_moment: list = field(default_factory=list)
     second_moment: list = field(default_factory=list)
     step_count: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, beta1=0.9, beta2=0.999, epsilon=1e-8):
+    def for_params(cls, params):
         return cls(
             first_moment=[np.zeros_like(p.data) for p in params],
             second_moment=[np.zeros_like(p.data) for p in params],
-            step_count=0,
-            beta1=beta1,
-            beta2=beta2,
-            epsilon=epsilon,
         )
 
 
@@ -725,19 +673,19 @@ def adam_step(params, grads, state: AdamState, lr: float):
         raise ShapeError("params, grads, and optimizer state must have matching lengths")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1**t
+    bc2 = 1.0 - ADAM_BETA2**t
     for i, (p, g) in enumerate(zip(params, grads)):
         g = np.asarray(g)
         if g.shape != p.data.shape:
             raise ShapeError(f"gradient {i} shape {g.shape} does not match parameter {p.data.shape}")
         m = state.first_moment[i]
         v = state.second_moment[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 def exp_lr_schedule(epoch: int, total_epochs: int, lr_start: float, lr_end: float) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .model import ModelConfig, load_checkpoint, param_count, receptive_field, save_checkpoint
 from .simulate import Corpora, SceneGrid, generate_dataset
-from .streaming import HOP_SECONDS, decisions_to_segments, infer_offline, infer_streaming, segments_to_lines
+from .streaming import HOP_SECONDS, decisions_to_segments, hop_samples, infer_offline, infer_streaming, segments_to_lines
 from .training import HISTORY_HEADER, TrainConfig, evaluate, train
 from .wavio import read_wav
 
@@ -251,7 +251,7 @@ def _cmd_infer(cfg: dict) -> int:
     if wav.sample_rate != fs:
         raise ValueError(f"{cfg['wav']}: sample rate {wav.sample_rate} does not match checkpoint ({fs})")
     if cfg["streaming"]:
-        chunk = max(1, round(cfg["hop-seconds"] * fs))
+        chunk = hop_samples(cfg["hop-seconds"], fs)
         chunks = (wav.samples[start : start + chunk] for start in range(0, len(wav.samples), chunk))
         track = infer_streaming(chunks, checkpoint, cfg["hop-seconds"])
     else:

@@ -349,11 +349,8 @@ class MultiScaleTCN:
             res = ad.add(x, ad.conv1d(h, self.params[f"{pre}.res_conv.weight"], self.params[f"{pre}.res_conv.bias"]))
         if final or c.features_mode == "multiscale":
             # the skip conv of the [C, 1] (or [C, B, 1]) time mean; the outer tmean drops that unit time axis
-            pooled = ad.tmean(h, axis=-1, keepdims=True)
-            skip = ad.tmean(
-                ad.conv1d(pooled, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"]),
-                axis=-1,
-            )
+            pooled = ad.tmean(h, keepdims=True)
+            skip = ad.tmean(ad.conv1d(pooled, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"]))
         return res, skip
 
     def extract(self, x: Tensor) -> Tensor:
@@ -375,7 +372,7 @@ class MultiScaleTCN:
                 cur, skip = self.conv_block(cur, r, m)
                 if skip is not None:
                     pooled.append(skip)
-        features = ad.concat(pooled, axis=0)  # [D] or [D, B]
+        features = ad.concat(pooled)  # [D] or [D, B]
         return features if features.ndim == 1 else ad.transpose(features)
 
     def classify(self, features: Tensor) -> Tensor:

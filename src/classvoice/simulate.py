@@ -21,6 +21,7 @@ same order on any thread count and the output bytes cannot change.
 from __future__ import annotations
 
 import json
+import math
 import os
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -61,12 +62,12 @@ class RoomSpec:
     sound_speed: float = SPEED_OF_SOUND
 
     def __post_init__(self):
-        if len(self.dims) != 3 or any(d <= 0 for d in self.dims):
-            raise RoomError(f"room dimensions must be three positive lengths, got {self.dims}")
+        if len(self.dims) != 3 or not all(0 < d < math.inf for d in self.dims):  # also false for NaN
+            raise RoomError(f"room dims must be three finite positive lengths, got {self.dims}")
         if not 0.05 <= self.t60 <= 3.0:
             raise RoomError(f"t60 must lie in [0.05, 3.0] s, got {self.t60}")
-        if self.sound_speed <= 0:
-            raise RoomError(f"sound speed must be positive, got {self.sound_speed}")
+        if not 0 < self.sound_speed < math.inf:
+            raise RoomError(f"sound_speed must be finite and positive, got {self.sound_speed}")
 
     @property
     def volume(self) -> float:
@@ -97,6 +98,9 @@ class SceneSpec:
     seed: int
 
     def __post_init__(self):
+        for name, value in (("power_ratio_db", self.power_ratio_db), ("snr_db", self.snr_db)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name, pos in (
             ("expert_pos", self.expert_pos),
             ("assistant_pos", self.assistant_pos),

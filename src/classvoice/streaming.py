@@ -16,6 +16,7 @@ share one checkpoint or model, because each runs a frozen view of it (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,10 +86,19 @@ def resolve_model(checkpoint) -> MultiScaleTCN:
     return MultiScaleTCN._frozen(checkpoint.config, arrays, checkpoint.dtype)
 
 
+def hop_samples(hop_seconds: float, fs: int) -> int:
+    """The hop in whole samples at ``fs``; ValueError naming the hop unless it is finite and rounds to >= 1 sample."""
+    samples = hop_seconds * fs
+    hop = round(samples) if math.isfinite(samples) else 0
+    if hop < 1:
+        raise ValueError(f"hop of {hop_seconds!r} s is not a positive whole number of samples at {fs} Hz")
+    return hop
+
+
 def _window_geometry(config, hop_seconds: float):
     fs = config.sample_rate
     win = round(WINDOW_SECONDS * fs)
-    hop = max(1, round(hop_seconds * fs))
+    hop = hop_samples(hop_seconds, fs)
     if win < config.frame_len:
         raise ValueError(
             f"window of {WINDOW_SECONDS} s is shorter than one encoder frame ({config.frame_len} samples)"

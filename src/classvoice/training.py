@@ -30,7 +30,7 @@ import numpy as np
 from .autodiff import AdamState, NonFiniteError, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
 from .model import CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN
 from .simulate import LabeledSample
-from .streaming import BATCH_WINDOWS, HOP_SECONDS, WINDOW_SECONDS, infer_offline, resolve_model
+from .streaming import BATCH_WINDOWS, HOP_SECONDS, _window_geometry, infer_offline, resolve_model
 from .wavio import read_wav
 
 
@@ -80,8 +80,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # also false for NaN
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if self.window_hop_seconds <= 0:
-            raise ValueError(f"window_hop_seconds must be positive, got {self.window_hop_seconds}")
+        if not 0 < self.window_hop_seconds < math.inf:  # also false for NaN
+            raise ValueError(f"window_hop_seconds must be finite and positive, got {self.window_hop_seconds!r}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
 
@@ -293,11 +293,9 @@ def train(
     ``patience`` consecutive epochs. ``log`` is an optional callable
     receiving one EpochStats per epoch.
     """
-    fs = model_config.sample_rate
+    fs, win, hop, _ = _window_geometry(model_config, train_config.window_hop_seconds)
     train_samples = list(_samples(train_manifest, fs, "model"))
     valid_samples = list(_samples(valid_manifest, fs, "model"))
-    win = round(WINDOW_SECONDS * fs)
-    hop = max(1, round(train_config.window_hop_seconds * fs))
     train_set = _WindowSet.build(train_samples, win, hop)
     valid_set = _WindowSet.build(valid_samples, win, hop)
     if not train_set.windows or not valid_set.windows:

@@ -1,5 +1,6 @@
 """Tensor-core tests: oracles for conv/norm/linear, gradient checks, Adam."""
 
+import re
 import weakref
 
 import numpy as np
@@ -132,8 +133,9 @@ class TestConv1d:
             conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))), dilation=4)
 
     def test_non_finite_rejected(self):
-        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError):
-            conv1d(ad.log(Tensor(-np.ones((1, 4)))), Tensor(np.ones((1, 1, 1))))
+        # two channels of 3e38 sum past float32's max (3.4e38): the conv's own output is inf
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            conv1d(Tensor(np.full((2, 4), 3e38, np.float32)), Tensor(np.ones((1, 2, 1), np.float32)))
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
 
@@ -293,6 +295,118 @@ class TestBinaryCrossEntropy:
         backward(f(zt))
         p = 1 / (1 + np.exp(-z))
         np.testing.assert_allclose(zt.grad, p - y, atol=1e-9)
+
+
+def reference_bce(p, y, rows=None):
+    """The loss as the composition of generic ops that the fused op replaced, frozen as a bit-exact oracle.
+
+    Each op is a copy of the one it used (clip, log, sub, neg, mul, add,
+    tsum, with broadcasting), built over the same graph primitives.
+    """
+
+    def unbroadcast(g, shape):
+        extra = g.ndim - len(shape)
+        if extra:
+            g = g.sum(axis=tuple(range(extra)))
+        axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
+        if axes:
+            g = g.sum(axis=axes, keepdims=True)
+        return g
+
+    def const_like(t, value):
+        return Tensor(np.asarray(value, dtype=t.dtype), dtype=t.dtype)
+
+    def add(a, b):
+        def back(g):
+            ad._accum(a, unbroadcast(g, a.shape))
+            ad._accum(b, unbroadcast(g, b.shape))
+
+        return ad._make(a.data + b.data, (a, b), back)
+
+    def sub(a, b):
+        def back(g):
+            ad._accum(a, unbroadcast(g, a.shape))
+            ad._accum(b, unbroadcast(-g, b.shape))
+
+        return ad._make(a.data - b.data, (a, b), back)
+
+    def mul(a, b):
+        def back(g):
+            ad._accum(a, unbroadcast(g * b.data, a.shape))
+            ad._accum(b, unbroadcast(g * a.data, b.shape))
+
+        return ad._make(a.data * b.data, (a, b), back)
+
+    def neg(a):
+        return ad._make(-a.data, (a,), lambda g: ad._accum(a, -g))
+
+    def log(a):
+        return ad._make(np.log(a.data), (a,), lambda g: ad._accum(a, g / a.data))
+
+    def clip(a, lo, hi):
+        mask = (a.data > lo) & (a.data < hi)
+        return ad._make(np.clip(a.data, lo, hi), (a,), lambda g: ad._accum(a, g * mask))
+
+    def tsum(a):
+        return ad._make(a.data.sum(), (a,), lambda g: ad._accum(a, np.broadcast_to(g, a.shape)))
+
+    y = np.asarray(y, dtype=p.dtype)
+    pc = clip(p, 1e-7, 1.0 - 1e-7)
+    yt = Tensor(y, dtype=p.dtype)
+    one = const_like(p, 1.0)
+    total = tsum(neg(add(mul(yt, log(pc)), mul(sub(one, yt), log(sub(one, pc))))))
+    if p.ndim == 2:
+        return mul(total, const_like(total, 1.0 / (rows or p.shape[0])))
+    return total
+
+
+class TestFusedLossParity:
+    """The fused binary_cross_entropy gives the composition's loss and gradient bit for bit."""
+
+    EDGES = (0.0, 1e-8, 1e-7, 1.0 - 1e-7, 1.0 - 1e-8, 1.0)
+
+    @staticmethod
+    def loss_and_grad(fn, p, y, rows):
+        leaf = Tensor(p, requires_grad=True, dtype=p.dtype)
+        loss = fn(leaf, y, rows)
+        backward(loss)
+        return loss.data, leaf.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,rows", [((2,), None), ((1, 2), None), ((5, 2), None), ((5, 2), 13)],
+                             ids=["vector", "one-row", "batch", "micro-batch"])
+    def test_bit_exact(self, dtype, shape, rows):
+        rng = np.random.default_rng([np.dtype(dtype).itemsize, len(shape), shape[0], rows or 0])
+        edges = np.array(self.EDGES, dtype=dtype)
+        for case in range(50):
+            p = rng.uniform(0.0, 1.0, shape).astype(dtype)
+            if case % 2:  # plant clamp-edge values among the random ones
+                flat = p.reshape(-1)
+                picks = rng.random(flat.size) < 0.5
+                flat[picks] = rng.choice(edges, picks.sum())
+            y = (rng.random(shape) < 0.5).astype(dtype)
+            want_loss, want_grad = self.loss_and_grad(reference_bce, p, y, rows)
+            got_loss, got_grad = self.loss_and_grad(binary_cross_entropy, p, y, rows)
+            assert got_loss.dtype == want_loss.dtype and np.array_equal(got_loss, want_loss), f"case {case}"
+            assert got_grad.dtype == want_grad.dtype == dtype, f"case {case}"
+            assert np.array_equal(got_grad, want_grad), f"case {case}"
+
+    def test_every_edge_value(self):
+        for dtype in (np.float32, np.float64):
+            p = np.array(self.EDGES * 2, dtype=dtype).reshape(-1, 2)
+            for y in (np.zeros_like(p), np.ones_like(p)):
+                want = self.loss_and_grad(reference_bce, p, y, None)
+                got = self.loss_and_grad(binary_cross_entropy, p, y, None)
+                assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want))
+
+
+class TestElementwiseShapes:
+    @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+    @pytest.mark.parametrize("shapes", [((3,), (1,)), ((2, 3), (3,)), ((2, 3), (3, 2))], ids=["scalar", "row", "transposed"])
+    def test_mismatched_shapes_rejected_naming_both(self, op, shapes):
+        a, b = (Tensor(np.ones(s)) for s in shapes)
+        with pytest.raises(ShapeError, match=rf"got {re.escape(str(shapes[0]))} and {re.escape(str(shapes[1]))}"):
+            op(a, b)
 
 
 class TestBackward:
@@ -475,7 +589,7 @@ class TestGradCheck:
     def test_reductions(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
-        assert grad_check(lambda t: ad.tsum(ad.mul(m := ad.tmean(t, axis=-1), m)), x) < 1e-4
+        assert grad_check(lambda t: ad.tsum(ad.mul(m := ad.tmean(t), m)), x) < 1e-4
 
 
 def square_sum(t):

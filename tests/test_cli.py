@@ -224,6 +224,21 @@ class TestRuns:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("streaming", ["false", "true"])
+    def test_infer_with_negative_hop_exits_2_naming_it_without_out(self, runs, tmp_path, capsys, streaming):
+        out = tmp_path / "infer"
+        argv = ["infer", "--checkpoint", str(runs / "train" / "model.ckpt"), "--wav",
+                str(runs / "sim" / "test" / "sample_00000.wav"), "--out", str(out), "--hop-seconds", "-0.1"]
+        assert cli.main([*argv, "--streaming", streaming]) == 2
+        assert "hop of -0.1 s is not a positive whole number of samples at 800 Hz" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_with_nan_snr_exits_2_naming_it_without_wavs(self, corpus_dirs, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--out", str(out), *corpus_dirs, *SCENE_FLAGS, "--snr-values", "nan"]) == 2
+        assert "snr_db must be finite, got nan" in capsys.readouterr().err
+        assert not list(out.rglob("*.wav"))
+
     def test_simulate_with_empty_corpus_exits_2_without_out(self, corpus_dirs, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

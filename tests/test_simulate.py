@@ -402,6 +402,16 @@ class TestSceneGrid:
                 snr_db=10.0,
                 seed=1,
             )
+        for dims in ((5.0, np.inf, 3.5), (np.nan, 6.0, 3.5), (5.0, 6.0, -1.0)):
+            with pytest.raises(RoomError, match="dims must be three finite positive lengths"):
+                RoomSpec(dims=dims, t60=0.5)
+        for speed in (np.nan, np.inf, 0.0):
+            with pytest.raises(RoomError, match="sound_speed must be finite and positive"):
+                RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.5, sound_speed=speed)
+        for name in ("snr_db", "power_ratio_db"):
+            for value in (np.nan, np.inf, -np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+                    make_scene(**{name: value})
 
     def test_round_trip_dict(self):
         scene = make_scene(seed=9)

@@ -1,5 +1,7 @@
 """Streaming/offline inference tests: slot arithmetic, equivalence, sharing, segments."""
 
+import math
+import re
 import sys
 import threading
 
@@ -151,6 +153,23 @@ class TestStreaming:
         for a, b in zip(track.decisions, ref.decisions):
             assert a.timestamp == b.timestamp
             np.testing.assert_array_equal(a.probs, b.probs)
+
+
+BAD_HOPS = [-0.1, 0.0, 1e-9, math.nan, math.inf]
+
+
+class TestBadHop:
+    """A hop that is not finite or rounds below one sample is rejected by name, never clamped to one sample."""
+
+    @pytest.mark.parametrize("hop", BAD_HOPS)
+    def test_infer_offline(self, causal_model, audio_12s, hop):
+        with pytest.raises(ValueError, match=rf"^hop of {re.escape(repr(hop))} s is not a positive whole number"):
+            infer_offline(audio_12s, causal_model, hop_seconds=hop)
+
+    @pytest.mark.parametrize("hop", BAD_HOPS)
+    def test_streaming_session(self, causal_model, hop):
+        with pytest.raises(ValueError, match=rf"^hop of {re.escape(repr(hop))} s is not a positive whole number"):
+            StreamingSession(causal_model, hop_seconds=hop)
 
 
 class TestSharedModel:

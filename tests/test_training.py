@@ -74,6 +74,13 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="window_hop_seconds"):
             TrainConfig(window_hop_seconds=0)
 
+    @pytest.mark.parametrize("hop", [-0.1, 0.0, 1e-9, math.nan, math.inf])
+    def test_bad_window_hop_rejected_naming_it(self, tiny_dataset, hop):
+        # TrainConfig rejects what is not finite and positive; train() what rounds below one sample
+        with pytest.raises(ValueError, match=re.escape(repr(hop))):
+            train(tiny_model_config(), TrainConfig(epochs=2, patience=1, window_hop_seconds=hop),
+                  tiny_dataset["train"], tiny_dataset["valid"])
+
     @pytest.mark.parametrize("name,value", [
         ("batch_size", True), ("batch_size", 2.5), ("epochs", True), ("patience", 2.0), ("seed", False), ("seed", "0"),
     ])
