@@ -8,12 +8,13 @@ and a finite-difference gradient checker. Arrays are numpy; float32 is
 the working precision, float64 is used when checking gradients.
 
 Elementwise ops take operands of a single shape and do not broadcast;
-every op takes Tensors. The network's layer norms are two fused ops, each
-with a hand-written backward: ``layer_norm_stats`` computes a cLN
-(cumulative, as in Conv-TasNet) or gLN's per-step mean and inverse
-deviation, and ``normalize`` applies them. ``cumulative_layer_norm`` and
-``global_layer_norm`` are that pair. The loss, ``binary_cross_entropy``,
-is one op with a hand-written backward too.
+every op takes Tensors. The network's layer norm is the cumulative one
+of causal Conv-TasNet (cLN): two fused ops, each with a hand-written
+backward. ``layer_norm_stats`` computes each step's mean and inverse
+deviation over the channels and the time prefix up to it, and
+``normalize`` applies them; ``cumulative_layer_norm`` is that pair. The
+loss, ``binary_cross_entropy``, is one op with a hand-written backward
+too.
 
 Batches are channel-major: a batch of B windows of [C, T] activations is
 one [C, B, T] array, not [B, C, T]. A 1x1 conv then multiplies its weight
@@ -497,48 +498,33 @@ def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int, t_out: in
 # normalizations
 
 
-def layer_norm_stats(x: Tensor, cumulative: bool, eps: float = 1e-8) -> Tensor:
-    """Per-step mean and inverse deviation of a layer norm, as one [2, T] or [2, B, T] tensor.
+def layer_norm_stats(x: Tensor, eps: float = 1e-8) -> Tensor:
+    """Per-step mean and inverse deviation of the cumulative layer norm, as one [2, T] or [2, B, T] tensor.
 
     x is [C, T] or channel-major [C, B, T]. Row 0 is mu_t and row 1 is
     r_t = 1/sqrt(var_t + eps), both taken jointly over channels (axis 0)
-    and per batch item. cumulative=True (cLN) takes them over the time
-    prefix 1..t, so column t depends only on input columns 1..t; otherwise
-    (gLN) over all time steps, repeated in every column. ``normalize``
-    applies them.
+    and the time prefix 1..t, per batch item, so column t depends only on
+    input columns 1..t. ``normalize`` applies them.
     """
     _check_norm_shapes(x)
     c, t = x.shape[0], x.shape[-1]
     xd = x.data
-    if cumulative:
-        counts = np.arange(1, t + 1, dtype=xd.dtype) * c
-        mu = np.cumsum(xd.sum(axis=0, keepdims=True), axis=-1) / counts
-        sq = np.einsum("c...,c...->...", xd, xd)[None]  # no x*x temporary
-        var = np.cumsum(sq, axis=-1) / counts - mu * mu
-    else:
-        counts = c * t
-        mu = xd.mean(axis=(0, -1), keepdims=True)
-        d = xd - mu
-        var = (d * d).mean(axis=(0, -1), keepdims=True)
+    counts = np.arange(1, t + 1, dtype=xd.dtype) * c
+    mu = np.cumsum(xd.sum(axis=0, keepdims=True), axis=-1) / counts
+    sq = np.einsum("c...,c...->...", xd, xd)[None]  # no x*x temporary
+    var = np.cumsum(sq, axis=-1) / counts - mu * mu
     live = var > 0  # clamp mask; the gradient through var is zero where it binds
     r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(eps, dtype=xd.dtype))
-    row = (1,) + xd.shape[1:]
-    out_data = np.concatenate([np.broadcast_to(mu, row), np.broadcast_to(r, row)])
 
     def back(g):
         g_mu, g_r = g[0:1], g[1:2]
         g_var = -0.5 * g_r * (r * r * r) * live
-        if cumulative:
-            # mu_t = S_t/n_t and var_t = Q_t/n_t - mu_t^2 over the prefix sums S, Q of x and x^2
-            g_s = _suffix_sum((g_mu - 2.0 * mu * g_var) / counts)
-            g_q = _suffix_sum(g_var / counts)
-            _accum(x, g_s + 2.0 * xd * g_q)
-        else:
-            g_mu = g_mu.sum(axis=-1, keepdims=True)
-            g_var = g_var.sum(axis=-1, keepdims=True)
-            _accum(x, (g_mu + 2.0 * (xd - mu) * g_var) / counts)
+        # mu_t = S_t/n_t and var_t = Q_t/n_t - mu_t^2 over the prefix sums S, Q of x and x^2
+        g_s = _suffix_sum((g_mu - 2.0 * mu * g_var) / counts)
+        g_q = _suffix_sum(g_var / counts)
+        _accum(x, g_s + 2.0 * xd * g_q)
 
-    return _make(out_data, (x,), back)
+    return _make(np.concatenate([mu, r]), (x,), back)
 
 
 def _suffix_sum(a):
@@ -546,7 +532,7 @@ def _suffix_sum(a):
 
 
 def normalize(x: Tensor, stats: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """gain * (x - mu_t) * r_t + bias, with (mu, r) from ``layer_norm_stats(x, ...)``.
+    """gain * (x - mu_t) * r_t + bias, with (mu, r) from ``layer_norm_stats(x)``.
 
     x is [C, T] or channel-major [C, B, T], and stats [2, T] or [2, B, T];
     gain/bias are [C, 1] and apply per channel, over rows of B*T steps.
@@ -578,22 +564,13 @@ def normalize(x: Tensor, stats: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(out_data, (x, stats, gain, bias), back)
 
 
-def global_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalize jointly over channels and all time steps (gLN).
-
-    x is [C, T] or [C, B, T]; gain/bias are [C, 1] and apply per channel.
-    Statistics are per batch item, never across the batch.
-    """
-    return normalize(x, layer_norm_stats(x, cumulative=False, eps=eps), gain, bias)
-
-
 def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
     """Normalize over channels and the time prefix 1..t at each step t (cLN).
 
     Column t of the output only depends on columns 1..t of the input,
-    which is what makes the model's "window" context causal.
+    which is what makes the model causal.
     """
-    return normalize(x, layer_norm_stats(x, cumulative=True, eps=eps), gain, bias)
+    return normalize(x, layer_norm_stats(x, eps=eps), gain, bias)
 
 
 def _check_norm_shapes(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None):

@@ -14,8 +14,10 @@ objects a command builds, is echoed into every output directory as
 Final artifacts are written to ``<name>.partial`` and renamed on
 success, so an interrupted run never leaves a complete-looking output.
 ``train``, ``eval`` and ``infer`` create the output directory only once
-their work has succeeded, and ``simulate`` once its corpora have loaded,
-so a run that fails on its inputs leaves no directory behind.
+their work has succeeded, and ``simulate`` once its scene grid is checked
+and its corpus directories hold WAV files, so a run that fails on those
+inputs leaves no directory behind; a clip is read only when a scene first
+draws it, so a bad clip is found after ``--out`` exists.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -77,7 +79,7 @@ KEYS = [
     _Key("assistant-dir", "str", None, "directory of assistant WAV clips", ("simulate",)),
     _Key("noise-dir", "str", None, "directory of noise WAV clips", ("simulate",)),
     _Key("hop-seconds", "float", HOP_SECONDS, "decision hop for eval/infer", ("eval", "infer")),
-    _Key("streaming", "bool", False, "use the streaming engine (checkpoints with context 'window')", ("infer",)),
+    _Key("streaming", "bool", False, "use the streaming engine", ("infer",)),
     _Key("out", "str", None, "output directory", ("simulate", "train", "eval", "infer")),
     _Key("train-manifest", "str", None, "training manifest (JSONL)", ("train",)),
     _Key("valid-manifest", "str", None, "validation manifest (JSONL)", ("train",)),
@@ -196,12 +198,13 @@ def _start_output(cfg: dict) -> Path:
 
 
 def _cmd_simulate(cfg: dict) -> int:
+    grid = _build(SceneGrid, cfg)
     corpora = Corpora.from_dirs(
         cfg["expert-dir"], cfg["assistant-dir"], cfg["noise-dir"], sample_rate=cfg["sample-rate"]
     )
     out = _start_output(cfg)
     manifests = generate_dataset(
-        corpora, _build(SceneGrid, cfg), cfg["counts"], out, seed=cfg["seed"], sample_rate=cfg["sample-rate"]
+        corpora, grid, cfg["counts"], out, seed=cfg["seed"], sample_rate=cfg["sample-rate"]
     )
     for split, path in manifests.items():
         print(f"{split}: {path}")

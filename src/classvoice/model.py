@@ -7,8 +7,11 @@ per repeat) produce one skip output each. The classifier reads the time
 mean of all skip outputs concatenated (repeat-major, block-minor), the
 multi-scale feature, and emits per-class probabilities for the assistant
 and expert voices. Per-class thresholding yields one of four categories.
-``ModelConfig.context`` sets the norms and paddings: causal ("window", for
-live streams) or seeing the whole window ("offline", for recordings).
+The network is causal, so that a live lesson can be monitored: as in causal
+Conv-TasNet (Luo & Mesgarani, arXiv:1809.07454), its layer norms are
+cumulative (cLN) and its depthwise convs pad on the left only, so each
+frame depends only on the frames up to it, and one network serves
+training, recordings and live streams.
 
 Where pooling happens: each block's skip output is a 1x1 conv of its
 normalised activations, and a 1x1 conv is linear, so
@@ -47,7 +50,6 @@ from .autodiff import NonFiniteError, ShapeError, Tensor
 CHECKPOINT_MAGIC = b"CVCHKPT1"
 CHECKPOINT_VERSION = 1
 
-CONTEXTS = ("window", "offline")
 FEATURES_MODES = ("multiscale", "last_layer")
 NUM_CLASSES = 2  # classifier outputs: P(assistant), P(expert), each its own sigmoid
 
@@ -91,9 +93,6 @@ class ModelConfig:
     2^(blocks_per_repeat-1). repeats: how many times the stack repeats.
     hidden1/hidden2: classifier hidden sizes. threshold: per-class
     decision threshold. sample_rate: audio sample rate in Hz.
-    context: "window" (cLN, left-only padding) makes each frame depend only
-    on the window up to it, so the model can stream; "offline" (gLN,
-    symmetric padding) lets every frame see the whole window.
     features_mode: "multiscale" concatenates all skip outputs,
     "last_layer" keeps only the final block's (plain-TCN ablation).
     """
@@ -111,7 +110,6 @@ class ModelConfig:
     hidden2: int = 2048
     threshold: float = 0.5
     sample_rate: int = 16000
-    context: str = "window"
     features_mode: str = "multiscale"
 
     def __post_init__(self):
@@ -138,8 +136,6 @@ class ModelConfig:
             )
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if self.context not in CONTEXTS:
-            raise ValueError(f"context must be one of {CONTEXTS}, got {self.context!r}")
         if self.features_mode not in FEATURES_MODES:
             raise ValueError(f"features_mode must be one of {FEATURES_MODES}, got {self.features_mode!r}")
 
@@ -269,8 +265,7 @@ class MultiScaleTCN:
     # -- forward pieces ----------------------------------------------------
 
     def _norm(self, x: Tensor, prefix: str) -> Tensor:
-        fn = ad.cumulative_layer_norm if self.config.context == "window" else ad.global_layer_norm
-        return fn(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"])
+        return ad.cumulative_layer_norm(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"])
 
     def encode(self, audio) -> Tensor:
         """Frame audio into overlapping segments and apply the ReLU filterbank.
@@ -313,13 +308,13 @@ class MultiScaleTCN:
 
         x is [bottleneck_channels, T] or [bottleneck_channels, B, T].
         Returns (residual_out, skip_mean). residual_out = x + res_conv(h)
-        has x's shape (padding keeps T fixed: all-left in the window
-        context, symmetric offline). skip_mean is the time mean of the
-        per-frame skip map skip_conv(h), [skip_channels] or [skip_channels,
-        B]: the conv is linear, so it runs on mean_t of the normalised h and
-        the per-frame map is never built. Outputs nothing reads are not
-        computed: residual_out is None for the final block, and skip_mean
-        is None for the other blocks in last_layer mode.
+        has x's shape (left-only padding keeps T fixed and the block
+        causal). skip_mean is the time mean of the per-frame skip map
+        skip_conv(h), [skip_channels] or [skip_channels, B]: the conv is
+        linear, so it runs on mean_t of the normalised h and the per-frame
+        map is never built. Outputs nothing reads are not computed:
+        residual_out is None for the final block, and skip_mean is None for
+        the other blocks in last_layer mode.
         """
         c = self.config
         if x.shape[0] != c.bottleneck_channels:
@@ -329,7 +324,6 @@ class MultiScaleTCN:
         pre = f"block.{repeat_idx}.{block_idx}"
         dilation = 2**block_idx
         span = (c.kernel_size - 1) * dilation
-        pad = (span, 0) if c.context == "window" else (span // 2, span - span // 2)
         h = ad.conv1d(x, self.params[f"{pre}.in_conv.weight"], self.params[f"{pre}.in_conv.bias"])
         h = ad.prelu(h, self.params[f"{pre}.prelu1.alpha"])
         h = self._norm(h, f"{pre}.norm1")
@@ -339,7 +333,7 @@ class MultiScaleTCN:
             self.params[f"{pre}.dw_conv.bias"],
             dilation=dilation,
             groups=c.block_channels,
-            padding=pad,
+            padding=(span, 0),
         )
         h = ad.prelu(h, self.params[f"{pre}.prelu2.alpha"])
         h = self._norm(h, f"{pre}.norm2")

@@ -156,6 +156,14 @@ def _check_inside(room: RoomSpec, pos, name: str):
             raise RoomError(f"{name} coordinate {axis} = {p} lies outside the room (0, {d})")
 
 
+def _check_apart(source, mic, name: str) -> float:
+    """The source-microphone distance; RoomError naming the source below MIN_SOURCE_MIC_DISTANCE."""
+    dist = float(np.linalg.norm(np.asarray(source, dtype=np.float64) - np.asarray(mic, dtype=np.float64)))
+    if dist < MIN_SOURCE_MIC_DISTANCE:
+        raise RoomError(f"{name} and microphone are {dist:.3f} m apart; minimum is {MIN_SOURCE_MIC_DISTANCE} m")
+    return dist
+
+
 @dataclass
 class LabeledSample:
     """12 s of audio tiled by four 3 s segments, one per category."""
@@ -229,11 +237,7 @@ def image_source_rir(
     mc = np.asarray(mic, dtype=np.float64)
     _check_inside(room, src, "source")
     _check_inside(room, mc, "microphone")
-    dist = float(np.linalg.norm(src - mc))
-    if dist < MIN_SOURCE_MIC_DISTANCE:
-        raise RoomError(
-            f"source and microphone are {dist:.3f} m apart; minimum is {MIN_SOURCE_MIC_DISTANCE} m"
-        )
+    dist = _check_apart(src, mc, "source")
     fs = int(sample_rate)
     c = room.sound_speed
     length = int(np.ceil(room.t60 * fs))
@@ -617,7 +621,8 @@ class SceneGrid:
     power-ratio grid in dB (mixture utterances). assistant_x_values:
     assistant x positions; assistant_y/assistant_z fix the other two
     coordinates. expert_pos: expert position x, y, z. All in meters
-    unless stated.
+    unless stated. Every value is checked on construction by the rules its
+    scenes must meet, so a bad grid fails before any output is written.
     """
 
     room_dims: tuple[float, float, float] = (5.0, 6.0, 3.5)
@@ -631,13 +636,35 @@ class SceneGrid:
     expert_pos: tuple[float, float, float] = (2.5, 0.5, 2.0)
     mic_forward_offset: float = 0.08
 
+    def __post_init__(self):
+        for name in ("t60_values", "snr_values", "power_ratio_values", "assistant_x_values"):
+            if len(getattr(self, name)) == 0:
+                raise ValueError(f"{name} must hold at least one value")
+        for t60 in self.t60_values:
+            room = RoomSpec(dims=self.room_dims, t60=t60, sound_speed=self.sound_speed)
+            sabine_absorption(room)  # each t60 must be feasible in the room
+        for name in ("snr_values", "power_ratio_values"):
+            for value in getattr(self, name):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+        _check_inside(room, self.expert_pos, "expert_pos")
+        for ax in self.assistant_x_values:
+            assistant, mic = self._placement(ax)
+            _check_inside(room, assistant, "assistant position")
+            _check_inside(room, mic, "mic position")
+            _check_apart(assistant, mic, "assistant")
+            _check_apart(self.expert_pos, mic, "expert")
+
+    def _placement(self, ax: float):
+        """(assistant, mic) positions for the assistant at x = ax."""
+        assistant = (ax, self.assistant_y, self.assistant_z)
+        return assistant, (ax, self.assistant_y + self.mic_forward_offset, self.assistant_z - MIC_DROP)
+
     def sample(self, rng: np.random.Generator) -> SceneSpec:
         t60 = self.t60_values[int(rng.integers(len(self.t60_values)))]
         snr = self.snr_values[int(rng.integers(len(self.snr_values)))]
         ratio = self.power_ratio_values[int(rng.integers(len(self.power_ratio_values)))]
-        ax = self.assistant_x_values[int(rng.integers(len(self.assistant_x_values)))]
-        assistant = (ax, self.assistant_y, self.assistant_z)
-        mic = (ax, self.assistant_y + self.mic_forward_offset, self.assistant_z - MIC_DROP)
+        assistant, mic = self._placement(self.assistant_x_values[int(rng.integers(len(self.assistant_x_values)))])
         seed = int(rng.integers(0, 2**63 - 1))
         return SceneSpec(
             room=RoomSpec(dims=self.room_dims, t60=t60, sound_speed=self.sound_speed),

@@ -19,7 +19,6 @@ from classvoice.autodiff import (
     conv1d,
     cumulative_layer_norm,
     exp_lr_schedule,
-    global_layer_norm,
     grad_check,
     linear,
     prelu,
@@ -183,36 +182,6 @@ class TestActivations:
 
 
 class TestLayerNorms:
-    def test_gln_constant_input_is_zero(self):
-        c = 3
-        gain = Tensor(np.ones((c, 1)))
-        bias = Tensor(np.zeros((c, 1)))
-        out = global_layer_norm(Tensor(np.full((c, 5), 7.0)), gain, bias)
-        np.testing.assert_allclose(out.data, 0.0, atol=1e-6)
-
-    @pytest.mark.parametrize("scale", [0.5, 2.0, 100.0])
-    def test_gln_scale_invariance(self, scale):
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((4, 9))
-        gain = Tensor(np.ones((4, 1)))
-        bias = Tensor(np.zeros((4, 1)))
-        a = global_layer_norm(Tensor(x), gain, bias).data
-        b = global_layer_norm(Tensor(scale * x), gain, bias).data
-        np.testing.assert_allclose(a, b, atol=1e-5)
-
-    def test_gln_against_two_pass_oracle(self):
-        rng = np.random.default_rng(5)
-        x = rng.standard_normal((3, 5))
-        gain = rng.standard_normal((3, 1))
-        bias = rng.standard_normal((3, 1))
-        mu = x.mean()
-        var = ((x - mu) ** 2).mean()
-        expected = gain * (x - mu) / np.sqrt(var + 1e-8) + bias
-        out = global_layer_norm(
-            Tensor(x, dtype=np.float64), Tensor(gain, dtype=np.float64), Tensor(bias, dtype=np.float64)
-        )
-        np.testing.assert_allclose(out.data, expected, atol=1e-6)
-
     def test_cln_first_column_is_column_norm(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 6))
@@ -236,14 +205,18 @@ class TestLayerNorms:
             assert np.array_equal(out[:, : t + 1], base[:, : t + 1])
 
     def test_cln_last_column_matches_gln(self):
+        # the last step's prefix is the whole window: the global (gLN) statistics, from a two-pass oracle
         rng = np.random.default_rng(10)
         x = rng.standard_normal((5, 7))
-        gain = Tensor(rng.standard_normal((5, 1)), dtype=np.float64)
-        bias = Tensor(rng.standard_normal((5, 1)), dtype=np.float64)
-        xt = Tensor(x, dtype=np.float64)
-        c_out = cumulative_layer_norm(xt, gain, bias).data
-        g_out = global_layer_norm(xt, gain, bias).data
-        np.testing.assert_allclose(c_out[:, -1], g_out[:, -1], atol=1e-6)
+        gain = rng.standard_normal((5, 1))
+        bias = rng.standard_normal((5, 1))
+        mu = x.mean()
+        var = ((x - mu) ** 2).mean()
+        expected = gain * (x - mu) / np.sqrt(var + 1e-8) + bias
+        out = cumulative_layer_norm(
+            Tensor(x, dtype=np.float64), Tensor(gain, dtype=np.float64), Tensor(bias, dtype=np.float64)
+        )
+        np.testing.assert_allclose(out.data[:, -1], expected[:, -1], atol=1e-6)
 
 
 class TestLinear:
@@ -565,13 +538,12 @@ class TestGradCheck:
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True, dtype=np.float64)
         gain = Tensor(rng.standard_normal((3, 1)), requires_grad=True, dtype=np.float64)
         bias = Tensor(rng.standard_normal((3, 1)), requires_grad=True, dtype=np.float64)
-        for norm in (global_layer_norm, cumulative_layer_norm):
-            f = lambda t: ad.tsum(ad.mul(n := norm(t, gain, bias), n))
-            assert grad_check(f, x) < 1e-4
-            fg = lambda t: ad.tsum(ad.mul(n := norm(x, t, bias), n))
-            assert grad_check(fg, gain) < 1e-4
-            fb = lambda t: ad.tsum(ad.mul(n := norm(x, gain, t), n))
-            assert grad_check(fb, bias) < 1e-4
+        f = lambda t: ad.tsum(ad.mul(n := cumulative_layer_norm(t, gain, bias), n))
+        assert grad_check(f, x) < 1e-4
+        fg = lambda t: ad.tsum(ad.mul(n := cumulative_layer_norm(x, t, bias), n))
+        assert grad_check(fg, gain) < 1e-4
+        fb = lambda t: ad.tsum(ad.mul(n := cumulative_layer_norm(x, gain, t), n))
+        assert grad_check(fb, bias) < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_linear_sigmoid_softmax_bce(self, seed):
@@ -597,7 +569,7 @@ def square_sum(t):
 
 
 class TestFusedOpGradCheck:
-    """Every input of each fused op against central differences, with cLN and gLN statistics."""
+    """Every input of each fused op against central differences."""
 
     @staticmethod
     def leaves(seed, c=4, t=6):
@@ -609,18 +581,16 @@ class TestFusedOpGradCheck:
             beta=f64(rng.standard_normal((c, 1))),
         )
 
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("cumulative", [True, False], ids=["cLN", "gLN"])
-    def test_layer_norm_stats(self, seed, cumulative):
+    @pytest.mark.parametrize("seed", range(3), ids=lambda seed: f"cLN-{seed}")
+    def test_layer_norm_stats(self, seed):
         x = self.leaves(seed)["x"]
-        assert grad_check(lambda t: square_sum(ad.layer_norm_stats(t, cumulative)), x) < 1e-4
+        assert grad_check(lambda t: square_sum(ad.layer_norm_stats(t)), x) < 1e-4
 
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("cumulative", [True, False], ids=["cLN", "gLN"])
-    def test_normalize(self, seed, cumulative):
+    @pytest.mark.parametrize("seed", range(3), ids=lambda seed: f"cLN-{seed}")
+    def test_normalize(self, seed):
         v = self.leaves(seed)
         x, gain, beta = v["x"], v["gain"], v["beta"]
-        stats = Tensor(ad.layer_norm_stats(x, cumulative).data.copy(), requires_grad=True, dtype=np.float64)
+        stats = Tensor(ad.layer_norm_stats(x).data.copy(), requires_grad=True, dtype=np.float64)
         assert grad_check(lambda t: square_sum(ad.normalize(t, stats, gain, beta)), x) < 1e-4
         assert grad_check(lambda t: square_sum(ad.normalize(x, t, gain, beta)), stats) < 1e-4
         assert grad_check(lambda t: square_sum(ad.normalize(x, stats, t, beta)), gain) < 1e-4
@@ -659,15 +629,11 @@ def weighted_sum(out, r):
 class TestChannelMajorBatches:
     """A [C, B, T] batch is B independent [C, T] windows: slice [:, b] of each op is the op on window b.
 
-    Checked for the output and for the gradient in every batched input,
-    with the same output weights per window. Bit-exact wherever each
-    window's reduction order is the batch's; gLN's mean over (C, T) is a
-    strided reduction across the batch axis, so its order, and the last
-    bit, may differ (REL below).
+    Checked bit for bit, for the output and for the gradient in every
+    batched input, with the same output weights per window.
     """
 
     C, B, T = 6, 3, 11
-    REL = 1e-6  # float32: gLN slices were within 1.2e-7 of the windows
 
     @staticmethod
     def run(op, inputs, r):
@@ -677,7 +643,7 @@ class TestChannelMajorBatches:
         backward(weighted_sum(out, r))
         return [out.data] + [leaves[name].grad for name in inputs]
 
-    def check(self, op, exact=True, **inputs):
+    def check(self, op, **inputs):
         """op(x, **inputs) on a random [C, B, T] x, batched against per window; inputs are batched on axis 1 too."""
         rng = np.random.default_rng(0)
         inputs = dict(x=rng.standard_normal((self.C, self.B, self.T)).astype(np.float32), **inputs)
@@ -686,10 +652,7 @@ class TestChannelMajorBatches:
         for b in range(self.B):
             window = self.run(op, {n: a[:, b].copy() for n, a in inputs.items()}, r[:, b].copy())
             for got, want in zip(batch, window):
-                if exact:
-                    assert np.array_equal(got[:, b], want), f"window {b}"
-                else:
-                    assert np.abs(got[:, b] - want).max() <= self.REL * np.abs(want).max(), f"window {b}"
+                assert np.array_equal(got[:, b], want), f"window {b}"
 
     def weights(self, *shape, seed=1):
         return Tensor(np.random.default_rng(seed).standard_normal(shape).astype(np.float32))
@@ -704,10 +667,7 @@ class TestChannelMajorBatches:
         self.check(lambda x: conv1d(x, w, b, dilation=dilation, groups=self.C, padding=(2 * dilation, 1)))
 
     def test_layer_norm_stats_cln(self):
-        self.check(lambda x: ad.layer_norm_stats(x, cumulative=True))
-
-    def test_layer_norm_stats_gln(self):
-        self.check(lambda x: ad.layer_norm_stats(x, cumulative=False), exact=False)
+        self.check(lambda x: ad.layer_norm_stats(x))
 
     def test_normalize(self):
         gain, bias = self.weights(self.C, 1, seed=2), self.weights(self.C, 1, seed=3)

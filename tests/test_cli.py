@@ -162,10 +162,12 @@ class TestRuns:
         assert f"{path}: unknown model config key 'class_activation'" in capsys.readouterr().err
 
     def test_inspect_stream_context_exits_2_naming_the_file(self, tmp_path, capsys):
+        # the network is causal and context left the config; a header that has it is rejected, whatever its value
         path = tmp_path / "context.ckpt"
-        self.checkpoint_with_config(path, context="stream")
-        assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
-        assert f"{path}: context must be one of ('window', 'offline'), got 'stream'" in capsys.readouterr().err
+        for value in ("window", "offline", "stream"):
+            self.checkpoint_with_config(path, context=value)
+            assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
+            assert f"{path}: unknown model config key 'context'" in capsys.readouterr().err
 
     def test_inspect_string_causal_exits_2_naming_the_file(self, tmp_path, capsys):
         # causal left the config with context; a header that still has it is rejected, whatever its value
@@ -236,8 +238,23 @@ class TestRuns:
     def test_simulate_with_nan_snr_exits_2_naming_it_without_wavs(self, corpus_dirs, tmp_path, capsys):
         out = tmp_path / "sim"
         assert cli.main(["simulate", "--out", str(out), *corpus_dirs, *SCENE_FLAGS, "--snr-values", "nan"]) == 2
-        assert "snr_db must be finite, got nan" in capsys.readouterr().err
-        assert not list(out.rglob("*.wav"))
+        assert "snr_values must be finite, got nan" in capsys.readouterr().err
+        assert not out.exists()  # the scene grid is checked before --out is created
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ({}, ["--t60-values", "0.4,5.0"], "t60 must lie in [0.05, 3.0] s, got 5.0"),
+        ({"t60-values": []}, [], "t60_values must hold at least one value"),
+    ], ids=["out-of-range", "empty"])
+    def test_simulate_with_bad_t60_values_exits_2_without_out(
+        self, corpus_dirs, tmp_path, capsys, config, flags, message
+    ):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "sim"
+        argv = ["simulate", "--out", str(out), *corpus_dirs, "--sample-rate", str(FS), "--config", str(path), *flags]
+        assert cli.main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_simulate_with_empty_corpus_exits_2_without_out(self, corpus_dirs, tmp_path, capsys):
         empty = tmp_path / "empty"

@@ -61,9 +61,8 @@ class TestModelConfig:
             ModelConfig(frame_len=100, frame_stride=200)
         with pytest.raises(ValueError, match="threshold"):
             ModelConfig(threshold=1.5)
-        for context in ("stream", "Window", "causal", None, True):
-            with pytest.raises(ValueError, match=r"context must be one of \('window', 'offline'\)"):
-                ModelConfig(context=context)
+        with pytest.raises(TypeError, match="context"):  # the network is causal; no field picks it
+            ModelConfig(context="window")
         with pytest.raises(ValueError, match="positive"):
             ModelConfig(repeats=0)
         for name, value in (("repeats", True), ("hidden1", True), ("kernel_size", 3.0), ("sample_rate", "16000")):
@@ -118,7 +117,7 @@ class TestBottleneck:
 
     @pytest.mark.parametrize("scale", [0.5, 2.0, 100.0])
     def test_scale_invariance(self, scale):
-        model = MultiScaleTCN(tiny_config(context="offline"), seed=5)
+        model = MultiScaleTCN(tiny_config(), seed=5)
         rng = np.random.default_rng(3)
         w = np.abs(rng.standard_normal((6, 9))).astype(np.float32)
         a = model.bottleneck(Tensor(w)).data
@@ -160,7 +159,7 @@ class TestConvBlock:
 
     def test_causal_blocks_ignore_future(self):
         # the per-frame target is the residual stream; skip_mean pools every frame
-        model = MultiScaleTCN(tiny_config(context="window"), seed=8)
+        model = MultiScaleTCN(tiny_config(), seed=8)
         rng = np.random.default_rng(6)
         x = rng.standard_normal((4, 12)).astype(np.float32)
         res0, _ = model.conv_block(Tensor(x), 0, 1)
@@ -172,18 +171,15 @@ class TestConvBlock:
             assert not np.array_equal(res1.data, res0.data)
 
     def test_frame_count_preserved_all_dilations(self):
-        for context in ("window", "offline"):
-            model = MultiScaleTCN(
-                tiny_config(blocks_per_repeat=4, repeats=1, context=context), seed=9
-            )
-            x = Tensor(np.random.default_rng(7).standard_normal((4, 11)).astype(np.float32))
-            for m in range(4):
-                res, skip = model.conv_block(x, 0, m)
-                assert skip.shape == (3,)
-                if m < 3:
-                    assert res.shape == (4, 11)
-                else:  # the final block's residual output feeds nothing
-                    assert res is None
+        model = MultiScaleTCN(tiny_config(blocks_per_repeat=4, repeats=1), seed=9)
+        x = Tensor(np.random.default_rng(7).standard_normal((4, 11)).astype(np.float32))
+        for m in range(4):
+            res, skip = model.conv_block(x, 0, m)
+            assert skip.shape == (3,)
+            if m < 3:
+                assert res.shape == (4, 11)
+            else:  # the final block's residual output feeds nothing
+                assert res is None
 
     def test_outputs_nothing_reads_are_not_computed(self, monkeypatch):
         model = MultiScaleTCN(tiny_config(features_mode="last_layer"), seed=9)
@@ -222,9 +218,9 @@ class TestConvBlock:
 def without_norms(model):
     """The model with every layer norm replaced by the identity (a test fake).
 
-    Both layer norms pool statistics over time (cLN over the past, gLN over
-    the whole window), so a perturbed frame reaches every later frame, or
-    every frame; without them each frame sees only its receptive field.
+    The layer norms pool statistics over the past, so a perturbed frame
+    reaches every later frame; without them each frame sees only its
+    receptive field.
     """
     model._norm = lambda x, prefix: x
     return model
@@ -264,33 +260,6 @@ class TestExtract:
         x = Tensor(np.random.default_rng(10).standard_normal((4, 9)).astype(np.float32))
         assert model.extract(x).shape == (3,)
 
-    def test_locality_noncausal(self):
-        # with norm disabled, a single perturbed frame can only reach
-        # (receptive_field-1)/2 frames to each side
-        cfg = tiny_config(
-            enc_channels=6,
-            bottleneck_channels=3,
-            block_channels=4,
-            skip_channels=2,
-            blocks_per_repeat=3,
-            repeats=2,
-            context="offline",
-        )
-        half = (receptive_field(cfg) - 1) // 2
-        t_len = 2 * half + 21
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((3, t_len)).astype(np.float32)
-        base = residual_stream(cfg, x, seed=13)
-        p = t_len // 2
-        x2 = x.copy()
-        x2[:, p] += 1.0
-        out = residual_stream(cfg, x2, seed=13)
-        diff = np.any(out != base, axis=0)
-        touched = np.nonzero(diff)[0]
-        assert touched.size > 0
-        assert touched.min() >= p - half
-        assert touched.max() <= p + half
-
     def test_locality_causal(self):
         cfg = tiny_config(
             bottleneck_channels=3,
@@ -298,7 +267,6 @@ class TestExtract:
             skip_channels=2,
             blocks_per_repeat=3,
             repeats=2,
-            context="window",
         )
         span = receptive_field(cfg) - 1
         t_len = span + 40
@@ -316,9 +284,9 @@ class TestExtract:
         assert touched.max() <= p + span
 
 
-def one_block_model(context, seed, norms=True):
+def one_block_model(seed, norms=True):
     """One block with a one-tap kernel, so every stage before the pooling acts frame by frame."""
-    model = MultiScaleTCN(tiny_config(context=context, kernel_size=1, blocks_per_repeat=1, repeats=1), seed=seed)
+    model = MultiScaleTCN(tiny_config(kernel_size=1, blocks_per_repeat=1, repeats=1), seed=seed)
     return model if norms else without_norms(model)
 
 
@@ -333,8 +301,7 @@ class TestClassify:
     def test_single_frame_pooling_identity(self):
         # pooling happens in each block, before its skip conv: with a
         # one-tap kernel, a time-constant input pools to its own column
-        models = [one_block_model("offline", 16, norms=False), one_block_model("offline", 16), one_block_model("window", 16)]
-        for model in models:
+        for model in (one_block_model(16, norms=False), one_block_model(16)):
             col = np.random.default_rng(14).standard_normal((4, 1)).astype(np.float32)
             np.testing.assert_allclose(
                 model.extract(Tensor(col)).data,
@@ -344,14 +311,14 @@ class TestClassify:
             )
 
     def test_permutation_invariance(self):
-        # with a one-tap kernel and time-invariant statistics the pooled feature is order-free in time
-        for model in (one_block_model("offline", 17, norms=False), one_block_model("offline", 17)):
-            rng = np.random.default_rng(15)
-            x = rng.standard_normal((4, 9)).astype(np.float32)
-            perm = rng.permutation(9)
-            a = model.extract(Tensor(x)).data
-            b = model.extract(Tensor(x[:, perm])).data
-            np.testing.assert_allclose(a, b, atol=1e-6)
+        # with a one-tap kernel and no norm statistics over time, the pooled feature is order-free in time
+        model = one_block_model(17, norms=False)
+        rng = np.random.default_rng(15)
+        x = rng.standard_normal((4, 9)).astype(np.float32)
+        perm = rng.permutation(9)
+        a = model.extract(Tensor(x)).data
+        b = model.extract(Tensor(x[:, perm])).data
+        np.testing.assert_allclose(a, b, atol=1e-6)
 
     def test_channel_mismatch(self):
         model = MultiScaleTCN(tiny_config(), seed=18)
@@ -496,10 +463,8 @@ class TestInitParity:
             ModelConfig(),
             reduced_config(),
             ModelConfig(features_mode="last_layer"),
-            ModelConfig(context="offline"),
         ],
-        # the offline context is gLN with symmetric (non-causal) padding
-        ids=["paper", "reduced", "last_layer", "gln_noncausal"],
+        ids=["paper", "reduced", "last_layer"],
     )
     @pytest.mark.parametrize("seed", [0, 7])
     def test_table_init_matches_reference(self, cfg, seed):
@@ -530,13 +495,9 @@ def reference_window_probs(model, audio, norms=True):
     def norm(a, prefix):
         if not norms:
             return a
-        if c.context == "offline":
-            mu = a.mean(axis=(-2, -1), keepdims=True)
-            var = ((a - mu) ** 2).mean(axis=(-2, -1), keepdims=True)
-        else:
-            counts = np.arange(1, a.shape[-1] + 1) * a.shape[-2]
-            mu = np.cumsum(a.sum(axis=-2, keepdims=True), axis=-1) / counts
-            var = np.maximum(np.cumsum((a * a).sum(axis=-2, keepdims=True), axis=-1) / counts - mu * mu, 0)
+        counts = np.arange(1, a.shape[-1] + 1) * a.shape[-2]
+        mu = np.cumsum(a.sum(axis=-2, keepdims=True), axis=-1) / counts
+        var = np.maximum(np.cumsum((a * a).sum(axis=-2, keepdims=True), axis=-1) / counts - mu * mu, 0)
         return p[prefix + ".gain"] * (a - mu) / np.sqrt(var + 1e-8) + p[prefix + ".bias"]
 
     def pointwise(a, prefix):
@@ -557,8 +518,7 @@ def reference_window_probs(model, audio, norms=True):
     for r in range(c.repeats):
         for m in range(c.blocks_per_repeat):
             pre = f"block.{r}.{m}"
-            span = (c.kernel_size - 1) * 2**m
-            pad = (span, 0) if c.context == "window" else (span // 2, span - span // 2)
+            pad = ((c.kernel_size - 1) * 2**m, 0)
             h = norm(prelu(pointwise(x, f"{pre}.in_conv"), p[f"{pre}.prelu1.alpha"]), f"{pre}.norm1")
             h = norm(prelu(depthwise(h, f"{pre}.dw_conv", 2**m, pad), p[f"{pre}.prelu2.alpha"]), f"{pre}.norm2")
             x = x + pointwise(h, f"{pre}.res_conv")
@@ -578,14 +538,13 @@ PARITY_CONFIGS = [
     (reduced_config(), True),
     (ModelConfig(), False),
     (ModelConfig(features_mode="last_layer"), True),
-    (ModelConfig(context="offline"), True),
 ]
 
 
 class TestPooledForwardParity:
     """The pooled, folded forward against the per-frame one; float64 catches algebra errors float32 would hide."""
 
-    @pytest.mark.parametrize("cfg,norms", PARITY_CONFIGS, ids=["paper", "reduced", "no_norm", "last_layer", "gln_noncausal"])
+    @pytest.mark.parametrize("cfg,norms", PARITY_CONFIGS, ids=["paper", "reduced", "no_norm", "last_layer"])
     @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-5), (np.float64, 1e-9)], ids=["float32", "float64"])
     def test_matches_reference(self, cfg, norms, dtype, tol):
         model = MultiScaleTCN(cfg, seed=3, dtype=dtype)
@@ -807,7 +766,8 @@ class TestMalformedCheckpoint:
     @pytest.mark.parametrize("key,value,match", [
         ("threshold", 1.5, "threshold must lie"),
         ("threshold", "high", "bad model config"),
-        ("context", "stream", r"context must be one of \('window', 'offline'\), got 'stream'"),
+        # the network left the config's context; a header that still has it is rejected, whatever its value
+        *[("context", value, "unknown model config key 'context'") for value in ("window", "offline", "stream")],
         ("norm_mode", "cLN", "unknown model config key 'norm_mode'"),
         ("causal", True, "unknown model config key 'causal'"),
         ("repeats", True, "repeats must be a positive integer, got True"),

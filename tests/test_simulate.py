@@ -380,6 +380,23 @@ class TestSceneGrid:
             assert scene.expert_pos == (2.5, 0.5, 2.0)
             assert scene.mic_pos[2] == pytest.approx(1.59)
 
+    @pytest.mark.parametrize("field,value,error,match", [
+        ("t60_values", (0.4, 5.0), RoomError, r"t60 must lie in \[0.05, 3.0\] s, got 5.0"),
+        ("t60_values", (), ValueError, "t60_values must hold at least one value"),
+        ("t60_values", (0.4, 0.05), RoomError, "t60 0.05 s is infeasible for this room"),
+        ("snr_values", (5.0, float("nan")), ValueError, "snr_values must be finite, got nan"),
+        ("power_ratio_values", (float("inf"),), ValueError, "power_ratio_values must be finite, got inf"),
+        ("expert_pos", (2.5, 7.0, 2.0), RoomError, "expert_pos coordinate 1 = 7.0 lies outside"),
+        ("assistant_x_values", (0.5, 5.5), RoomError, "assistant position coordinate 0 = 5.5 lies outside"),
+        ("mic_forward_offset", 5.5, RoomError, "mic position coordinate 1 = 6.5 lies outside"),
+        ("mic_forward_offset", 0.0, RoomError, "assistant and microphone are 0.010 m apart"),
+        ("expert_pos", (2.0, 1.08, 1.6), RoomError, "expert and microphone are 0.010 m apart"),
+    ], ids=["t60-out-of-range", "t60-empty", "t60-infeasible", "snr-nan", "power-ratio-inf", "expert-outside",
+            "assistant-outside", "mic-outside", "mic-on-assistant", "mic-on-expert"])
+    def test_grid_values_checked_on_construction(self, field, value, error, match):
+        with pytest.raises(error, match=match):
+            SceneGrid(**{field: value})
+
     def test_scene_validation(self):
         room = RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.5)
         with pytest.raises(RoomError, match="outside"):

@@ -41,7 +41,7 @@ def small_model(**over):
 
 @pytest.fixture(scope="module")
 def causal_model():
-    return small_model(context="window")
+    return small_model()
 
 
 @pytest.fixture(scope="module")
@@ -132,11 +132,6 @@ class TestStreaming:
         with pytest.raises(SessionClosedError):
             session.feed(np.zeros(100, np.float32))
 
-    def test_noncausal_checkpoint_rejected(self):
-        model = small_model(context="offline")
-        with pytest.raises(ValueError, match="needs a checkpoint with context 'window', got 'offline'"):
-            StreamingSession(model)
-
     def test_too_short_rejected(self, causal_model):
         chunks = [np.zeros(1600, np.float32)] * 10
         with pytest.raises(AudioTooShortError, match="16000 samples"):
@@ -174,7 +169,7 @@ class TestBadHop:
 
 class TestSharedModel:
     def test_threads_share_one_trainable_model(self, audio_12s):
-        model = small_model(context="window")
+        model = small_model()
         chunks = [audio_12s[i : i + 1600] for i in range(0, 8 * FS, 1600)]
 
         def run():
