@@ -15,9 +15,8 @@ Final artifacts are written to ``<name>.partial`` and renamed on
 success, so an interrupted run never leaves a complete-looking output.
 ``train``, ``eval`` and ``infer`` create the output directory only once
 their work has succeeded, and ``simulate`` once its scene grid is checked
-and its corpus directories hold WAV files, so a run that fails on those
-inputs leaves no directory behind; a clip is read only when a scene first
-draws it, so a bad clip is found after ``--out`` exists.
+and the header of every corpus clip (format, rate, length), so a run that
+fails on those inputs leaves no directory behind.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 

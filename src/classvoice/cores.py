@@ -1,0 +1,139 @@
+"""The cores this process may run on, and an in-order map that uses them all.
+
+numpy releases the interpreter lock inside its array kernels, so
+independent pieces of array work overlap on threads. OpenBLAS also runs
+threads of its own inside every GEMM. Several workers that each start a
+multi-threaded GEMM oversubscribe the cores: a paper-size offline run on
+2 cores took 3374 ms on 2 workers with 2 BLAS threads, against 3135 ms on
+one worker and 2241 ms on 2 workers with BLAS pinned to one thread. So
+``map_in_order`` runs its workers only while BLAS is pinned to one thread,
+and on the calling thread alone when the pin is not available.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import os
+import threading
+from pathlib import Path
+
+import numpy as np
+
+# the OpenBLAS (get, set) thread-count symbols, by build: numpy's wheels, then
+# 64-bit-integer and plain OpenBLAS builds
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def worker_count() -> int:
+    """Cores this process may run on: one worker thread each."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _BlasPin:
+    """Holds BLAS at one thread while any section holds the pin.
+
+    The thread count is one per process, so the pin is too: overlapping
+    sections from any threads share one pinned period, and the last one
+    out restores the count that was in effect before the first came in.
+    """
+
+    def __init__(self, get_threads, set_threads):
+        self.get_threads, self.set_threads = get_threads, set_threads
+        self._lock = threading.Lock()
+        self.holders = 0
+        self._saved = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self.holders == 0:
+                self._saved = self.get_threads()
+                self.set_threads(1)
+            self.holders += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self.holders -= 1
+            if self.holders == 0:
+                self.set_threads(self._saved)
+
+
+_LOOKUP = threading.Lock()
+
+
+def _blas_pin() -> _BlasPin | None:
+    """The pin on the OpenBLAS that numpy loaded; None when its thread-count setter cannot be found."""
+    with _LOOKUP:  # so that threads calling first at once still share one pin
+        return _find_blas_pin()
+
+
+@functools.cache
+def _find_blas_pin() -> _BlasPin | None:
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
+        handle = ctypes.CDLL(str(lib))  # the library numpy already loaded, not a second copy
+        for get_name, set_name in _BLAS_SYMBOLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return _BlasPin(get, set_)
+    return None
+
+
+def map_in_order(fn, items) -> list:
+    """``[fn(x) for x in items]``, computed by this thread and one helper per further usable core.
+
+    Workers take the items in order, one at a time, and each result lands
+    at its item's index, so a caller that combines the results in order
+    gets the same bits on any number of cores. While helpers run, BLAS is
+    pinned to one thread; without the pin, or with one usable core or
+    item, everything runs on this thread. When ``fn`` raises, no further
+    item is started, and once every worker has stopped the exception of
+    the earliest failing item is raised here with its own type, as the
+    serial loop would raise it.
+    """
+    items = list(items)
+    workers = min(worker_count(), len(items))
+    pin = _blas_pin() if workers > 1 else None
+    if pin is None:
+        return [fn(x) for x in items]
+
+    results = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    pending = iter(enumerate(items))
+
+    def work():
+        while True:
+            with lock:
+                job = None if errors else next(pending, None)
+            if job is None:
+                return
+            index, item = job
+            try:
+                results[index] = fn(item)
+            except BaseException as exc:  # re-raised by the calling thread below
+                with lock:
+                    errors[index] = exc
+
+    with pin:
+        helpers = []
+        try:
+            for _ in range(workers - 1):
+                helper = threading.Thread(target=work)
+                helper.start()
+                helpers.append(helper)
+            work()
+        finally:
+            for helper in helpers:
+                helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

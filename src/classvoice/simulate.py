@@ -12,10 +12,13 @@ Everything is driven by 64-bit seeds: identical seeds give identical
 bytes, whatever the number of cores. Samples are generated one after
 another and share an RIR cache; each sample owns an RNG stream derived
 from (seed, index), so they could also be generated in parallel. Within
-one RIR, the image kernels are evaluated on one thread per core, in
-fixed chunks of images. Each chunk is summed on its own and the chunk
-sums are added in chunk order, so every float addition happens in the
-same order on any thread count and the output bytes cannot change.
+one RIR, the image kernels are evaluated on one thread per usable core
+(``cores.worker_count``, the count offline inference and validation also
+use), in fixed chunks of images. Each chunk is summed on its own and the
+chunk sums are added in chunk order, so every float addition happens in
+the same order on any thread count and the output bytes cannot change.
+The kernels make no BLAS call, so unlike ``cores.map_in_order`` this
+leaves the BLAS thread count alone.
 """
 
 from __future__ import annotations
@@ -31,12 +34,14 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
+from .cores import worker_count
 from .model import CATEGORY_ORDER, Category
-from .wavio import WavFile, read_wav, write_wav
+from .wavio import WavFile, read_wav, read_wav_header, write_wav
 
 SPEED_OF_SOUND = 343.0
 MIN_SOURCE_MIC_DISTANCE = 0.05
 MIC_DROP = 0.01  # the neckline microphone hangs this far below the assistant, in meters
+SEGMENT_SECONDS = 3.0  # each category's utterance in a sample: four make one 12 s sample
 SINC_KERNEL_TAPS = 81
 # Images whose kernels are summed by one np.bincount before the sum is
 # added into the RIR. The chunk boundaries (restarting in each parity
@@ -174,7 +179,7 @@ class LabeledSample:
     peak_scale: float = 1.0
 
     def __post_init__(self):
-        seg_len = 3 * self.sample_rate
+        seg_len = round(SEGMENT_SECONDS * self.sample_rate)
         if len(self.segments) != 4:
             raise ValueError(f"expected four segments, got {len(self.segments)}")
         cats = [seg[0] for seg in self.segments]
@@ -307,13 +312,6 @@ _BLOCK_OFFSETS = np.tile(_TAP_OFFSETS.astype(np.float64), (_IMAGE_BLOCK, 1))
 _BLOCK_INDEX = np.tile(_TAP_OFFSETS + SINC_KERNEL_TAPS, (_IMAGE_BLOCK, 1))
 
 
-def _worker_count() -> int:
-    """Cores this process may run on: one kernel-evaluation thread each."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _deposit(h: np.ndarray, delays: np.ndarray, gains: np.ndarray):
     """Accumulate Hann-windowed sinc kernels at fractional sample delays.
 
@@ -325,7 +323,7 @@ def _deposit(h: np.ndarray, delays: np.ndarray, gains: np.ndarray):
     count or on which thread finishes first.
     """
     starts = range(0, len(delays), _IMAGE_CHUNK)
-    workers = min(_worker_count(), len(starts)) or 1
+    workers = min(worker_count(), len(starts)) or 1
     # One buffer pair per worker, taken for a chunk and put back after it.
     # They are allocated by the calling thread, so their memory goes back
     # to its heap instead of staying with the exited workers' heaps.
@@ -517,7 +515,13 @@ def _crop(clip: np.ndarray, n: int, rng: np.random.Generator, name: str) -> np.n
 
 
 class Corpus:
-    """A directory of mono WAV clips, loaded lazily and cached."""
+    """A directory of mono WAV clips, checked on construction, loaded lazily and cached.
+
+    Construction reads each clip's header, not its samples, and raises an
+    error naming the clip when it is not a 16-bit PCM mono WAV, when its
+    rate is not ``sample_rate`` (if given), or when it is shorter than one
+    ``SEGMENT_SECONDS`` segment at its rate.
+    """
 
     def __init__(self, path, sample_rate: int | None = None):
         self.path = Path(path)
@@ -525,6 +529,15 @@ class Corpus:
         if not self.files:
             raise CorpusError(f"corpus directory {self.path} contains no .wav files")
         self.sample_rate = sample_rate
+        for file in self.files:
+            rate, frames = read_wav_header(file)
+            if sample_rate is not None and rate != sample_rate:
+                raise CorpusError(f"{file} has sample rate {rate}, expected {sample_rate}")
+            segment = round(SEGMENT_SECONDS * rate)
+            if frames < segment:
+                raise CorpusError(
+                    f"{file} is {frames} samples long, shorter than one {SEGMENT_SECONDS:g} s segment ({segment})"
+                )
         self._cache: dict[int, np.ndarray] = {}
 
     def __len__(self):
@@ -532,12 +545,7 @@ class Corpus:
 
     def load(self, index: int) -> np.ndarray:
         if index not in self._cache:
-            wav = read_wav(self.files[index])
-            if self.sample_rate is not None and wav.sample_rate != self.sample_rate:
-                raise CorpusError(
-                    f"{self.files[index]} has sample rate {wav.sample_rate}, expected {self.sample_rate}"
-                )
-            self._cache[index] = wav.samples.astype(np.float64)
+            self._cache[index] = read_wav(self.files[index]).samples.astype(np.float64)
         return self._cache[index]
 
     def pick(self, rng: np.random.Generator, min_samples: int) -> np.ndarray:
@@ -580,7 +588,7 @@ def make_sample(
     """Render the four categories and concatenate them in seeded random order."""
     cache = rir_cache or RirCache()
     fs = int(sample_rate)
-    seg = 3 * fs
+    seg = round(SEGMENT_SECONDS * fs)
     ss = np.random.SeedSequence([int(scene.seed)])
     children = ss.spawn(5)
     order = np.random.default_rng(children[0]).permutation(4)
@@ -594,7 +602,7 @@ def make_sample(
         assistant = corpora.assistant.pick(rng, seg)
         noise = corpora.noise.pick(rng, seg)
         parts.append(
-            render_utterance(cat, expert, assistant, noise, scene, fs, 3.0, rng, cache)
+            render_utterance(cat, expert, assistant, noise, scene, fs, SEGMENT_SECONDS, rng, cache)
         )
         segments.append((cat, slot * seg, (slot + 1) * seg))
 

@@ -12,6 +12,12 @@ streaming and offline timestamps identical. One streaming session is
 single-threaded and stateful; any number of sessions, in any threads, may
 share one checkpoint or model, because each runs a frozen view of it (see
 ``resolve_model``) that builds no graph.
+
+Offline inference classifies its windows as batches of ``BATCH_WINDOWS``,
+one batch per usable core at a time, with BLAS pinned to one thread
+meanwhile (``cores.map_in_order``). Each window's probabilities come from
+the same batch on any core count, so the decisions do not depend on it.
+A streaming session classifies one window at a time, on its own thread.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cores import map_in_order
 from .model import Category, Checkpoint, MultiScaleTCN, decode
 
 WINDOW_SECONDS = 3.0  # analysis window length, for training and inference alike
@@ -28,7 +35,10 @@ HOP_SECONDS = 0.1  # decision hop
 # the most windows one forward call takes: offline inference, validation and
 # training micro-batches alike. A training step's graph, and so its peak
 # memory, grows with it; at the paper size a no-grad forward also runs faster
-# per window at 8 than at 32 (134-147 against 228-239 ms, 2 cores, OpenBLAS)
+# per window at 8 than at 32 (134-147 against 228-239 ms, 2 cores, OpenBLAS).
+# Offline inference and validation run one such batch per core at a time;
+# training micro-batches run one after another, as two graphs alive at once
+# would raise a step's peak memory
 BATCH_WINDOWS = 8
 
 
@@ -107,16 +117,21 @@ def _window_geometry(config, hop_seconds: float):
 
 
 def _classify_windows(model: MultiScaleTCN, audio: np.ndarray, centers, win: int):
-    """Probabilities for the windows centered at ``centers`` (absolute samples)."""
+    """Probabilities for the windows centered at ``centers`` (absolute samples).
+
+    The windows run as batches of at most ``BATCH_WINDOWS``, one batch per
+    core at a time (``cores.map_in_order``).
+    """
     half = win // 2
-    probs = {}
     centers = list(centers)
-    for start in range(0, len(centers), BATCH_WINDOWS):
-        group = centers[start : start + BATCH_WINDOWS]
-        batch = np.stack([audio[c - half : c - half + win] for c in group])
-        out = model.window_probs(batch).data
-        for c, p in zip(group, out):
-            probs[c] = p
+    groups = [centers[start : start + BATCH_WINDOWS] for start in range(0, len(centers), BATCH_WINDOWS)]
+
+    def classify(group):
+        return model.window_probs(np.stack([audio[c - half : c - half + win] for c in group])).data
+
+    probs = {}
+    for group, out in zip(groups, map_in_order(classify, groups)):
+        probs.update(zip(group, out))
     return probs
 
 

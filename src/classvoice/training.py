@@ -12,7 +12,10 @@ Each Adam batch of ``TrainConfig.batch_size`` windows runs as
 micro-batches of at most ``streaming.BATCH_WINDOWS`` windows, whose
 gradients add up in the parameters' ``grad``: the effective batch, and so
 the recipe, is unchanged, while only one micro-batch's graph is alive at a
-time. Validation runs in the same micro-batches, without a graph.
+time. Validation runs in batches of the same size, without a graph, one
+batch per usable core at a time (``cores.map_in_order``); the batch losses
+are summed in batch order, so ``history.csv`` and the checkpoint do not
+depend on the core count.
 
 Evaluation scores sliding-window decisions against the ground-truth
 segment at each decision timestamp, one-vs-rest per category.
@@ -28,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import AdamState, NonFiniteError, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
+from .cores import map_in_order
 from .model import CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN
 from .simulate import LabeledSample
 from .streaming import BATCH_WINDOWS, HOP_SECONDS, _window_geometry, infer_offline, resolve_model
@@ -236,19 +240,18 @@ class _WindowSet:
             ys[row] = window_label(sample, center)
         return xs, ys
 
-    def batches(self, batch_size: int):
-        """(windows, targets) of consecutive batches, in index order."""
-        n = len(self.windows)
-        for start in range(0, n, batch_size):
-            yield self.batch(range(start, min(start + batch_size, n)))
-
 
 def _mean_loss(model: MultiScaleTCN, window_set: _WindowSet) -> float:
+    """The mean BCE over the set, its batches of ``BATCH_WINDOWS`` run one per core and summed in order."""
     frozen = resolve_model(model)
-    total = 0.0
-    for xs, ys in window_set.batches(BATCH_WINDOWS):
-        total += binary_cross_entropy(frozen.window_probs(xs), ys).item() * len(xs)
-    return total / len(window_set.windows)
+    n = len(window_set.windows)
+
+    def loss_sum(indices) -> float:
+        xs, ys = window_set.batch(indices)
+        return binary_cross_entropy(frozen.window_probs(xs), ys).item() * len(xs)
+
+    batches = [range(start, min(start + BATCH_WINDOWS, n)) for start in range(0, n, BATCH_WINDOWS)]
+    return sum(map_in_order(loss_sum, batches)) / n
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ byte-stable for quantized audio.
 
 from __future__ import annotations
 
+import contextlib
 import wave
 from dataclasses import dataclass
 
@@ -27,8 +28,13 @@ class WavFile:
         return len(self.samples) / self.sample_rate
 
 
-def read_wav(path) -> WavFile:
-    """Read a RIFF/WAVE file; rejects stereo, non-PCM, and truncated files."""
+@contextlib.contextmanager
+def _pcm_mono(path):
+    """An open reader of a 16-bit PCM mono WAV whose payload holds every declared frame.
+
+    Raises WavFormatError naming the file otherwise, also for an error met
+    while the caller reads from it.
+    """
     try:
         with wave.open(str(path), "rb") as w:
             channels = w.getnchannels()
@@ -40,18 +46,34 @@ def read_wav(path) -> WavFile:
             if w.getcomptype() != "NONE":
                 raise WavFormatError(f"{path}: expected PCM data, got compression {w.getcomptype()!r}")
             n = w.getnframes()
-            rate = w.getframerate()
-            frames = w.readframes(n)
+            if n:  # the last declared frame must be readable
+                w.setpos(n - 1)
+                if len(w.readframes(1)) != 2:
+                    raise WavFormatError(f"{path}: truncated WAV payload (the last of {n} declared frames is missing)")
+                w.rewind()
+            yield w
     except wave.Error as exc:
         raise WavFormatError(f"{path}: not a readable WAV file ({exc})") from exc
     except (EOFError, RuntimeError) as exc:  # wave raises a bare RuntimeError for some bad chunk sizes
         raise WavFormatError(f"{path}: truncated WAV file or bad chunk size") from exc
-    if len(frames) != 2 * n:
-        raise WavFormatError(
-            f"{path}: truncated WAV payload ({len(frames)} bytes for {n} declared frames)"
-        )
+
+
+def read_wav(path) -> WavFile:
+    """Read a RIFF/WAVE file; rejects stereo, non-PCM, and truncated files."""
+    with _pcm_mono(path) as w:
+        rate, frames = w.getframerate(), w.readframes(w.getnframes())
     ints = np.frombuffer(frames, dtype="<i2")
     return WavFile(sample_rate=rate, samples=(ints / 32768.0).astype(np.float32))
+
+
+def read_wav_header(path) -> tuple[int, int]:
+    """(sample rate, frame count) of a file ``read_wav`` accepts, reading one frame of its samples.
+
+    Raises WavFormatError naming the file for every file ``read_wav``
+    rejects.
+    """
+    with _pcm_mono(path) as w:
+        return w.getframerate(), w.getnframes()
 
 
 def write_wav(path, wav: WavFile):

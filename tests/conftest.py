@@ -3,12 +3,25 @@
 import numpy as np
 import pytest
 
+from classvoice import cores
 from classvoice.simulate import (
     Corpora,
     RoomSpec,
     SceneSpec,
     write_synthetic_corpus,
 )
+
+
+@pytest.fixture
+def blas_pin():
+    """The BLAS pin, with BLAS at 2 threads for the test and at its own count after it; skips without one."""
+    pin = cores._blas_pin()
+    if pin is None:
+        pytest.skip("no OpenBLAS thread-count setter found in the BLAS numpy loaded")
+    before = pin.get_threads()
+    pin.set_threads(2)
+    yield pin
+    pin.set_threads(before)
 
 
 @pytest.fixture(scope="session")

@@ -263,3 +263,24 @@ class TestRuns:
         assert cli.main(["simulate", "--out", str(out), *corpus_dirs, "--expert-dir", str(empty), *SCENE_FLAGS]) == 2
         assert "contains no .wav files" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["rate", "short", "truncated"])
+    def test_simulate_with_bad_clip_exits_2_naming_it_without_out(self, corpus_dirs, tmp_path, capsys, case):
+        clips = tmp_path / "clips"
+        if case == "rate":
+            write_synthetic_corpus(clips, 1, 4.0, 2 * FS, seed=4)
+            message = f"has sample rate {2 * FS}, expected {FS}"
+        elif case == "short":
+            write_synthetic_corpus(clips, 1, 1.0, FS, seed=4)
+            message = f"is {FS} samples long, shorter than one 3 s segment ({3 * FS})"
+        else:
+            write_synthetic_corpus(clips, 1, 4.0, FS, seed=4)
+            wav = next(clips.glob("*.wav"))
+            wav.write_bytes(wav.read_bytes()[:-100])
+            message = "truncated WAV payload"
+        (clip,) = clips.glob("*.wav")
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--out", str(out), *corpus_dirs, "--noise-dir", str(clips), *SCENE_FLAGS]) == 2
+        err = capsys.readouterr().err
+        assert str(clip) in err and message in err
+        assert not out.exists()

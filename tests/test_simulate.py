@@ -190,9 +190,9 @@ class TestDepositParity:
 
     def test_worker_count_does_not_change_bits(self, monkeypatch):
         args = (CLASSROOM, (2.5, 0.5, 2.0), (2.0, 1.08, 1.59), FS)
-        monkeypatch.setattr(simulate, "_worker_count", lambda: 1)
+        monkeypatch.setattr(simulate, "worker_count", lambda: 1)
         one = image_source_rir(*args)
-        monkeypatch.setattr(simulate, "_worker_count", lambda: 4)  # more threads than this box has cores
+        monkeypatch.setattr(simulate, "worker_count", lambda: 4)  # more threads than this box has cores
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:

@@ -4,11 +4,13 @@ import math
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from classvoice import autodiff as ad
+from classvoice import cores
 from classvoice.model import Category, Checkpoint, ModelConfig, MultiScaleTCN
 from classvoice.streaming import (
     AudioTooShortError,
@@ -19,6 +21,7 @@ from classvoice.streaming import (
     decisions_to_segments,
     infer_offline,
     infer_streaming,
+    resolve_model,
 )
 
 FS = 16000
@@ -100,6 +103,25 @@ class TestInferOffline:
         ref = infer_offline(audio_12s, model, hop_seconds=1.0)
         for a, b in zip(track.decisions, ref.decisions):
             np.testing.assert_array_equal(a.probs, b.probs)
+
+
+def decision_bits(track):
+    return [(d.timestamp, d.category, d.probs.tobytes()) for d in track.decisions]
+
+
+class TestBatchesPerCore:
+    # one batch, an uneven split (8 + 1), and more batches (8 + 8 + 1) than workers
+    @pytest.mark.parametrize("windows", [3, 9, 17])
+    def test_offline_decisions_match_one_worker_bit_for_bit(self, causal_model, monkeypatch, windows):
+        # the first window centers at 1.5 s, a whole number of 0.1 s hops, so
+        # each further hop of audio adds one window
+        audio = np.random.default_rng(windows).uniform(-0.5, 0.5, 3 * FS + (windows - 1) * 1600).astype(np.float32)
+        monkeypatch.setattr(cores, "worker_count", lambda: 1)
+        want = decision_bits(infer_offline(audio, causal_model))
+        monkeypatch.setattr(cores, "worker_count", lambda: 2)
+        got = decision_bits(infer_offline(audio, causal_model))
+        assert got == want
+        assert len({probs for _, _, probs in got}) == windows
 
 
 class TestStreaming:
@@ -202,6 +224,38 @@ class TestSharedModel:
         ad.backward(loss)
         missing = sorted(n for n, p in model.params.items() if p.grad is None)
         assert missing == ["block.0.1.res_conv.bias", "block.0.1.res_conv.weight"]
+
+    def test_overlapping_offline_runs_share_one_blas_pin(self, causal_model, audio_12s, monkeypatch, blas_pin):
+        monkeypatch.setattr(cores, "worker_count", lambda: 2)
+        served = resolve_model(causal_model)
+        want = decision_bits(infer_offline(audio_12s, served))
+        forward = served.window_probs
+        overlapped = threading.Event()
+        deadline = time.monotonic() + 60
+
+        def window_probs(batch):
+            # no batch runs before both runs hold the pin, so the two overlap
+            while not overlapped.is_set() and time.monotonic() < deadline:
+                if blas_pin.holders == 2:
+                    overlapped.set()
+                time.sleep(1e-3)
+            assert blas_pin.get_threads() == 1
+            return forward(batch)
+
+        monkeypatch.setattr(served, "window_probs", window_probs)
+        results = [None] * 2
+
+        def worker(i):
+            results[i] = decision_bits(infer_offline(audio_12s, served))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        assert overlapped.is_set() and results == [want] * 2
+        assert blas_pin.get_threads() == 2 and blas_pin.holders == 0
 
 
 def make_track(categories, hop=0.1):

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classvoice import autodiff as ad
-from classvoice.autodiff import AdamState, adam_step, binary_cross_entropy, zero_grads
-from classvoice.model import CATEGORY_ORDER, Category, ModelConfig, MultiScaleTCN
+from classvoice import cores
+from classvoice.autodiff import AdamState, NonFiniteError, adam_step, binary_cross_entropy, zero_grads
+from classvoice.model import CATEGORY_ORDER, Category, ModelConfig, MultiScaleTCN, save_checkpoint
 from classvoice.simulate import SceneGrid, generate_dataset, Corpora, write_synthetic_corpus
 from classvoice.streaming import BATCH_WINDOWS
 from classvoice.training import (
@@ -335,6 +337,39 @@ class TestTrainLoop:
         diffs = np.diff(losses)
         assert np.all(diffs <= 1e-7), f"loss increased at steps {np.nonzero(diffs > 1e-7)[0]}"
         assert losses[-1] < losses[0]
+
+
+class TestValidationPerCore:
+    CONFIG = TrainConfig(epochs=2, patience=1, lr_start=1e-3, lr_end=1e-4, seed=3, batch_size=16)
+
+    def test_history_and_checkpoint_match_one_worker_bit_for_bit(self, tiny_dataset, monkeypatch, tmp_path):
+        runs = []
+        for workers in (1, 2):  # 38 validation windows: 5 batches, more than the workers
+            monkeypatch.setattr(cores, "worker_count", lambda: workers)
+            checkpoint, history = train(tiny_model_config(), self.CONFIG, tiny_dataset["train"], tiny_dataset["valid"])
+            path = tmp_path / f"{workers}.ckpt"
+            save_checkpoint(path, checkpoint)
+            runs.append(([h.line() for h in history], path.read_bytes()))
+        assert runs[0] == runs[1]
+
+    def test_helper_non_finite_error_names_the_epoch(self, tiny_dataset, monkeypatch, blas_pin):
+        monkeypatch.setattr(cores, "worker_count", lambda: 2)
+        caller = threading.get_ident()
+        raised = threading.Event()
+        forward = MultiScaleTCN.window_probs
+
+        def window_probs(model, audio):
+            if threading.get_ident() != caller:
+                raised.set()
+                raise NonFiniteError("injected in a helper thread")
+            if not any(p.requires_grad for p in model.params.values()):
+                assert raised.wait(timeout=60)  # validation: a helper takes a batch first
+            return forward(model, audio)
+
+        monkeypatch.setattr(MultiScaleTCN, "window_probs", window_probs)
+        with pytest.raises(TrainingDivergedError, match=r"^non-finite validation forward at epoch 0 \(lr=0\.001\)$"):
+            train(tiny_model_config(), self.CONFIG, tiny_dataset["train"], tiny_dataset["valid"])
+        assert raised.is_set()
 
 
 def whole_batch_gradients(model, xs, ys):
