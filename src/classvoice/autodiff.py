@@ -49,6 +49,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_DTYPE = np.float32
+# added to the layer norm's variance: the floor under its deviation, so a
+# constant input normalizes to zero rather than dividing by zero
+NORM_EPS = 1e-8
 
 
 class ShapeError(ValueError):
@@ -498,11 +501,11 @@ def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int, t_out: in
 # normalizations
 
 
-def layer_norm_stats(x: Tensor, eps: float = 1e-8) -> Tensor:
+def layer_norm_stats(x: Tensor) -> Tensor:
     """Per-step mean and inverse deviation of the cumulative layer norm, as one [2, T] or [2, B, T] tensor.
 
     x is [C, T] or channel-major [C, B, T]. Row 0 is mu_t and row 1 is
-    r_t = 1/sqrt(var_t + eps), both taken jointly over channels (axis 0)
+    r_t = 1/sqrt(var_t + NORM_EPS), both taken jointly over channels (axis 0)
     and the time prefix 1..t, per batch item, so column t depends only on
     input columns 1..t. ``normalize`` applies them.
     """
@@ -514,7 +517,7 @@ def layer_norm_stats(x: Tensor, eps: float = 1e-8) -> Tensor:
     sq = np.einsum("c...,c...->...", xd, xd)[None]  # no x*x temporary
     var = np.cumsum(sq, axis=-1) / counts - mu * mu
     live = var > 0  # clamp mask; the gradient through var is zero where it binds
-    r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(eps, dtype=xd.dtype))
+    r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(NORM_EPS, dtype=xd.dtype))
 
     def back(g):
         g_mu, g_r = g[0:1], g[1:2]
@@ -564,13 +567,13 @@ def normalize(x: Tensor, stats: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     return _make(out_data, (x, stats, gain, bias), back)
 
 
-def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
+def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over channels and the time prefix 1..t at each step t (cLN).
 
     Column t of the output only depends on columns 1..t of the input,
     which is what makes the model causal.
     """
-    return normalize(x, layer_norm_stats(x, eps=eps), gain, bias)
+    return normalize(x, layer_norm_stats(x), gain, bias)
 
 
 def _check_norm_shapes(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None):

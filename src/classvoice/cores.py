@@ -13,7 +13,6 @@ and on the calling thread alone when the pin is not available.
 from __future__ import annotations
 
 import ctypes
-import functools
 import os
 import threading
 from pathlib import Path
@@ -64,17 +63,8 @@ class _BlasPin:
                 self.set_threads(self._saved)
 
 
-_LOOKUP = threading.Lock()
-
-
-def _blas_pin() -> _BlasPin | None:
-    """The pin on the OpenBLAS that numpy loaded; None when its thread-count setter cannot be found."""
-    with _LOOKUP:  # so that threads calling first at once still share one pin
-        return _find_blas_pin()
-
-
-@functools.cache
 def _find_blas_pin() -> _BlasPin | None:
+    """The pin on the OpenBLAS that numpy loaded; None when its thread-count setter cannot be found."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for lib in sorted(libs.glob("*openblas*")) if libs.is_dir() else []:
         handle = ctypes.CDLL(str(lib))  # the library numpy already loaded, not a second copy
@@ -85,6 +75,10 @@ def _find_blas_pin() -> _BlasPin | None:
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 return _BlasPin(get, set_)
     return None
+
+
+# looked up once, at import, so every caller shares the one pin
+_BLAS_PIN = _find_blas_pin()
 
 
 def map_in_order(fn, items) -> list:
@@ -101,7 +95,7 @@ def map_in_order(fn, items) -> list:
     """
     items = list(items)
     workers = min(worker_count(), len(items))
-    pin = _blas_pin() if workers > 1 else None
+    pin = _BLAS_PIN if workers > 1 else None
     if pin is None:
         return [fn(x) for x in items]
 

@@ -6,7 +6,8 @@ Hann-windowed sinc. Utterances of the four categories are rendered by
 convolving dry clips with the source RIRs, imposing the assistant/expert
 power ratio (mixture only) and the expert/noise SNR on the reverberant
 signals, then concatenated in seeded random order into 12 s training
-samples.
+samples. A sample has one sample rate: the rate its corpora checked every
+clip against, which ``make_sample`` requires to be the rate it renders at.
 
 Everything is driven by 64-bit seeds: identical seeds give identical
 bytes, whatever the number of cores. Samples are generated one after
@@ -192,8 +193,9 @@ class LabeledSample:
                     f"segments must tile the audio in 3 s pieces; segment {cat} spans [{start}, {end})"
                 )
             pos = end
-        if pos != len(self.audio) or pos != 12 * self.sample_rate:
-            raise ValueError(f"audio must be exactly 12 s ({12 * self.sample_rate} samples), got {len(self.audio)}")
+        if pos != len(self.audio):  # pos now spans one segment per category
+            seconds = SEGMENT_SECONDS * len(CATEGORY_ORDER)
+            raise ValueError(f"audio must be exactly {seconds:g} s ({pos} samples), got {len(self.audio)}")
 
     def category_at(self, sample_index: int) -> Category:
         if not 0 <= sample_index < len(self.audio):
@@ -433,36 +435,33 @@ def _power(x: np.ndarray) -> float:
 # utterance rendering
 
 
-def render_components(
+def render_utterance(
     category: Category,
     expert_dry: np.ndarray,
     assistant_dry: np.ndarray,
     noise: np.ndarray,
     scene: SceneSpec,
     sample_rate: int,
-    duration_seconds: float = 3.0,
-    rng: np.random.Generator | None = None,
-    rir_cache: RirCache | None = None,
+    rng: np.random.Generator,
+    rir_cache: RirCache,
 ) -> dict[str, np.ndarray]:
-    """Render the active sources of one utterance separately.
+    """Render the active sources of one SEGMENT_SECONDS utterance separately.
 
-    Returns a dict with keys among {"expert", "assistant", "noise"}; the
-    utterance is their sample-wise sum. The noise level is always set
-    relative to the reverberant expert (a virtual one when the expert is
-    inactive), keeping the noise floor consistent across categories.
+    Returns a dict with keys among {"expert", "assistant", "noise"}, in
+    that order; the utterance is their sample-wise sum. The noise level is
+    always set relative to the reverberant expert (a virtual one when the
+    expert is inactive), keeping the noise floor consistent across
+    categories.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([scene.seed, int(category.value, 2)]))
-    cache = rir_cache or RirCache()
     fs = int(sample_rate)
-    n = round(duration_seconds * fs)
+    n = round(SEGMENT_SECONDS * fs)
 
     expert_crop = _crop(expert_dry, n, rng, "expert")
     assistant_crop = _crop(assistant_dry, n, rng, "assistant")
     noise_crop = _crop(noise, n, rng, "noise")
 
-    rir_expert = cache.get(scene.room, scene.expert_pos, scene.mic_pos, fs)
-    rir_assistant = cache.get(scene.room, scene.assistant_pos, scene.mic_pos, fs)
+    rir_expert = rir_cache.get(scene.room, scene.expert_pos, scene.mic_pos, fs)
+    rir_assistant = rir_cache.get(scene.room, scene.assistant_pos, scene.mic_pos, fs)
     rev_expert = fftconvolve(expert_crop, rir_expert)[:n]
 
     components: dict[str, np.ndarray] = {}
@@ -480,28 +479,6 @@ def render_components(
     return components
 
 
-def render_utterance(
-    category: Category,
-    expert_dry: np.ndarray,
-    assistant_dry: np.ndarray,
-    noise: np.ndarray,
-    scene: SceneSpec,
-    sample_rate: int,
-    duration_seconds: float = 3.0,
-    rng: np.random.Generator | None = None,
-    rir_cache: RirCache | None = None,
-) -> np.ndarray:
-    """One 3 s utterance of the given category at the scene's level targets."""
-    parts = render_components(
-        category, expert_dry, assistant_dry, noise, scene, sample_rate, duration_seconds, rng, rir_cache
-    )
-    n = round(duration_seconds * int(sample_rate))
-    out = np.zeros(n, dtype=np.float64)
-    for piece in parts.values():
-        out += piece
-    return out
-
-
 def _crop(clip: np.ndarray, n: int, rng: np.random.Generator, name: str) -> np.ndarray:
     clip = np.asarray(clip, dtype=np.float64)
     if len(clip) < n:
@@ -515,25 +492,27 @@ def _crop(clip: np.ndarray, n: int, rng: np.random.Generator, name: str) -> np.n
 
 
 class Corpus:
-    """A directory of mono WAV clips, checked on construction, loaded lazily and cached.
+    """A directory of mono WAV clips at one sample rate, checked on construction, loaded lazily and cached.
 
     Construction reads each clip's header, not its samples, and raises an
     error naming the clip when it is not a 16-bit PCM mono WAV, when its
-    rate is not ``sample_rate`` (if given), or when it is shorter than one
-    ``SEGMENT_SECONDS`` segment at its rate.
+    rate is not ``sample_rate``, or when it is shorter than one
+    ``SEGMENT_SECONDS`` segment at that rate. So every clip ``pick``
+    returns holds at least one segment at ``sample_rate``, the only rate
+    ``make_sample`` renders this corpus at.
     """
 
-    def __init__(self, path, sample_rate: int | None = None):
+    def __init__(self, path, sample_rate: int):
         self.path = Path(path)
         self.files = sorted(self.path.glob("*.wav"))
         if not self.files:
             raise CorpusError(f"corpus directory {self.path} contains no .wav files")
         self.sample_rate = sample_rate
+        segment = round(SEGMENT_SECONDS * sample_rate)
         for file in self.files:
             rate, frames = read_wav_header(file)
-            if sample_rate is not None and rate != sample_rate:
+            if rate != sample_rate:
                 raise CorpusError(f"{file} has sample rate {rate}, expected {sample_rate}")
-            segment = round(SEGMENT_SECONDS * rate)
             if frames < segment:
                 raise CorpusError(
                     f"{file} is {frames} samples long, shorter than one {SEGMENT_SECONDS:g} s segment ({segment})"
@@ -548,14 +527,8 @@ class Corpus:
             self._cache[index] = read_wav(self.files[index]).samples.astype(np.float64)
         return self._cache[index]
 
-    def pick(self, rng: np.random.Generator, min_samples: int) -> np.ndarray:
-        index = int(rng.integers(0, len(self.files)))
-        clip = self.load(index)
-        if len(clip) < min_samples:
-            raise CorpusError(
-                f"{self.files[index]} is {len(clip)} samples long, shorter than the required {min_samples}"
-            )
-        return clip
+    def pick(self, rng: np.random.Generator) -> np.ndarray:
+        return self.load(int(rng.integers(0, len(self.files))))
 
 
 @dataclass
@@ -567,7 +540,7 @@ class Corpora:
     noise: Corpus
 
     @classmethod
-    def from_dirs(cls, expert_dir, assistant_dir, noise_dir, sample_rate: int | None = None):
+    def from_dirs(cls, expert_dir, assistant_dir, noise_dir, sample_rate: int):
         return cls(
             expert=Corpus(expert_dir, sample_rate),
             assistant=Corpus(assistant_dir, sample_rate),
@@ -582,12 +555,19 @@ class Corpora:
 def make_sample(
     corpora: Corpora,
     scene: SceneSpec,
-    sample_rate: int = 16000,
+    sample_rate: int,
     rir_cache: RirCache | None = None,
 ) -> LabeledSample:
-    """Render the four categories and concatenate them in seeded random order."""
-    cache = rir_cache or RirCache()
+    """Render the four categories and concatenate them in seeded random order.
+
+    Raises CorpusError naming the corpus when its clips were checked at a
+    rate other than ``sample_rate``.
+    """
     fs = int(sample_rate)
+    for corpus in (corpora.expert, corpora.assistant, corpora.noise):
+        if corpus.sample_rate != fs:
+            raise CorpusError(f"corpus {corpus.path} holds {corpus.sample_rate} Hz clips, not the sample's {fs} Hz")
+    cache = rir_cache or RirCache()
     seg = round(SEGMENT_SECONDS * fs)
     ss = np.random.SeedSequence([int(scene.seed)])
     children = ss.spawn(5)
@@ -598,12 +578,13 @@ def make_sample(
     segments = []
     for slot, cat in enumerate(cats):
         rng = np.random.default_rng(children[1 + slot])
-        expert = corpora.expert.pick(rng, seg)
-        assistant = corpora.assistant.pick(rng, seg)
-        noise = corpora.noise.pick(rng, seg)
-        parts.append(
-            render_utterance(cat, expert, assistant, noise, scene, fs, SEGMENT_SECONDS, rng, cache)
-        )
+        expert = corpora.expert.pick(rng)
+        assistant = corpora.assistant.pick(rng)
+        noise = corpora.noise.pick(rng)
+        utterance = np.zeros(seg)
+        for piece in render_utterance(cat, expert, assistant, noise, scene, fs, rng, cache).values():
+            utterance += piece
+        parts.append(utterance)
         segments.append((cat, slot * seg, (slot + 1) * seg))
 
     audio = np.concatenate(parts)
@@ -691,7 +672,7 @@ def generate_dataset(
     counts: tuple[int, int, int],
     out_dir,
     seed: int,
-    sample_rate: int = 16000,
+    sample_rate: int,
 ) -> dict[str, Path]:
     """Write WAV + label sidecar pairs and one JSONL manifest per split.
 

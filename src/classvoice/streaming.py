@@ -70,9 +70,6 @@ class DecisionTrack:
     def __len__(self):
         return len(self.decisions)
 
-    def categories(self) -> list[Category]:
-        return [d.category for d in self.decisions]
-
     def to_lines(self) -> list[str]:
         return [d.line() for d in self.decisions]
 
@@ -206,7 +203,8 @@ class StreamingSession:
             self.track.decisions.append(decision)
             emitted.append(decision)
             self._next_slot += 1
-            keep_from = self._next_slot * self.hop - self.half
+            # a hop longer than the window can put the next window past what has arrived
+            keep_from = min(self._next_slot * self.hop - self.half, self._received)
             if keep_from > self._buffer_start:
                 self._buffer = self._buffer[keep_from - self._buffer_start :]
                 self._buffer_start = keep_from

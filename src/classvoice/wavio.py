@@ -23,10 +23,6 @@ class WavFile:
     sample_rate: int
     samples: np.ndarray  # float32 in [-1, 1]
 
-    @property
-    def duration_seconds(self) -> float:
-        return len(self.samples) / self.sample_rate
-
 
 @contextlib.contextmanager
 def _pcm_mono(path):

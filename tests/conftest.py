@@ -15,7 +15,7 @@ from classvoice.simulate import (
 @pytest.fixture
 def blas_pin():
     """The BLAS pin, with BLAS at 2 threads for the test and at its own count after it; skips without one."""
-    pin = cores._blas_pin()
+    pin = cores._BLAS_PIN
     if pin is None:
         pytest.skip("no OpenBLAS thread-count setter found in the BLAS numpy loaded")
     before = pin.get_threads()

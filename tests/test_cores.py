@@ -61,7 +61,7 @@ def test_the_earliest_failing_item_raises(monkeypatch, blas_pin):
 
 def test_without_the_blas_setter_everything_runs_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(cores, "worker_count", lambda: 4)
-    monkeypatch.setattr(cores, "_blas_pin", lambda: None)
+    monkeypatch.setattr(cores, "_BLAS_PIN", None)
     assert cores.map_in_order(lambda _: threading.get_ident(), range(9)) == [threading.get_ident()] * 9
 
 

@@ -1,5 +1,6 @@
 """Acoustic simulator tests: Sabine, image-source RIRs, mixing, datasets."""
 
+import re
 import sys
 
 import numpy as np
@@ -18,7 +19,6 @@ from classvoice.simulate import (
     generate_dataset,
     image_source_rir,
     make_sample,
-    render_components,
     render_utterance,
     sabine_absorption,
     scale_to_snr,
@@ -244,84 +244,86 @@ def shared_cache():
 class TestRenderUtterance:
     def test_background_is_noise_only(self, corpora, scene, shared_cache):
         rng = np.random.default_rng(5)
-        parts = render_components(
+        parts = render_utterance(
             Category.BACKGROUND,
             corpora.expert.load(0),
             corpora.assistant.load(0),
             corpora.noise.load(0),
             scene,
             FS,
-            rng=rng,
-            rir_cache=shared_cache,
+            rng,
+            shared_cache,
         )
         assert set(parts) == {"noise"}
 
     def test_assistant_only_semantics(self, corpora, scene, shared_cache):
-        parts = render_components(
+        parts = render_utterance(
             Category.ASSISTANT,
             corpora.expert.load(0),
             corpora.assistant.load(0),
             corpora.noise.load(0),
             scene,
             FS,
-            rng=np.random.default_rng(6),
-            rir_cache=shared_cache,
+            np.random.default_rng(6),
+            shared_cache,
         )
         assert set(parts) == {"assistant", "noise"}
 
     def test_mixture_power_ratio(self, corpora, scene, shared_cache):
-        parts = render_components(
+        parts = render_utterance(
             Category.MIXTURE,
             corpora.expert.load(1),
             corpora.assistant.load(1),
             corpora.noise.load(1),
             scene,
             FS,
-            rng=np.random.default_rng(7),
-            rir_cache=shared_cache,
+            np.random.default_rng(7),
+            shared_cache,
         )
         ratio = measured_db_ratio(parts["assistant"], parts["expert"])
         assert ratio == pytest.approx(scene.power_ratio_db, abs=0.1)
 
     def test_snr_versus_expert(self, corpora, scene, shared_cache):
-        parts = render_components(
+        parts = render_utterance(
             Category.EXPERT,
             corpora.expert.load(2),
             corpora.assistant.load(2),
             corpora.noise.load(2),
             scene,
             FS,
-            rng=np.random.default_rng(8),
-            rir_cache=shared_cache,
+            np.random.default_rng(8),
+            shared_cache,
         )
         snr = measured_db_ratio(parts["expert"], parts["noise"])
         assert snr == pytest.approx(scene.snr_db, abs=0.1)
 
-    def test_utterance_is_sum_of_components(self, corpora, scene, shared_cache):
-        args = (
-            Category.MIXTURE,
-            corpora.expert.load(3),
-            corpora.assistant.load(3),
-            corpora.noise.load(3),
-            scene,
-            FS,
-        )
-        total = render_utterance(*args, rng=np.random.default_rng(9), rir_cache=shared_cache)
-        parts = render_components(*args, rng=np.random.default_rng(9), rir_cache=shared_cache)
-        np.testing.assert_allclose(total, sum(parts.values()), atol=1e-6)
+    def test_utterance_is_sum_of_components(self, corpora, shared_cache, monkeypatch):
+        rendered = []
+
+        def capture(category, *args):
+            parts = render_utterance(category, *args)
+            rendered.append((category, parts))
+            return parts
+
+        monkeypatch.setattr(simulate, "render_utterance", capture)
+        sample = make_sample(corpora, make_scene(seed=31), FS, shared_cache)
+        assert [cat for cat, _ in rendered] == [cat for cat, _, _ in sample.segments]
+        for (_, parts), (_, start, end) in zip(rendered, sample.segments):
+            expected = (sum(parts.values()) * sample.peak_scale).astype(np.float32)
+            np.testing.assert_array_equal(sample.audio[start:end], expected)
 
     def test_exact_duration(self, corpora, scene, shared_cache):
-        out = render_utterance(
+        parts = render_utterance(
             Category.EXPERT,
             corpora.expert.load(0),
             corpora.assistant.load(0),
             corpora.noise.load(0),
             scene,
             FS,
-            rng=np.random.default_rng(10),
-            rir_cache=shared_cache,
+            np.random.default_rng(10),
+            shared_cache,
         )
-        assert len(out) == 3 * FS
+        assert {name: len(piece) for name, piece in parts.items()} == {"expert": 3 * FS, "noise": 3 * FS}
 
     def test_short_clip_rejected(self, corpora, scene, shared_cache):
         with pytest.raises(CorpusError, match="shorter"):
@@ -332,8 +334,8 @@ class TestRenderUtterance:
                 corpora.noise.load(0),
                 scene,
                 FS,
-                rng=np.random.default_rng(11),
-                rir_cache=shared_cache,
+                np.random.default_rng(11),
+                shared_cache,
             )
 
 
@@ -364,6 +366,15 @@ class TestMakeSample:
         for cat, start, end in sample.segments:
             assert sample.category_at(start) is cat
             assert sample.category_at(end - 1) is cat
+
+    def test_corpus_rate_must_be_the_sample_rate(self, tmp_path):
+        # 10 s clips at 800 Hz hold a 3 s segment at 1600 Hz too, so only the rate check can catch this
+        dirs = [simulate.write_synthetic_corpus(tmp_path / name, 1, 10.0, 800, seed=i, kind=kind)
+                for i, (name, kind) in enumerate((("e", "speech"), ("a", "speech"), ("n", "noise")))]
+        corpora = Corpora.from_dirs(*dirs, sample_rate=800)
+        message = f"corpus {dirs[0]} holds 800 Hz clips, not the sample's 1600 Hz"
+        with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+            make_sample(corpora, make_scene(seed=3), 1600)
 
 
 class TestSceneGrid:
@@ -469,10 +480,10 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("counts", [(1, 1), (1, -1, 1), (1.0, 1, 1), (True, 1, 1)])
     def test_bad_counts_rejected(self, tmp_path, counts):
         with pytest.raises(ValueError, match="three non-negative integers"):
-            generate_dataset(None, SceneGrid(), counts, tmp_path / "ds", seed=0)
+            generate_dataset(None, SceneGrid(), counts, tmp_path / "ds", seed=0, sample_rate=FS)
         assert not (tmp_path / "ds").exists()
 
     def test_empty_corpus_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(CorpusError, match="no .wav files"):
-            Corpora.from_dirs(tmp_path / "empty", tmp_path / "empty", tmp_path / "empty")
+            Corpora.from_dirs(tmp_path / "empty", tmp_path / "empty", tmp_path / "empty", sample_rate=FS)

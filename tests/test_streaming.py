@@ -171,6 +171,15 @@ class TestStreaming:
             assert a.timestamp == b.timestamp
             np.testing.assert_array_equal(a.probs, b.probs)
 
+    def test_hop_longer_than_window_matches_whole_file_feed(self, causal_model):
+        # after each decision the next 5 s hop's window starts past what 0.1 s chunks have delivered
+        audio = np.random.default_rng(5).uniform(-0.5, 0.5, 30 * FS).astype(np.float32)
+        whole = StreamingSession(causal_model, hop_seconds=5.0)
+        whole.feed(audio)
+        chunked = infer_streaming((audio[i : i + 1600] for i in range(0, len(audio), 1600)), causal_model, 5.0)
+        assert len(chunked) == 5  # centers 5, 10, ..., 25 s
+        assert decision_bits(chunked) == decision_bits(whole.close())
+
 
 BAD_HOPS = [-0.1, 0.0, 1e-9, math.nan, math.inf]
 
