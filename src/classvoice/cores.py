@@ -8,12 +8,25 @@ multi-threaded GEMM oversubscribe the cores: a paper-size offline run on
 one worker and 2241 ms on 2 workers with BLAS pinned to one thread. So
 ``map_in_order`` runs its workers only while BLAS is pinned to one thread,
 and on the calling thread alone when the pin is not available.
+
+The helper threads persist: each is started the first time a map needs
+it and then serves every later map, so a process holds at most
+``worker_count() - 1`` of them. glibc serves each thread's allocations
+from a malloc arena of its own and keeps much of what is freed there for
+reuse rather than returning it, so every fresh thread can leave resident
+memory behind. Training at ``reduced_config()`` (the ``train_reduced``
+benchmark, 2 cores, one map per Adam batch) peaked at 207 MB in some runs
+and 240-246 MB in 5 of 8 with a fresh helper per map, at 204 MB with
+``MALLOC_ARENA_MAX=1``, and at 208-209 MB in 4 of 4 with one persistent
+helper.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import os
+import queue
 import threading
 from pathlib import Path
 
@@ -81,6 +94,59 @@ def _find_blas_pin() -> _BlasPin | None:
 _BLAS_PIN = _find_blas_pin()
 
 
+def one_blas_thread():
+    """A ``with`` context holding BLAS at one thread, the pin ``map_in_order`` shares; a no-op without the pin."""
+    return _BLAS_PIN if _BLAS_PIN is not None else contextlib.nullcontext()
+
+
+class _Job:
+    """One helper's share of a map: run by the first helper that takes it, unless the caller cancels it first."""
+
+    def __init__(self, work):
+        self.work = work
+        self._claim = threading.Lock()  # held by whichever of a helper and the caller takes the job first
+        self._done = threading.Event()
+
+    def run(self):
+        if self._claim.acquire(blocking=False):
+            try:
+                self.work()
+            finally:
+                self._done.set()
+
+    def cancel_or_wait(self):
+        """Cancel the job if no helper has started it, else wait for it to finish."""
+        if not self._claim.acquire(blocking=False):
+            self._done.wait()
+
+
+class _Helpers:
+    """Daemon threads that run queued jobs, started on demand and kept for the life of the process."""
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        self._lock = threading.Lock()
+        self._started = 0
+
+    def start(self, work, count: int) -> list[_Job]:
+        """Queue ``count`` jobs running ``work``, first starting helpers until there are at least ``count``."""
+        with self._lock:
+            while self._started < count:
+                threading.Thread(target=self._serve, name="map_in_order helper", daemon=True).start()
+                self._started += 1
+        jobs = [_Job(work) for _ in range(count)]
+        for job in jobs:
+            self._jobs.put(job)
+        return jobs
+
+    def _serve(self):
+        while True:
+            self._jobs.get().run()
+
+
+_HELPERS = _Helpers()
+
+
 def map_in_order(fn, items) -> list:
     """``[fn(x) for x in items]``, computed by this thread and one helper per further usable core.
 
@@ -92,6 +158,12 @@ def map_in_order(fn, items) -> list:
     item is started, and once every worker has stopped the exception of
     the earliest failing item is raised here with its own type, as the
     serial loop would raise it.
+
+    The helpers are shared by every map in the process. Once this thread
+    finds no item left, it cancels its helper jobs that no helper has
+    started and waits only for the started ones, so a map whose helpers
+    are busy, or an ``fn`` that itself calls ``map_in_order``, still
+    finishes.
     """
     items = list(items)
     workers = min(worker_count(), len(items))
@@ -118,16 +190,12 @@ def map_in_order(fn, items) -> list:
                     errors[index] = exc
 
     with pin:
-        helpers = []
+        jobs = _HELPERS.start(work, workers - 1)
         try:
-            for _ in range(workers - 1):
-                helper = threading.Thread(target=work)
-                helper.start()
-                helpers.append(helper)
             work()
         finally:
-            for helper in helpers:
-                helper.join()
+            for job in jobs:
+                job.cancel_or_wait()
     if errors:
         raise errors[min(errors)]
     return results

@@ -32,11 +32,14 @@ wraps copies of the stored arrays without drawing an initialisation.
 
 A frozen model (``build_model``, or ``streaming.resolve_model`` of a
 trainable one) builds no graph and can serve concurrent inference from
-many threads; training mutates parameters single-threaded.
+many threads. Likewise, each ``trainable_view`` records a graph and
+gradients of its own, so training runs its micro-batches on many threads;
+only the optimizer step mutates parameters, on one thread.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -261,6 +264,17 @@ class MultiScaleTCN:
 
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
+
+    def trainable_view(self) -> "MultiScaleTCN":
+        """This model's arrays, shared, not copied, through fresh tensors with ``requires_grad``.
+
+        A forward and ``backward`` through the view record a graph and
+        leave gradients of its own, so several views of one model can
+        train at once. A non-finite value raises NonFiniteError.
+        """
+        view = copy.copy(self)
+        view.params = {name: Tensor(p.data, requires_grad=True, dtype=p.dtype) for name, p in self.params.items()}
+        return view
 
     # -- forward pieces ----------------------------------------------------
 

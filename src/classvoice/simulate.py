@@ -552,6 +552,13 @@ class Corpora:
 # sample and dataset generation
 
 
+def _check_rates(corpora: Corpora, fs: int):
+    """CorpusError naming the first corpus whose clips were checked at a rate other than ``fs``."""
+    for corpus in (corpora.expert, corpora.assistant, corpora.noise):
+        if corpus.sample_rate != fs:
+            raise CorpusError(f"corpus {corpus.path} holds {corpus.sample_rate} Hz clips, not the sample's {fs} Hz")
+
+
 def make_sample(
     corpora: Corpora,
     scene: SceneSpec,
@@ -564,9 +571,7 @@ def make_sample(
     rate other than ``sample_rate``.
     """
     fs = int(sample_rate)
-    for corpus in (corpora.expert, corpora.assistant, corpora.noise):
-        if corpus.sample_rate != fs:
-            raise CorpusError(f"corpus {corpus.path} holds {corpus.sample_rate} Hz clips, not the sample's {fs} Hz")
+    _check_rates(corpora, fs)
     cache = rir_cache or RirCache()
     seg = round(SEGMENT_SECONDS * fs)
     ss = np.random.SeedSequence([int(scene.seed)])
@@ -678,12 +683,15 @@ def generate_dataset(
 
     counts is (train, valid, test). Every record carries the relative
     file paths, the peak-normalization scale, and the full SceneSpec.
-    Returns {split: manifest_path}.
+    Returns {split: manifest_path}. Bad counts raise ValueError, and a
+    corpus checked at a rate other than ``sample_rate`` raises CorpusError,
+    before anything is created under ``out_dir``.
     """
     counts = tuple(counts)
     whole = all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts)
     if len(counts) != 3 or not whole or min(counts) < 0:
         raise ValueError(f"counts must be three non-negative integers (train, valid, test), got {counts}")
+    _check_rates(corpora, int(sample_rate))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cache = RirCache()

@@ -9,13 +9,19 @@ strict decrease of the validation loss to reset its patience counter,
 and the returned checkpoint is the best-validation one.
 
 Each Adam batch of ``TrainConfig.batch_size`` windows runs as
-micro-batches of at most ``streaming.BATCH_WINDOWS`` windows, whose
-gradients add up in the parameters' ``grad``: the effective batch, and so
-the recipe, is unchanged, while only one micro-batch's graph is alive at a
-time. Validation runs in batches of the same size, without a graph, one
-batch per usable core at a time (``cores.map_in_order``); the batch losses
-are summed in batch order, so ``history.csv`` and the checkpoint do not
-depend on the core count.
+micro-batches of at most ``MICRO_BATCH_WINDOWS`` (4) windows, one per
+usable core at a time (``cores.map_in_order``), with BLAS pinned to one
+thread throughout. Each micro-batch builds and consumes a graph of its
+own, and their gradients add up, in micro-batch order, in the parameters'
+``grad``: the effective batch, and so the recipe, is unchanged, while one
+small graph per core is alive at a time. The micro-batch size is fixed
+and BLAS runs one thread whatever the core count, so the gradient bits do
+not depend on the core count either; a GEMM split over 2 BLAS threads
+gives other bits than one thread at ``reduced_config()``. Validation runs
+in batches of ``streaming.BATCH_WINDOWS`` windows, without a graph, one
+batch per usable core at a time; the batch losses are summed in batch
+order. So ``history.csv`` and the checkpoint do not depend on the core
+count.
 
 Evaluation scores sliding-window decisions against the ground-truth
 segment at each decision timestamp, one-vs-rest per category.
@@ -25,13 +31,14 @@ from __future__ import annotations
 
 import json
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .autodiff import AdamState, NonFiniteError, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
-from .cores import map_in_order
+from . import cores
+from .autodiff import AdamState, NonFiniteError, _accum, adam_step, backward, binary_cross_entropy, exp_lr_schedule, zero_grads
 from .model import CATEGORY_ORDER, Category, Checkpoint, ModelConfig, MultiScaleTCN
 from .simulate import LabeledSample
 from .streaming import BATCH_WINDOWS, HOP_SECONDS, _window_geometry, infer_offline, resolve_model
@@ -251,35 +258,62 @@ def _mean_loss(model: MultiScaleTCN, window_set: _WindowSet) -> float:
         return binary_cross_entropy(frozen.window_probs(xs), ys).item() * len(xs)
 
     batches = [range(start, min(start + BATCH_WINDOWS, n)) for start in range(0, n, BATCH_WINDOWS)]
-    return sum(map_in_order(loss_sum, batches)) / n
+    return sum(cores.map_in_order(loss_sum, batches)) / n
 
 
 # ---------------------------------------------------------------------------
 # training
 
 
+# windows per training micro-batch: fixed, so the gradient bits do not depend
+# on the core count; two 4-window graphs hold what one 8-window graph did
+MICRO_BATCH_WINDOWS = 4
+
+
 def batch_gradients(model: MultiScaleTCN, xs: np.ndarray, ys: np.ndarray) -> tuple[float, list[np.ndarray]]:
     """The mean loss of a batch of windows and its gradient, one array per parameter.
 
-    The windows run in micro-batches of at most ``BATCH_WINDOWS``. Each
+    The windows run in micro-batches of at most ``MICRO_BATCH_WINDOWS``,
+    one per usable core at a time, with BLAS pinned to one thread (when
+    ``cores`` finds the pin; without it they run on this thread). Each
     micro-batch's loss is its row-summed BCE over the whole batch's row
-    count, so the micro-batch gradients accumulated in the parameters'
-    ``grad`` add up to the batch gradient with no rescaling. A parameter
-    the loss does not reach gets zeros. Raises TrainingDivergedError when
-    a micro-batch's forward meets a NaN or Inf.
+    count, so the micro-batch gradients add up to the batch gradient with
+    no rescaling. They are added into the parameters' ``grad`` in
+    micro-batch order whichever core computed them, so the loss and the
+    gradient bits do not depend on the core count. A parameter the loss
+    does not reach gets zeros. Raises TrainingDivergedError, naming the
+    windows of the earliest failing micro-batch, when a forward meets a
+    NaN or Inf.
     """
+    rows = len(xs)
     params = model.parameters()
     zero_grads(params)
-    rows = len(xs)
-    total = 0.0
-    for start in range(0, rows, BATCH_WINDOWS):
-        stop = start + BATCH_WINDOWS
+    lock = threading.Lock()
+    waiting: dict[int, list] = {}  # finished micro-batches whose gradients are not yet added
+    added = 0
+
+    def micro_batch(start):
+        nonlocal added
+        stop = min(start + MICRO_BATCH_WINDOWS, rows)
         try:
-            loss = binary_cross_entropy(model.window_probs(xs[start:stop]), ys[start:stop], rows)
+            view = model.trainable_view()
+            loss = binary_cross_entropy(view.window_probs(xs[start:stop]), ys[start:stop], rows)
         except NonFiniteError:
-            raise TrainingDivergedError(f"non-finite training forward on windows {start}..{min(stop, rows) - 1}") from None
+            raise TrainingDivergedError(f"non-finite training forward on windows {start}..{stop - 1}") from None
         backward(loss)
-        total += loss.item()
+        # added in micro-batch order as soon as every earlier one is, so only
+        # the micro-batches that finished ahead of a slower one wait
+        with lock:
+            waiting[start] = [p.grad for p in view.parameters()]
+            while added in waiting:
+                for p, g in zip(params, waiting.pop(added)):
+                    if g is not None:
+                        _accum(p, g)
+                added += MICRO_BATCH_WINDOWS
+        return loss.item()
+
+    with cores.one_blas_thread():
+        total = sum(cores.map_in_order(micro_batch, range(0, rows, MICRO_BATCH_WINDOWS)))
     return total, [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
 
 

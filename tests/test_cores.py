@@ -92,3 +92,38 @@ def test_many_overlapping_maps_keep_blas_pinned_and_restore_it(monkeypatch, blas
     assert not any(t.is_alive() for t in threads)
     assert seen == [[(x, 1) for x in range(4)] * 50] * 6
     assert blas_pin.get_threads() == 2 and blas_pin.holders == 0
+
+
+def test_a_nested_map_finishes(monkeypatch, blas_pin):
+    monkeypatch.setattr(cores, "worker_count", lambda: 2)
+    out = []
+
+    def fn(x):  # each outer item maps again; the helpers may all be busy with outer items
+        return sum(cores.map_in_order(lambda y: x * y, range(5)))
+
+    runner = threading.Thread(target=lambda: out.append(cores.map_in_order(fn, range(6))))
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive()
+    assert out == [[10 * x for x in range(6)]]
+    assert blas_pin.get_threads() == 2 and blas_pin.holders == 0
+
+
+def test_helpers_persist_across_maps(monkeypatch, blas_pin):
+    monkeypatch.setattr(cores, "worker_count", lambda: 3)
+    barrier = threading.Barrier(3, timeout=60)
+    workers = set()
+    counts = []
+
+    def fn(x):
+        if x < 3:
+            barrier.wait()  # so every map runs on three threads
+        workers.add(threading.current_thread())
+        return x
+
+    for _ in range(50):
+        assert cores.map_in_order(fn, range(6)) == list(range(6))
+        counts.append(threading.active_count())
+    assert counts == [counts[0]] * 50
+    helpers = workers - {threading.current_thread()}
+    assert len(helpers) >= 2 and all(t.is_alive() for t in helpers)  # they outlive the maps they served

@@ -375,6 +375,10 @@ class TestMakeSample:
         message = f"corpus {dirs[0]} holds 800 Hz clips, not the sample's 1600 Hz"
         with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
             make_sample(corpora, make_scene(seed=3), 1600)
+        out = tmp_path / "ds"
+        with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+            generate_dataset(corpora, SceneGrid(), (1, 0, 0), out, seed=0, sample_rate=1600)
+        assert not out.exists()  # checked before the first mkdir
 
 
 class TestSceneGrid:

@@ -12,12 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classvoice import autodiff as ad
-from classvoice import cores
+from classvoice import cores, training
 from classvoice.autodiff import AdamState, NonFiniteError, adam_step, binary_cross_entropy, zero_grads
-from classvoice.model import CATEGORY_ORDER, Category, ModelConfig, MultiScaleTCN, save_checkpoint
+from classvoice.model import CATEGORY_ORDER, Category, ModelConfig, MultiScaleTCN, reduced_config, save_checkpoint
 from classvoice.simulate import SceneGrid, generate_dataset, Corpora, write_synthetic_corpus
-from classvoice.streaming import BATCH_WINDOWS
 from classvoice.training import (
+    MICRO_BATCH_WINDOWS,
     EvalReport,
     TrainConfig,
     TrainingDivergedError,
@@ -273,7 +273,7 @@ class TestTrainLoop:
     # invalid for inf - inf) before the op's output is rejected
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("batch_size,where", [
-        (8, r"training forward on windows 0\.\.7 of the batch at epoch 0, window \d+"),  # a later step of epoch 0
+        (8, r"training forward on windows 0\.\.3 of the batch at epoch 0, window \d+"),  # a later step of epoch 0
         (128, "validation forward at epoch 0"),  # one step per epoch: validation is the next forward
     ], ids=["training", "validation"])
     def test_divergence_names_epoch_window_and_lr(self, tiny_dataset, batch_size, where):
@@ -359,11 +359,11 @@ class TestValidationPerCore:
         forward = MultiScaleTCN.window_probs
 
         def window_probs(model, audio):
-            if threading.get_ident() != caller:
-                raised.set()
-                raise NonFiniteError("injected in a helper thread")
-            if not any(p.requires_grad for p in model.params.values()):
-                assert raised.wait(timeout=60)  # validation: a helper takes a batch first
+            if not any(p.requires_grad for p in model.params.values()):  # validation; training runs on helpers too
+                if threading.get_ident() != caller:
+                    raised.set()
+                    raise NonFiniteError("injected in a helper thread")
+                assert raised.wait(timeout=60)  # a helper takes a batch first
             return forward(model, audio)
 
         monkeypatch.setattr(MultiScaleTCN, "window_probs", window_probs)
@@ -391,7 +391,7 @@ class TestMicroBatches:
     def test_step_gradient_matches_float64_whole_batch_oracle(self, tiny_dataset, monkeypatch):
         sample = load_sample(read_manifest(tiny_dataset["train"])[0])
         win, hop = 3 * FS_TINY, FS_TINY // 2
-        n = BATCH_WINDOWS + 3  # one full micro-batch and a ragged one
+        n = 2 * MICRO_BATCH_WINDOWS + 3  # two full micro-batches and a ragged one
         xs = np.stack([sample.audio[i * hop : i * hop + win] for i in range(n)])
         ys = np.stack([window_label(sample, i * hop + win // 2) for i in range(n)])
         model = MultiScaleTCN(tiny_model_config(), seed=11)
@@ -404,10 +404,10 @@ class TestMicroBatches:
         whole_loss, whole = whole_batch_gradients(model, xs, ys)
 
         rows = []
-        forward = model.window_probs
-        monkeypatch.setattr(model, "window_probs", lambda x: rows.append(len(x)) or forward(x))
+        forward = MultiScaleTCN.window_probs
+        monkeypatch.setattr(MultiScaleTCN, "window_probs", lambda m, x: rows.append(len(x)) or forward(m, x))
         loss, grads = batch_gradients(model, xs, ys)
-        assert rows == [BATCH_WINDOWS, 3]
+        assert sorted(rows, reverse=True) == [MICRO_BATCH_WINDOWS, MICRO_BATCH_WINDOWS, 3]  # in any order: one per core
 
         scale = max(float(np.abs(g).max()) for g in want)
         for got_loss, got in ((loss, grads), (whole_loss, whole)):
@@ -416,6 +416,72 @@ class TestMicroBatches:
                 assert g.dtype == np.float32
                 err = float(np.abs(g - w).max()) / max(float(np.abs(w).max()), 1e-3 * scale)
                 assert err <= self.REL, f"{name}: relative error {err:.3g}"
+
+    def test_gradient_bits_do_not_depend_on_the_core_count(self, monkeypatch, blas_pin):
+        # at reduced_config() and 16 kHz, 2 BLAS threads give other gradient
+        # bits than one; the 800 Hz tiny config does not show it
+        rng = np.random.default_rng(12)
+        n = 2 * MICRO_BATCH_WINDOWS + 3  # one ragged micro-batch
+        xs = (0.1 * rng.standard_normal((n, 3 * 16000))).astype(np.float32)
+        ys = rng.integers(0, 2, size=(n, 2)).astype(np.float32)
+        model = MultiScaleTCN(reduced_config(), seed=5)
+
+        # reference: the micro-batches one after another, with BLAS at one thread
+        params = model.parameters()
+        zero_grads(params)
+        with blas_pin:
+            losses = []
+            for start in range(0, n, MICRO_BATCH_WINDOWS):
+                stop = start + MICRO_BATCH_WINDOWS
+                loss = binary_cross_entropy(model.window_probs(xs[start:stop]), ys[start:stop], n)
+                ad.backward(loss)
+                losses.append(loss.item())
+        want = [np.zeros_like(p.data) if p.grad is None else p.grad for p in params]
+        want_loss = sum(losses)
+
+        assert blas_pin.get_threads() == 2
+        for workers in (1, 2):
+            monkeypatch.setattr(cores, "worker_count", lambda: workers)
+            loss, grads = batch_gradients(model, xs, ys)
+            assert loss == want_loss, workers
+            for name, g, w in zip(model.params, grads, want):
+                assert np.array_equal(g, w), f"{name} on {workers} workers"
+        assert blas_pin.get_threads() == 2 and blas_pin.holders == 0
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_helper_divergence_names_its_micro_batch_epoch_and_lr(self, tiny_dataset, monkeypatch, blas_pin, workers):
+        monkeypatch.setattr(cores, "worker_count", lambda: workers)
+        caller = threading.get_ident()
+        injected = threading.Event()
+        batches, helper_rows = [], []
+        forward, gradients = MultiScaleTCN.window_probs, training.batch_gradients
+
+        def window_probs(model, audio):
+            if any(p.requires_grad for p in model.params.values()):  # training
+                if threading.get_ident() != caller:
+                    helper_rows.append(audio[0].copy())
+                    injected.set()
+                    audio = audio.copy()
+                    audio[-1, -1] = np.nan
+                else:
+                    assert injected.wait(timeout=60)  # a helper takes a micro-batch first
+            return forward(model, audio)
+
+        monkeypatch.setattr(MultiScaleTCN, "window_probs", window_probs)
+        monkeypatch.setattr(training, "batch_gradients", lambda m, xs, ys: batches.append(xs) or gradients(m, xs, ys))
+        cfg = TrainConfig(epochs=2, patience=1, lr_start=1e-3, lr_end=1e-4, seed=3, batch_size=16)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(tiny_model_config(), cfg, tiny_dataset["train"], tiny_dataset["valid"])
+        assert len(batches) == 1
+        # the earliest micro-batch a helper ran; every earlier one ran on the caller and was finite
+        start = min(
+            next(i for i, x in enumerate(batches[0]) if np.array_equal(x, row)) for row in helper_rows
+        )
+        assert start % MICRO_BATCH_WINDOWS == 0
+        stop = start + MICRO_BATCH_WINDOWS - 1
+        assert str(info.value) == (
+            f"non-finite training forward on windows {start}..{stop} of the batch at epoch 0, window 0 (lr=0.001)"
+        )
 
 
 class TestEvaluate:
