@@ -9,6 +9,13 @@ one worker and 2241 ms on 2 workers with BLAS pinned to one thread. So
 ``map_in_order`` runs its workers only while BLAS is pinned to one thread,
 and on the calling thread alone when the pin is not available.
 
+The same map builds the simulator's room impulse responses, one per core.
+An RIR build makes no BLAS call, so it needs no pin, but it shares the
+one rule: without the pin, RIRs build one after another on the calling
+thread too. That keeps one thread pool, and one place that decides how
+many cores work, at the price of a serial simulator on a BLAS whose
+thread count cannot be set.
+
 The helper threads persist: each is started the first time a map needs
 it and then serves every later map, so a process holds at most
 ``worker_count() - 1`` of them. glibc serves each thread's allocations

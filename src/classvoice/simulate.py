@@ -12,14 +12,12 @@ clip against, which ``make_sample`` requires to be the rate it renders at.
 Everything is driven by 64-bit seeds: identical seeds give identical
 bytes, whatever the number of cores. Samples are generated one after
 another and share an RIR cache; each sample owns an RNG stream derived
-from (seed, index), so they could also be generated in parallel. Within
-one RIR, the image kernels are evaluated on one thread per usable core
-(``cores.worker_count``, the count offline inference and validation also
-use), in fixed chunks of images. Each chunk is summed on its own and the
-chunk sums are added in chunk order, so every float addition happens in
-the same order on any thread count and the output bytes cannot change.
-The kernels make no BLAS call, so unlike ``cores.map_in_order`` this
-leaves the BLAS thread count alone.
+from (seed, index), so they could also be generated in parallel. The
+cache builds its missing RIRs one per usable core through
+``cores.map_in_order``, and each RIR is one serial unit: its image
+kernels are summed in fixed chunks, added in chunk order on one thread.
+So every float addition happens in the same order on any core count,
+and the output bytes cannot change.
 """
 
 from __future__ import annotations
@@ -27,15 +25,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import queue
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve, lfilter
 
-from .cores import worker_count
+from .cores import map_in_order
 from .model import CATEGORY_ORDER, Category
 from .wavio import WavFile, read_wav, read_wav_header, write_wav
 
@@ -225,7 +221,6 @@ def image_source_rir(
     source,
     mic,
     sample_rate: int,
-    direct_only: bool = False,
 ) -> np.ndarray:
     """Image-source room impulse response, ceil(t60*fs) samples long.
 
@@ -235,8 +230,7 @@ def image_source_rir(
     which would inflate the measured decay time). Each image deposits an
     81-tap Hann-windowed sinc at its fractional delay, scaled by
     beta**bounces/distance; the direct path is scaled 1/distance.
-    ``direct_only`` keeps just the direct path (for geometry
-    validation). The image lattice covers every path up to
+    The image lattice covers every path up to
     t60 * sound_speed meters; later arrivals sit below -60 dB by
     definition of T60.
     """
@@ -244,7 +238,7 @@ def image_source_rir(
     mc = np.asarray(mic, dtype=np.float64)
     _check_inside(room, src, "source")
     _check_inside(room, mc, "microphone")
-    dist = _check_apart(src, mc, "source")
+    _check_apart(src, mc, "source")
     fs = int(sample_rate)
     c = room.sound_speed
     length = int(np.ceil(room.t60 * fs))
@@ -252,10 +246,6 @@ def image_source_rir(
     beta = -np.sqrt(1.0 - alpha)
     half = (SINC_KERNEL_TAPS - 1) // 2
     h = np.zeros(length + 2 * SINC_KERNEL_TAPS, dtype=np.float64)
-
-    if direct_only:
-        _deposit(h, np.array([dist / c * fs]), np.array([1.0 / dist]))
-        return h[SINC_KERNEL_TAPS : SINC_KERNEL_TAPS + length].copy()
 
     dims = np.asarray(room.dims, dtype=np.float64)
     orders = np.ceil(c * room.t60 / (2.0 * dims)).astype(int)
@@ -284,11 +274,16 @@ def image_source_rir(
                     * gains_ax[1][None, :, None]
                     * gains_ax[2][None, None, :]
                 )
-                d = np.sqrt(d2).reshape(-1)
-                g = g.reshape(-1)
-                delays = d / c * fs
+                # in place, so the lattices of RIRs built side by side stay small
+                np.sqrt(d2, out=d2)
+                d = d2.reshape(-1)
+                delays = d / c
+                delays *= fs
                 keep = delays <= max_delay
-                _deposit(h, delays[keep], g[keep] / d[keep])
+                g = g.reshape(-1)[keep]
+                g /= d[keep]
+                del d, d2
+                _deposit(h, delays[keep], g)
     return h[SINC_KERNEL_TAPS : SINC_KERNEL_TAPS + length].copy()
 
 
@@ -319,39 +314,8 @@ def _deposit(h: np.ndarray, delays: np.ndarray, gains: np.ndarray):
 
     ``h`` must carry SINC_KERNEL_TAPS guard samples on each side so no
     index masking is needed. The images are cut into _IMAGE_CHUNK
-    chunks, evaluated on one thread per core; each chunk's kernels are
-    summed with one ``np.bincount`` and the chunk sums are added into
-    ``h`` in chunk order, so the result does not depend on the thread
-    count or on which thread finishes first.
-    """
-    starts = range(0, len(delays), _IMAGE_CHUNK)
-    workers = min(worker_count(), len(starts)) or 1
-    # One buffer pair per worker, taken for a chunk and put back after it.
-    # They are allocated by the calling thread, so their memory goes back
-    # to its heap instead of staying with the exited workers' heaps.
-    buffers = queue.SimpleQueue()
-    for _ in range(workers):
-        buffers.put(
-            (np.empty((_IMAGE_CHUNK, SINC_KERNEL_TAPS)), np.empty((_IMAGE_CHUNK, SINC_KERNEL_TAPS), dtype=np.int64))
-        )
-
-    def chunk_sum(start: int) -> np.ndarray:
-        kernel, index = buffers.get()
-        try:
-            stop = min(start + _IMAGE_CHUNK, len(delays))
-            k, i = kernel[: stop - start], index[: stop - start]
-            _chunk_kernels(delays[start:stop], gains[start:stop], k, i)
-            return np.bincount(i.ravel(), weights=k.ravel(), minlength=len(h))
-        finally:
-            buffers.put((kernel, index))
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for counts in pool.map(chunk_sum, starts):
-            h += counts
-
-
-def _chunk_kernels(dl: np.ndarray, gn: np.ndarray, kernel: np.ndarray, index: np.ndarray):
-    """Fill ``kernel`` and ``index`` with one chunk's taps, image-major.
+    chunks; each chunk's kernels are summed with one ``np.bincount`` and
+    the chunk sums are added into ``h`` in chunk order.
 
     The window and sinc are expanded with angle addition so only three
     trig evaluations are needed per image instead of two per tap. Each
@@ -360,42 +324,47 @@ def _chunk_kernels(dl: np.ndarray, gn: np.ndarray, kernel: np.ndarray, index: np
     """
     taps = SINC_KERNEL_TAPS
     half = (taps - 1) // 2
-    base = np.ceil(dl - half).astype(np.int64)
-    u = base - dl  # fractional offset of the first tap, in [-half, -half+1)
-    cf = np.cos(2.0 * np.pi * u / taps)
-    sf = np.sin(2.0 * np.pi * u / taps)
-    sin_pi_u = np.sin(np.pi * u)  # sin(pi*t) = sin(pi*u) * (-1)^tap
+    kernel = np.empty((_IMAGE_CHUNK, taps))
+    index = np.empty((_IMAGE_CHUNK, taps), dtype=np.int64)
     t = np.empty((_IMAGE_BLOCK, taps))
     part = np.empty((_IMAGE_BLOCK, taps))
     exact = np.empty((_IMAGE_BLOCK, taps), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):  # error state is per thread
-        for lo in range(0, len(dl), _IMAGE_BLOCK):
-            hi = min(lo + _IMAGE_BLOCK, len(dl))
-            n = hi - lo
-            k, tb, pb, eb = kernel[lo:hi], t[:n], part[:n], exact[:n]
-            np.copyto(k, cf[lo:hi, None])
-            k *= _BLOCK_COS[:n]
-            k += 1.0
-            np.copyto(pb, sf[lo:hi, None])
-            pb *= _BLOCK_SIN[:n]
-            k -= pb
-            k *= 0.5  # the Hann window
-            np.copyto(tb, u[lo:hi, None])
-            tb += _BLOCK_OFFSETS[:n]  # tap time relative to the delay
-            np.abs(tb, out=pb)
-            np.less(pb, 1e-12, out=eb)
-            tb *= np.pi
-            np.copyto(pb, sin_pi_u[lo:hi, None])
-            pb *= _BLOCK_SIGN[:n]
-            pb /= tb  # the sinc
-            if eb.any():
-                pb[eb] = 1.0
-            k *= pb
-            np.copyto(pb, gn[lo:hi, None])
-            k *= pb
-            ib = index[lo:hi]
-            np.copyto(ib, base[lo:hi, None])
-            ib += _BLOCK_INDEX[:n]
+    for start in range(0, len(delays), _IMAGE_CHUNK):
+        dl, gn = delays[start : start + _IMAGE_CHUNK], gains[start : start + _IMAGE_CHUNK]
+        base = np.ceil(dl - half).astype(np.int64)
+        u = base - dl  # fractional offset of the first tap, in [-half, -half+1)
+        cf = np.cos(2.0 * np.pi * u / taps)
+        sf = np.sin(2.0 * np.pi * u / taps)
+        sin_pi_u = np.sin(np.pi * u)  # sin(pi*t) = sin(pi*u) * (-1)^tap
+        with np.errstate(divide="ignore", invalid="ignore"):  # error state is per thread
+            for lo in range(0, len(dl), _IMAGE_BLOCK):
+                hi = min(lo + _IMAGE_BLOCK, len(dl))
+                n = hi - lo
+                k, tb, pb, eb = kernel[lo:hi], t[:n], part[:n], exact[:n]
+                np.copyto(k, cf[lo:hi, None])
+                k *= _BLOCK_COS[:n]
+                k += 1.0
+                np.copyto(pb, sf[lo:hi, None])
+                pb *= _BLOCK_SIN[:n]
+                k -= pb
+                k *= 0.5  # the Hann window
+                np.copyto(tb, u[lo:hi, None])
+                tb += _BLOCK_OFFSETS[:n]  # tap time relative to the delay
+                np.abs(tb, out=pb)
+                np.less(pb, 1e-12, out=eb)
+                tb *= np.pi
+                np.copyto(pb, sin_pi_u[lo:hi, None])
+                pb *= _BLOCK_SIGN[:n]
+                pb /= tb  # the sinc
+                if eb.any():
+                    pb[eb] = 1.0
+                k *= pb
+                np.copyto(pb, gn[lo:hi, None])
+                k *= pb
+                ib = index[lo:hi]
+                np.copyto(ib, base[lo:hi, None])
+                ib += _BLOCK_INDEX[:n]
+        h += np.bincount(index[: len(dl)].ravel(), weights=kernel[: len(dl)].ravel(), minlength=len(h))
 
 
 class RirCache:
@@ -404,11 +373,31 @@ class RirCache:
     def __init__(self):
         self._store = {}
 
+    def fill(self, requests):
+        """Build the RIR of every (room, source, mic, sample_rate) request not yet stored, one per core.
+
+        Each distinct missing RIR is built once, in first-seen order,
+        through ``cores.map_in_order``.
+        """
+        missing = {}
+        for request in requests:
+            key = _rir_key(*request)
+            if key not in self._store:
+                missing.setdefault(key, request)
+        self._store.update(zip(missing, map_in_order(lambda r: image_source_rir(*r), missing.values())))
+
     def get(self, room: RoomSpec, source, mic, sample_rate: int) -> np.ndarray:
-        key = (room.dims, room.t60, room.sound_speed, tuple(source), tuple(mic), int(sample_rate))
-        if key not in self._store:
-            self._store[key] = image_source_rir(room, source, mic, sample_rate)
-        return self._store[key]
+        self.fill([(room, source, mic, sample_rate)])
+        return self._store[_rir_key(room, source, mic, sample_rate)]
+
+
+def _rir_key(room: RoomSpec, source, mic, sample_rate: int) -> tuple:
+    return (room.dims, room.t60, room.sound_speed, tuple(source), tuple(mic), int(sample_rate))
+
+
+def _scene_rirs(scene: SceneSpec, sample_rate: int) -> list[tuple]:
+    """The (room, source, mic, sample_rate) requests of a scene's RIRs: the expert's, then the assistant's."""
+    return [(scene.room, pos, scene.mic_pos, int(sample_rate)) for pos in (scene.expert_pos, scene.assistant_pos)]
 
 
 # ---------------------------------------------------------------------------
@@ -460,8 +449,7 @@ def render_utterance(
     assistant_crop = _crop(assistant_dry, n, rng, "assistant")
     noise_crop = _crop(noise, n, rng, "noise")
 
-    rir_expert = rir_cache.get(scene.room, scene.expert_pos, scene.mic_pos, fs)
-    rir_assistant = rir_cache.get(scene.room, scene.assistant_pos, scene.mic_pos, fs)
+    rir_expert, rir_assistant = (rir_cache.get(*request) for request in _scene_rirs(scene, fs))
     rev_expert = fftconvolve(expert_crop, rir_expert)[:n]
 
     components: dict[str, np.ndarray] = {}
@@ -567,12 +555,14 @@ def make_sample(
 ) -> LabeledSample:
     """Render the four categories and concatenate them in seeded random order.
 
-    Raises CorpusError naming the corpus when its clips were checked at a
-    rate other than ``sample_rate``.
+    The scene's two RIRs, when ``rir_cache`` lacks them, are built side by
+    side first. Raises CorpusError naming the corpus when its clips were
+    checked at a rate other than ``sample_rate``.
     """
     fs = int(sample_rate)
     _check_rates(corpora, fs)
     cache = rir_cache or RirCache()
+    cache.fill(_scene_rirs(scene, fs))
     seg = round(SEGMENT_SECONDS * fs)
     ss = np.random.SeedSequence([int(scene.seed)])
     children = ss.spawn(5)
@@ -685,7 +675,8 @@ def generate_dataset(
     file paths, the peak-normalization scale, and the full SceneSpec.
     Returns {split: manifest_path}. Bad counts raise ValueError, and a
     corpus checked at a rate other than ``sample_rate`` raises CorpusError,
-    before anything is created under ``out_dir``.
+    before anything is created under ``out_dir``. Every split's scenes are
+    drawn, and their RIRs built, before the first sample is rendered.
     """
     counts = tuple(counts)
     whole = all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts)
@@ -694,20 +685,19 @@ def generate_dataset(
     _check_rates(corpora, int(sample_rate))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    split_seeds = np.random.SeedSequence(int(seed)).spawn(3)
+    splits = {
+        split: [grid.sample(np.random.default_rng(child)) for child in split_ss.spawn(count)]
+        for split, count, split_ss in zip(("train", "valid", "test"), counts, split_seeds)
+    }
     cache = RirCache()
-    master = np.random.SeedSequence(int(seed))
-    split_seeds = master.spawn(3)
+    cache.fill(r for scenes in splits.values() for scene in scenes for r in _scene_rirs(scene, sample_rate))
     manifests: dict[str, Path] = {}
-    for (split, count), split_ss in zip(
-        zip(("train", "valid", "test"), counts), split_seeds
-    ):
+    for split, scenes in splits.items():
         split_dir = out / split
         split_dir.mkdir(exist_ok=True)
         records = []
-        children = split_ss.spawn(count)
-        for i in range(count):
-            rng = np.random.default_rng(children[i])
-            scene = grid.sample(rng)
+        for i, scene in enumerate(scenes):
             sample = make_sample(corpora, scene, sample_rate, cache)
             wav_rel = f"{split}/sample_{i:05d}.wav"
             labels_rel = f"{split}/sample_{i:05d}.labels"

@@ -32,13 +32,12 @@ from .model import Category, Checkpoint, MultiScaleTCN, decode
 
 WINDOW_SECONDS = 3.0  # analysis window length, for training and inference alike
 HOP_SECONDS = 0.1  # decision hop
-# the most windows one forward call takes: offline inference, validation and
-# training micro-batches alike. A training step's graph, and so its peak
-# memory, grows with it; at the paper size a no-grad forward also runs faster
-# per window at 8 than at 32 (134-147 against 228-239 ms, 2 cores, OpenBLAS).
-# Offline inference and validation run one such batch per core at a time;
-# training micro-batches run one after another, as two graphs alive at once
-# would raise a step's peak memory
+# the most windows one no-grad forward call takes, in offline inference and
+# validation, which run one such batch per core at a time. At the paper size
+# such a forward runs faster per window at 8 than at 32 (134-147 against
+# 228-239 ms, 2 cores, OpenBLAS). Training micro-batches, also one per core,
+# take training.MICRO_BATCH_WINDOWS (4) instead: offline inference with 4
+# windows per batch took 441 against 369 ms at reduced_config() on 12 s
 BATCH_WINDOWS = 8
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from classvoice import cores
+from classvoice import cores, simulate
 from classvoice.simulate import (
     Corpora,
     RoomSpec,
@@ -60,3 +60,13 @@ def make_scene(seed=42, t60=0.4, assistant_x=2.0, snr_db=10.0, power_ratio_db=6.
 @pytest.fixture
 def scene():
     return make_scene()
+
+
+def direct_path_rir(room, source, mic, fs):
+    """The direct path alone of ``image_source_rir``'s RIR: one 1/distance kernel at its delay."""
+    dist = simulate._check_apart(source, mic, "source")
+    taps = simulate.SINC_KERNEL_TAPS
+    length = int(np.ceil(room.t60 * fs))
+    h = np.zeros(length + 2 * taps)
+    simulate._deposit(h, np.array([dist / room.sound_speed * fs]), np.array([1.0 / dist]))
+    return h[taps : taps + length].copy()

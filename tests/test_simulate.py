@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from classvoice import simulate
+from classvoice import cores, simulate
 from classvoice.model import CATEGORY_ORDER, Category
 from classvoice.simulate import (
     Corpora,
@@ -24,7 +24,7 @@ from classvoice.simulate import (
     scale_to_snr,
 )
 
-from conftest import make_scene
+from conftest import direct_path_rir, make_scene
 
 FS = 16000
 CLASSROOM = RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.6)
@@ -68,16 +68,13 @@ class TestSabine:
 class TestImageSourceRir:
     def test_direct_path_peak_sample(self):
         # source-mic distance 1.7 m -> peak at round(1.7/343*16000) = 79
-        rir = image_source_rir(
-            RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.5), (1.0, 1.0, 1.0), (2.7, 1.0, 1.0), FS, direct_only=True
-        )
+        rir = direct_path_rir(RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.5), (1.0, 1.0, 1.0), (2.7, 1.0, 1.0), FS)
         assert int(np.argmax(np.abs(rir))) == 79
 
     def test_length_is_ceil_t60_fs(self):
         for t60 in (0.4, 0.55, 0.9):
-            rir = image_source_rir(
-                RoomSpec(dims=(5.0, 6.0, 3.5), t60=t60), (1.0, 1.0, 1.0), (2.7, 1.0, 1.0), FS, direct_only=True
-            )
+            # a larger room keeps the t60 = 0.9 lattice cheap
+            rir = image_source_rir(RoomSpec(dims=(10.0, 12.0, 7.0), t60=t60), (1.0, 1.0, 1.0), (2.7, 1.0, 1.0), FS)
             assert len(rir) == int(np.ceil(t60 * FS))
 
     def test_source_too_close_rejected(self):
@@ -110,9 +107,9 @@ class TestImageSourceRir:
 
 
 def reference_deposit(h, delays, gains):
-    """The single-threaded, unblocked kernel deposit: the bit-exact oracle.
+    """The unblocked kernel deposit: the bit-exact oracle.
 
-    A frozen copy of the implementation that the blocked, threaded
+    A frozen copy of the implementation that the blocked
     ``simulate._deposit`` replaced; the two must agree bit for bit.
     """
     taps, chunk = 81, 4096
@@ -141,10 +138,10 @@ def reference_deposit(h, delays, gains):
         h += np.bincount(idx.ravel(), weights=kernel.ravel(), minlength=len(h))
 
 
-def reference_rir(monkeypatch, *args, **kwargs):
+def reference_rir(monkeypatch, build, *args):
     with monkeypatch.context() as m:
         m.setattr(simulate, "_deposit", reference_deposit)
-        return image_source_rir(*args, **kwargs)
+        return build(*args)
 
 
 # at c = 320 m/s and 16 kHz the 1 m direct path lands on sample 50 exactly
@@ -165,17 +162,18 @@ class TestDepositParity:
         ids=["800Hz-t60=0.4", "16kHz-t60=0.4", "16kHz-t60=0.9", "direct_only", "integer-delay"],
     )
     def test_rir_matches_reference_bit_for_bit(self, monkeypatch, room, source, mic, fs, direct_only):
-        want = reference_rir(monkeypatch, room, source, mic, fs, direct_only=direct_only)
-        got = image_source_rir(room, source, mic, fs, direct_only=direct_only)
+        build = direct_path_rir if direct_only else image_source_rir
+        want = reference_rir(monkeypatch, build, room, source, mic, fs)
+        got = build(room, source, mic, fs)
         assert np.array_equal(got, want)
 
     def test_integer_delay_takes_the_exact_sinc_branch(self):
         assert 1.0 / INTEGER_DELAY_ROOM.sound_speed * FS == 50.0
-        rir = image_source_rir(INTEGER_DELAY_ROOM, (1.0, 1.0, 1.0), (2.0, 1.0, 1.0), FS, direct_only=True)
+        rir = direct_path_rir(INTEGER_DELAY_ROOM, (1.0, 1.0, 1.0), (2.0, 1.0, 1.0), FS)
         # sinc(0) = 1 where 0/0 would give NaN; the other taps sit at sin(40*pi) ~ 1e-15
         assert rir[50] == 1.0 and np.max(np.abs(np.delete(rir, 50))) < 1e-12
 
-    @pytest.mark.filterwarnings("error")  # a worker without its own errstate would warn on 0/0
+    @pytest.mark.filterwarnings("error")  # a thread without its own errstate would warn on 0/0
     def test_exact_hits_on_taps_39_and_40(self):
         rng = np.random.default_rng(0)
         # exact and near-integer delays put |t| < 1e-12 on tap 40 (at or just below
@@ -188,18 +186,69 @@ class TestDepositParity:
         simulate._deposit(got, delays, gains)
         assert np.array_equal(got, want)
 
-    def test_worker_count_does_not_change_bits(self, monkeypatch):
-        args = (CLASSROOM, (2.5, 0.5, 2.0), (2.0, 1.08, 1.59), FS)
-        monkeypatch.setattr(simulate, "worker_count", lambda: 1)
-        one = image_source_rir(*args)
-        monkeypatch.setattr(simulate, "worker_count", lambda: 4)  # more threads than this box has cores
+    def test_worker_count_does_not_change_bits(self, monkeypatch, tmp_path):
+        # RIRs are built one per core; each must match a serial build, and the dataset its bytes on one core
+        dirs = [simulate.write_synthetic_corpus(tmp_path / name, 2, 4.0, 800, seed=i, kind=kind)
+                for i, (name, kind) in enumerate((("e", "speech"), ("a", "speech"), ("n", "noise")))]
+        corpora = Corpora.from_dirs(*dirs, sample_rate=800)
+        grid = SceneGrid(t60_values=(0.2, 0.3), assistant_x_values=(1.0, 2.0, 3.0))
+        caches = []
+
+        class RecordedCache(RirCache):
+            def __init__(self):
+                super().__init__()
+                caches.append(self)
+
+        monkeypatch.setattr(simulate, "RirCache", RecordedCache)
+        monkeypatch.setattr(cores, "worker_count", lambda: 1)
+        generate_dataset(corpora, grid, (3, 1, 1), tmp_path / "one", seed=4, sample_rate=800)
+        monkeypatch.setattr(cores, "worker_count", lambda: 4)  # more threads than this box has cores
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            many = image_source_rir(*args)
+            generate_dataset(corpora, grid, (3, 1, 1), tmp_path / "many", seed=4, sample_rate=800)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(one, many)
+        files = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*") if p.is_file())
+        assert len(files) == 3 + 5 * 2  # three manifests, and a WAV and a label file per sample
+        for rel in files:
+            assert (tmp_path / "many" / rel).read_bytes() == (tmp_path / "one" / rel).read_bytes(), rel
+        built = caches[1]._store
+        assert len(built) >= 3
+        for (dims, t60, speed, source, mic, fs), rir in built.items():
+            assert np.array_equal(rir, image_source_rir(RoomSpec(dims, t60, speed), source, mic, fs))
+
+
+class TestRirCache:
+    def test_fill_builds_each_distinct_rir_once(self, monkeypatch):
+        built = []
+
+        def spy(room, source, mic, fs):
+            built.append((room.t60, source))
+            return np.full(4, room.t60 + source[0])
+
+        monkeypatch.setattr(simulate, "image_source_rir", spy)
+        monkeypatch.setattr(cores, "worker_count", lambda: 2)
+        mic = (2.0, 1.08, 1.59)
+        a = (CLASSROOM, (2.5, 0.5, 2.0), mic, 800)
+        b = (CLASSROOM, (2.0, 1.0, 1.6), mic, 800)
+        c = (RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.4), (2.5, 0.5, 2.0), mic, 800)
+        cache = RirCache()
+        cache.fill([a, b, a, c, b])
+        assert sorted(built) == [(0.4, (2.5, 0.5, 2.0)), (0.6, (2.0, 1.0, 1.6)), (0.6, (2.5, 0.5, 2.0))]
+        for request in (a, b, c, b):  # each stored under its own key
+            assert cache.get(*request)[0] == request[0].t60 + request[1][0]
+        cache.fill([c, a])
+        assert len(built) == 3
+
+    def test_mic_on_the_assistant_rejected(self, corpora, monkeypatch):
+        # SceneSpec allows the mic straight below the assistant; its RIR, built on a helper, must refuse it
+        scene = make_scene(seed=5)
+        on_assistant = SceneSpec.from_dict({**scene.to_dict(), "mic_pos": [2.0, 1.0, 1.59]})
+        monkeypatch.setattr(cores, "worker_count", lambda: 2)
+        message = "source and microphone are 0.010 m apart"
+        with pytest.raises(RoomError, match=f"^{re.escape(message)}; minimum is 0.05 m$"):
+            make_sample(corpora, on_assistant, FS, RirCache())
 
 
 class TestScaleToSnr:
