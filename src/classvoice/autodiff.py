@@ -1,18 +1,17 @@
 """Dense-tensor math with reverse-mode differentiation.
 
 Just enough for a 1-D convolutional voice detector, and no more: ``add``,
-``mul``, ``tsum``, ``tmean``, ``concat`` and ``transpose``; ``relu``,
-``prelu`` and ``sigmoid``; ``matmul``, ``linear`` and ``conv1d`` (pointwise
-and dilated depthwise); the layer norms; ``binary_cross_entropy``; Adam;
-and a finite-difference gradient checker. Arrays are numpy; float32 is
-the working precision, float64 is used when checking gradients.
+``tmean``, ``concat`` and ``transpose``; ``relu``, ``prelu`` and
+``sigmoid``; ``matmul``, ``linear`` and ``conv1d`` (pointwise and dilated
+depthwise); the cumulative layer norm; ``binary_cross_entropy``; and Adam.
+Arrays are numpy; float32 is the working precision, and float64 is kept
+when handed over explicitly.
 
 Elementwise ops take operands of a single shape and do not broadcast;
 every op takes Tensors. The network's layer norm is the cumulative one
-of causal Conv-TasNet (cLN): two fused ops, each with a hand-written
-backward. ``layer_norm_stats`` computes each step's mean and inverse
-deviation over the channels and the time prefix up to it, and
-``normalize`` applies them; ``cumulative_layer_norm`` is that pair. The
+of causal Conv-TasNet (cLN), ``cumulative_layer_norm``: one op with a
+hand-written backward, which takes each step's mean and inverse deviation
+over the channels and the time prefix up to it and applies them. The
 loss, ``binary_cross_entropy``, is one op with a hand-written backward
 too.
 
@@ -213,38 +212,15 @@ def zero_grads(params):
 # elementwise / reduction primitives
 
 
-def _same_shape(op: str, a: Tensor, b: Tensor):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} takes two tensors of one shape, got {a.shape} and {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add takes two tensors of one shape, got {a.shape} and {b.shape}")
 
     def back(g):
         _accum(a, g)
         _accum(b, g)
 
     return _make(a.data + b.data, (a, b), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("mul", a, b)
-
-    def back(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
-
-    return _make(a.data * b.data, (a, b), back)
-
-
-def tsum(a: Tensor) -> Tensor:
-    """The sum of every entry, as a scalar."""
-
-    def back(g):
-        _accum(a, np.broadcast_to(g, a.shape))
-
-    return _make(a.data.sum(), (a,), back)
 
 
 def tmean(a: Tensor, keepdims: bool = False) -> Tensor:
@@ -501,16 +477,23 @@ def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int, t_out: in
 # normalizations
 
 
-def layer_norm_stats(x: Tensor) -> Tensor:
-    """Per-step mean and inverse deviation of the cumulative layer norm, as one [2, T] or [2, B, T] tensor.
+def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """gain * (x - mu_t) * r_t + bias: x normalized over channels and the time prefix 1..t at each step t (cLN).
 
-    x is [C, T] or channel-major [C, B, T]. Row 0 is mu_t and row 1 is
-    r_t = 1/sqrt(var_t + NORM_EPS), both taken jointly over channels (axis 0)
-    and the time prefix 1..t, per batch item, so column t depends only on
-    input columns 1..t. ``normalize`` applies them.
+    x is [C, T] or channel-major [C, B, T]; gain/bias are [C, 1] and apply
+    per channel, over rows of B*T steps. mu_t and r_t = 1/sqrt(var_t +
+    NORM_EPS) are taken jointly over channels (axis 0) and the time prefix
+    1..t, per batch item, so column t of the output depends only on input
+    columns 1..t, which is what makes the model causal.
     """
-    _check_norm_shapes(x)
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"layer norm input must be [C,T] or [C,B,T], got {x.shape}")
     c, t = x.shape[0], x.shape[-1]
+    if t < 1:
+        raise ShapeError("layer norm needs at least one time step")
+    for name, p in (("gain", gain), ("bias", bias)):
+        if p.shape != (c, 1):
+            raise ShapeError(f"layer norm {name} must have shape ({c}, 1), got {p.shape}")
     xd = x.data
     counts = np.arange(1, t + 1, dtype=xd.dtype) * c
     mu = np.cumsum(xd.sum(axis=0, keepdims=True), axis=-1) / counts
@@ -518,73 +501,34 @@ def layer_norm_stats(x: Tensor) -> Tensor:
     var = np.cumsum(sq, axis=-1) / counts - mu * mu
     live = var > 0  # clamp mask; the gradient through var is zero where it binds
     r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(NORM_EPS, dtype=xd.dtype))
-
-    def back(g):
-        g_mu, g_r = g[0:1], g[1:2]
-        g_var = -0.5 * g_r * (r * r * r) * live
-        # mu_t = S_t/n_t and var_t = Q_t/n_t - mu_t^2 over the prefix sums S, Q of x and x^2
-        g_s = _suffix_sum((g_mu - 2.0 * mu * g_var) / counts)
-        g_q = _suffix_sum(g_var / counts)
-        _accum(x, g_s + 2.0 * xd * g_q)
-
-    return _make(np.concatenate([mu, r]), (x,), back)
-
-
-def _suffix_sum(a):
-    return np.flip(np.cumsum(np.flip(a, -1), axis=-1), -1)
-
-
-def normalize(x: Tensor, stats: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """gain * (x - mu_t) * r_t + bias, with (mu, r) from ``layer_norm_stats(x)``.
-
-    x is [C, T] or channel-major [C, B, T], and stats [2, T] or [2, B, T];
-    gain/bias are [C, 1] and apply per channel, over rows of B*T steps.
-    """
-    _check_norm_shapes(x, gain, bias)
-    want = (2,) + x.shape[1:]
-    if stats.shape != want:
-        raise ShapeError(f"layer norm statistics must have shape {want}, got {stats.shape}")
-    mu, r = stats.data[0:1], stats.data[1:2]
     per_channel = (-1,) + (1,) * (x.ndim - 1)
     gd = gain.data.reshape(per_channel)
-    out_data = x.data - mu
+    out_data = xd - mu
     out_data *= r
     out_data *= gd
     out_data += bias.data.reshape(per_channel)
 
     def back(g):
-        xhat = x.data - mu
+        xhat = xd - mu
         xhat *= r
         _accum(gain, np.einsum("cn,cn->c", _rows(g), _rows(xhat))[:, None])
         _accum(bias, np.einsum("cn->c", _rows(g))[:, None])
         h = g * gd
         # d/dr of sum_c h*(x - mu)*r is sum_c h*(x - mu) = sum_c h*xhat / r
         g_r = np.einsum("c...,c...->...", h, xhat)[None] / r
-        h *= r  # now the gradient in x
-        _accum(stats, np.concatenate([-h.sum(axis=0, keepdims=True), g_r]))
-        _accum(x, h)
+        del xhat
+        h *= r  # the gradient in x at fixed mu and r
+        g_var = -0.5 * g_r * (r * r * r) * live
+        # mu_t = S_t/n_t and var_t = Q_t/n_t - mu_t^2 over the prefix sums S, Q of x and x^2
+        g_s = _suffix_sum((-h.sum(axis=0, keepdims=True) - 2.0 * mu * g_var) / counts)
+        g_q = _suffix_sum(g_var / counts)
+        _accum(x, h + (g_s + 2.0 * xd * g_q))
 
-    return _make(out_data, (x, stats, gain, bias), back)
-
-
-def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over channels and the time prefix 1..t at each step t (cLN).
-
-    Column t of the output only depends on columns 1..t of the input,
-    which is what makes the model causal.
-    """
-    return normalize(x, layer_norm_stats(x), gain, bias)
+    return _make(out_data, (x, gain, bias), back)
 
 
-def _check_norm_shapes(x: Tensor, gain: Tensor | None = None, bias: Tensor | None = None):
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"layer norm input must be [C,T] or [C,B,T], got {x.shape}")
-    c = x.shape[0]
-    for name, t in (("gain", gain), ("bias", bias)):
-        if t is not None and t.shape != (c, 1):
-            raise ShapeError(f"layer norm {name} must have shape ({c}, 1), got {t.shape}")
-    if x.shape[-1] < 1:
-        raise ShapeError("layer norm needs at least one time step")
+def _suffix_sum(a):
+    return np.flip(np.cumsum(np.flip(a, -1), axis=-1), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -675,38 +619,3 @@ def exp_lr_schedule(epoch: int, total_epochs: int, lr_start: float, lr_end: floa
     if not 0 <= epoch < total_epochs:
         raise ValueError(f"epoch {epoch} outside [0, {total_epochs})")
     return lr_start * (lr_end / lr_start) ** (epoch / (total_epochs - 1))
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def grad_check(f, x: Tensor, epsilon: float = 1e-4) -> float:
-    """Compare reverse-mode gradients of scalar f(x) against central differences.
-
-    Returns the max relative error over the entries of x. Build f's tensors
-    (x and any captured parameters) in float64 so the 1e-4 tolerance is
-    meaningful; x is perturbed in place during the check and restored.
-    """
-    x.grad = None
-    out = f(x)
-    if out.size != 1:
-        raise ShapeError(f"grad_check needs a scalar function, f returned shape {out.shape}")
-    backward(out)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    flat = x.data.reshape(-1)
-    numeric = np.empty(flat.size, dtype=np.float64)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + epsilon
-        fp = float(f(x).data)
-        flat[i] = orig - epsilon
-        fm = float(f(x).data)
-        flat[i] = orig
-        numeric[i] = (fp - fm) / (2.0 * epsilon)
-    numeric = numeric.reshape(x.shape)
-
-    a = analytic.astype(np.float64)
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-6)
-    return float((np.abs(a - numeric) / denom).max())

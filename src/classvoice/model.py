@@ -243,17 +243,19 @@ class MultiScaleTCN:
             self.params[name] = Tensor(data.astype(dtype), requires_grad=True, dtype=dtype)
 
     @classmethod
-    def _frozen(cls, config: ModelConfig, arrays: dict[str, np.ndarray], dtype=np.float32) -> "MultiScaleTCN":
+    def _frozen(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "MultiScaleTCN":
         """A model over the given arrays, shared, not copied, through tensors without ``requires_grad``.
 
         Names and shapes must match the config's layout table and every
-        value must be finite; otherwise ValueError names the tensor.
+        value must be finite; otherwise ValueError names the tensor. The
+        model's dtype is the arrays'.
         """
         model = cls.__new__(cls)
         model.config = config
-        model.dtype = dtype
         model.params = {}
-        for name in _check_layout(config, {n: a.shape for n, a in arrays.items()}):
+        layout = _check_layout(config, {n: a.shape for n, a in arrays.items()})
+        model.dtype = arrays["encoder.weight"].dtype
+        for name in layout:
             try:
                 model.params[name] = Tensor(arrays[name], dtype=arrays[name].dtype)
             except NonFiniteError:

@@ -406,10 +406,9 @@ def _scene_rirs(scene: SceneSpec, sample_rate: int) -> list[tuple]:
 
 def scale_to_snr(reference: np.ndarray, interferer: np.ndarray, snr_db: float) -> np.ndarray:
     """Scale the interferer so 10*log10(P_ref/P_interferer) equals snr_db."""
-    reference = np.asarray(reference, dtype=np.float64)
     interferer = np.asarray(interferer, dtype=np.float64)
-    p_ref = float(np.mean(reference**2))
-    p_int = float(np.mean(interferer**2))
+    p_ref = _power(reference)
+    p_int = _power(interferer)
     if p_ref <= 1e-12 or p_int <= 1e-12:
         raise ValueError("scale_to_snr needs non-silent signals (power > 1e-12)")
     gain = np.sqrt(p_ref / (p_int * 10.0 ** (snr_db / 10.0)))

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import NonFiniteError
 from .cores import map_in_order
 from .model import Category, Checkpoint, MultiScaleTCN, decode
 
@@ -89,7 +90,7 @@ def resolve_model(checkpoint) -> MultiScaleTCN:
     if not any(p.requires_grad for p in checkpoint.params.values()):
         return checkpoint
     arrays = {name: p.data for name, p in checkpoint.params.items()}
-    return MultiScaleTCN._frozen(checkpoint.config, arrays, checkpoint.dtype)
+    return MultiScaleTCN._frozen(checkpoint.config, arrays)
 
 
 def hop_samples(hop_seconds: float, fs: int) -> int:
@@ -179,10 +180,17 @@ class StreamingSession:
         self._closed = False
 
     def feed(self, samples) -> list[Decision]:
-        """Append samples; return the decisions that became available."""
+        """Append samples; return the decisions that became available.
+
+        A chunk holding a NaN or Inf raises NonFiniteError, naming the first
+        bad sample, and is not added: the session stays as it was.
+        """
         if self._closed:
             raise SessionClosedError("cannot feed a closed streaming session")
         samples = np.asarray(samples, dtype=np.float32).reshape(-1)
+        finite = np.isfinite(samples)
+        if not finite.all():
+            raise NonFiniteError(f"chunk sample {int(np.argmin(finite))} is NaN or Inf; the chunk was not added")
         self._buffer = np.concatenate([self._buffer, samples])
         self._received += len(samples)
         emitted = []

@@ -19,12 +19,13 @@ from classvoice.autodiff import (
     conv1d,
     cumulative_layer_norm,
     exp_lr_schedule,
-    grad_check,
     linear,
     prelu,
     relu,
     sigmoid,
 )
+
+from autodiff_testing import grad_check, mul, tsum
 
 
 def naive_conv1d(x, w, bias, dilation, groups, padding):
@@ -148,7 +149,7 @@ class TestActivations:
 
     def test_relu_gradient(self):
         x = Tensor([3.0, -1.0, 0.0], requires_grad=True)
-        backward(ad.tsum(relu(x)))
+        backward(tsum(relu(x)))
         np.testing.assert_allclose(x.grad, [1.0, 0.0, 0.0])
 
     def test_prelu_values(self):
@@ -165,10 +166,10 @@ class TestActivations:
     def test_prelu_alpha_gradient(self):
         # d(out)/d(alpha) at x=-2 is -2; check against central differences too
         alpha = Tensor([0.25], requires_grad=True, dtype=np.float64)
-        backward(ad.tsum(prelu(Tensor([-2.0], dtype=np.float64), alpha)))
+        backward(tsum(prelu(Tensor([-2.0], dtype=np.float64), alpha)))
         np.testing.assert_allclose(alpha.grad, [-2.0])
         err = grad_check(
-            lambda a: ad.tsum(prelu(Tensor([-2.0, 1.5], dtype=np.float64), a)),
+            lambda a: tsum(prelu(Tensor([-2.0, 1.5], dtype=np.float64), a)),
             Tensor([0.25], requires_grad=True, dtype=np.float64),
         )
         assert err < 1e-6
@@ -217,6 +218,87 @@ class TestLayerNorms:
             Tensor(x, dtype=np.float64), Tensor(gain, dtype=np.float64), Tensor(bias, dtype=np.float64)
         )
         np.testing.assert_allclose(out.data[:, -1], expected[:, -1], atol=1e-6)
+
+
+def reference_cln(x, gain, bias):
+    """cLN as the two ops the fused one replaced, frozen as a bit-exact oracle.
+
+    ``stats`` is a copy of the statistics op, each step's mean and inverse
+    deviation as one [2, T] or [2, B, T] tensor, and ``normalize`` a copy
+    of the op that applied them, each with its own backward.
+    """
+
+    def suffix_sum(a):
+        return np.flip(np.cumsum(np.flip(a, -1), axis=-1), -1)
+
+    def stats(x):
+        c, t = x.shape[0], x.shape[-1]
+        xd = x.data
+        counts = np.arange(1, t + 1, dtype=xd.dtype) * c
+        mu = np.cumsum(xd.sum(axis=0, keepdims=True), axis=-1) / counts
+        sq = np.einsum("c...,c...->...", xd, xd)[None]
+        var = np.cumsum(sq, axis=-1) / counts - mu * mu
+        live = var > 0
+        r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(ad.NORM_EPS, dtype=xd.dtype))
+
+        def back(g):
+            g_mu, g_r = g[0:1], g[1:2]
+            g_var = -0.5 * g_r * (r * r * r) * live
+            g_s = suffix_sum((g_mu - 2.0 * mu * g_var) / counts)
+            g_q = suffix_sum(g_var / counts)
+            ad._accum(x, g_s + 2.0 * xd * g_q)
+
+        return ad._make(np.concatenate([mu, r]), (x,), back)
+
+    def normalize(x, stats, gain, bias):
+        mu, r = stats.data[0:1], stats.data[1:2]
+        per_channel = (-1,) + (1,) * (x.ndim - 1)
+        gd = gain.data.reshape(per_channel)
+        out = x.data - mu
+        out *= r
+        out *= gd
+        out += bias.data.reshape(per_channel)
+
+        def back(g):
+            xhat = x.data - mu
+            xhat *= r
+            ad._accum(gain, np.einsum("cn,cn->c", ad._rows(g), ad._rows(xhat))[:, None])
+            ad._accum(bias, np.einsum("cn->c", ad._rows(g))[:, None])
+            h = g * gd
+            g_r = np.einsum("c...,c...->...", h, xhat)[None] / r
+            h *= r
+            ad._accum(stats, np.concatenate([-h.sum(axis=0, keepdims=True), g_r]))
+            ad._accum(x, h)
+
+        return ad._make(out, (x, stats, gain, bias), back)
+
+    return normalize(x, stats(x), gain, bias)
+
+
+class TestFusedNormParity:
+    """The fused cumulative_layer_norm gives the two-op composition's output and gradients bit for bit."""
+
+    # at this constant the prefix variance rounds to <= 0 while x - mu does not
+    # round to 0, in float32 and float64, so the clamp binds where g_r != 0
+    CONSTANT = 0.81
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 9), (5, 3, 9)], ids=["CT", "CBT"])
+    @pytest.mark.parametrize("prefix", [0, 4], ids=["random", "constant-prefix"])
+    def test_bit_exact(self, dtype, shape, prefix):
+        rng = np.random.default_rng([np.dtype(dtype).itemsize, len(shape), prefix])
+        x = rng.standard_normal(shape).astype(dtype)
+        x[..., :prefix] = self.CONSTANT
+        gain, bias = (rng.standard_normal((shape[0], 1)).astype(dtype) for _ in range(2))
+        r = rng.standard_normal(shape).astype(dtype)
+        results = []
+        for op in (reference_cln, cumulative_layer_norm):
+            leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gain, bias)]
+            out = op(*leaves)
+            backward(weighted_sum(out, r))
+            results.append([out.data] + [t.grad for t in leaves])
+        for name, want, got in zip(("out", "x", "gain", "bias"), *results):
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want), name
 
 
 class TestLinear:
@@ -374,7 +456,7 @@ class TestFusedLossParity:
 
 
 class TestElementwiseShapes:
-    @pytest.mark.parametrize("op", [ad.add, ad.mul], ids=["add", "mul"])
+    @pytest.mark.parametrize("op", [ad.add], ids=["add"])
     @pytest.mark.parametrize("shapes", [((3,), (1,)), ((2, 3), (3,)), ((2, 3), (3, 2))], ids=["scalar", "row", "transposed"])
     def test_mismatched_shapes_rejected_naming_both(self, op, shapes):
         a, b = (Tensor(np.ones(s)) for s in shapes)
@@ -385,29 +467,29 @@ class TestElementwiseShapes:
 class TestBackward:
     def test_sum_gradient_is_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        backward(ad.tsum(x))
+        backward(tsum(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_sum_of_squares_gradient(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        backward(ad.tsum(ad.mul(x, x)))
+        backward(tsum(mul(x, x)))
         np.testing.assert_allclose(x.grad, 2 * x.data)
 
     def test_reused_node_accumulates(self):
         x = Tensor([2.0], requires_grad=True)
-        y = ad.add(ad.mul(x, x), x)  # x^2 + x -> grad 2x + 1
-        backward(ad.tsum(y))
+        y = ad.add(mul(x, x), x)  # x^2 + x -> grad 2x + 1
+        backward(tsum(y))
         np.testing.assert_allclose(x.grad, [5.0])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ShapeError, match="scalar"):
-            backward(ad.mul(x, x))
+            backward(mul(x, x))
 
     def test_cycle_detected(self):
         x = Tensor([1.0], requires_grad=True)
-        y = ad.mul(x, x)
-        z = ad.tsum(y)
+        y = mul(x, x)
+        z = tsum(y)
         # sabotage the graph: make y a descendant of itself
         y._parents = (z,)
         with pytest.raises(GraphError, match="cycle"):
@@ -424,7 +506,7 @@ class TestGraphRelease:
         gain, bias = Tensor(np.ones((4, 1)), requires_grad=True), Tensor(np.zeros((4, 1)), requires_grad=True)
         h = conv1d(x, w)
         activation = weakref.ref(h.data)
-        loss = ad.tsum(cumulative_layer_norm(prelu(h, Tensor([0.25])), gain, bias))
+        loss = tsum(cumulative_layer_norm(prelu(h, Tensor([0.25])), gain, bias))
         del h
         assert activation() is not None  # the graph holds it until backward
         backward(loss)
@@ -435,7 +517,7 @@ class TestGraphRelease:
 
     def test_second_backward_raises(self):
         x = Tensor([1.0, -2.0], requires_grad=True)
-        loss = ad.tsum(ad.mul(x, x))
+        loss = tsum(mul(x, x))
         backward(loss)
         grad = x.grad
         with pytest.raises(GraphError, match="already ran"):
@@ -444,27 +526,27 @@ class TestGraphRelease:
 
     def test_loss_over_a_consumed_subgraph_raises_before_any_gradient(self):
         x = Tensor([1.0, -2.0], requires_grad=True)
-        h = ad.mul(x, x)
-        backward(ad.tsum(h))
+        h = mul(x, x)
+        backward(tsum(h))
         grad = x.grad
         with pytest.raises(GraphError, match="consumed"):
-            backward(ad.tsum(relu(h)))
+            backward(tsum(relu(h)))
         assert x.grad is grad
 
     def test_tensor_feeding_one_op_twice(self):
         x = Tensor([1.0, -2.0, 3.0], requires_grad=True, dtype=np.float64)
-        backward(ad.tsum(ad.add(x, x)))
+        backward(tsum(ad.add(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
-        h = ad.mul(x, Tensor([1.0, 1.0, 1.0], dtype=np.float64))  # an interior node used twice
+        h = mul(x, Tensor([1.0, 1.0, 1.0], dtype=np.float64))  # an interior node used twice
         x.grad = None
-        backward(ad.tsum(ad.add(h, h)))
+        backward(tsum(ad.add(h, h)))
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
     def test_residual_path_gradient(self):
         # out = h + sigmoid(h) with h = x*x: h feeds the skip and the branch
         x = Tensor([0.5, -1.5, 2.0], requires_grad=True, dtype=np.float64)
-        h = ad.mul(x, x)
-        backward(ad.tsum(ad.add(h, sigmoid(h))))
+        h = mul(x, x)
+        backward(tsum(ad.add(h, sigmoid(h))))
         s = 1 / (1 + np.exp(-x.data**2))
         np.testing.assert_allclose(x.grad, (1 + s * (1 - s)) * 2 * x.data, rtol=1e-12)
 
@@ -484,8 +566,8 @@ class TestGraphRelease:
             through(g)
 
         z._backward = spy
-        terms = [ad.mul(z, w), ad.mul(a, a)]
-        backward(ad.tsum(ad.add(*(terms if add_first else terms[::-1]))))
+        terms = [mul(z, w), mul(a, a)]
+        backward(tsum(ad.add(*(terms if add_first else terms[::-1]))))
         np.testing.assert_array_equal(seen["g"], seen["copy"])
         np.testing.assert_array_equal(b.grad, w.data)
         np.testing.assert_array_equal(a.grad, w.data + 2 * a.data)
@@ -503,11 +585,11 @@ class TestGradCheck:
         x = Tensor(rng.standard_normal((3, 2, 7)), requires_grad=True, dtype=np.float64)
         w = Tensor(rng.standard_normal((4, 3, 1)) * 0.5, requires_grad=True, dtype=np.float64)
         b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64)
-        f = lambda t: ad.tsum(ad.mul(c := conv1d(t, w, b, padding=(2, 1)), c))
+        f = lambda t: tsum(mul(c := conv1d(t, w, b, padding=(2, 1)), c))
         assert grad_check(f, x) < 1e-4
-        fw = lambda t: ad.tsum(ad.mul(c := conv1d(x, t, b, padding=(2, 1)), c))
+        fw = lambda t: tsum(mul(c := conv1d(x, t, b, padding=(2, 1)), c))
         assert grad_check(fw, w) < 1e-4
-        fb = lambda t: ad.tsum(ad.mul(c := conv1d(x, w, t, padding=(2, 1)), c))
+        fb = lambda t: tsum(mul(c := conv1d(x, w, t, padding=(2, 1)), c))
         assert grad_check(fb, b) < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -515,9 +597,9 @@ class TestGradCheck:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((4, 6)), requires_grad=True, dtype=np.float64)
         w = Tensor(rng.standard_normal((4, 1, 3)), requires_grad=True, dtype=np.float64)
-        f = lambda t: ad.tsum(ad.mul(c := conv1d(t, w, groups=4, padding=(2, 0)), c))
+        f = lambda t: tsum(mul(c := conv1d(t, w, groups=4, padding=(2, 0)), c))
         assert grad_check(f, x) < 1e-4
-        fw = lambda t: ad.tsum(ad.mul(c := conv1d(x, t, groups=4, padding=(2, 0)), c))
+        fw = lambda t: tsum(mul(c := conv1d(x, t, groups=4, padding=(2, 0)), c))
         assert grad_check(fw, w) < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -526,11 +608,11 @@ class TestGradCheck:
         # keep inputs away from the kink so finite differences are valid
         x = rng.uniform(0.1, 1.0, size=8) * rng.choice([-1.0, 1.0], size=8)
         xt = Tensor(x, requires_grad=True, dtype=np.float64)
-        assert grad_check(lambda t: ad.tsum(ad.mul(r := relu(t), r)), xt) < 1e-4
+        assert grad_check(lambda t: tsum(mul(r := relu(t), r)), xt) < 1e-4
         alpha = Tensor([0.25], requires_grad=True, dtype=np.float64)
         xt2 = Tensor(x, requires_grad=True, dtype=np.float64)
-        assert grad_check(lambda t: ad.tsum(ad.mul(r := prelu(t, alpha), r)), xt2) < 1e-4
-        assert grad_check(lambda a: ad.tsum(ad.mul(r := prelu(xt2, a), r)), alpha) < 1e-4
+        assert grad_check(lambda t: tsum(mul(r := prelu(t, alpha), r)), xt2) < 1e-4
+        assert grad_check(lambda a: tsum(mul(r := prelu(xt2, a), r)), alpha) < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_norms(self, seed):
@@ -538,11 +620,11 @@ class TestGradCheck:
         x = Tensor(rng.standard_normal((3, 5)), requires_grad=True, dtype=np.float64)
         gain = Tensor(rng.standard_normal((3, 1)), requires_grad=True, dtype=np.float64)
         bias = Tensor(rng.standard_normal((3, 1)), requires_grad=True, dtype=np.float64)
-        f = lambda t: ad.tsum(ad.mul(n := cumulative_layer_norm(t, gain, bias), n))
+        f = lambda t: tsum(mul(n := cumulative_layer_norm(t, gain, bias), n))
         assert grad_check(f, x) < 1e-4
-        fg = lambda t: ad.tsum(ad.mul(n := cumulative_layer_norm(x, t, bias), n))
+        fg = lambda t: tsum(mul(n := cumulative_layer_norm(x, t, bias), n))
         assert grad_check(fg, gain) < 1e-4
-        fb = lambda t: ad.tsum(ad.mul(n := cumulative_layer_norm(x, gain, t), n))
+        fb = lambda t: tsum(mul(n := cumulative_layer_norm(x, gain, t), n))
         assert grad_check(fb, bias) < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -561,11 +643,11 @@ class TestGradCheck:
     def test_reductions(self, seed):
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True, dtype=np.float64)
-        assert grad_check(lambda t: ad.tsum(ad.mul(m := ad.tmean(t), m)), x) < 1e-4
+        assert grad_check(lambda t: tsum(mul(m := ad.tmean(t), m)), x) < 1e-4
 
 
 def square_sum(t):
-    return ad.tsum(ad.mul(t, t))
+    return tsum(mul(t, t))
 
 
 class TestFusedOpGradCheck:
@@ -582,19 +664,12 @@ class TestFusedOpGradCheck:
         )
 
     @pytest.mark.parametrize("seed", range(3), ids=lambda seed: f"cLN-{seed}")
-    def test_layer_norm_stats(self, seed):
-        x = self.leaves(seed)["x"]
-        assert grad_check(lambda t: square_sum(ad.layer_norm_stats(t)), x) < 1e-4
-
-    @pytest.mark.parametrize("seed", range(3), ids=lambda seed: f"cLN-{seed}")
-    def test_normalize(self, seed):
+    def test_cumulative_layer_norm(self, seed):
         v = self.leaves(seed)
         x, gain, beta = v["x"], v["gain"], v["beta"]
-        stats = Tensor(ad.layer_norm_stats(x).data.copy(), requires_grad=True, dtype=np.float64)
-        assert grad_check(lambda t: square_sum(ad.normalize(t, stats, gain, beta)), x) < 1e-4
-        assert grad_check(lambda t: square_sum(ad.normalize(x, t, gain, beta)), stats) < 1e-4
-        assert grad_check(lambda t: square_sum(ad.normalize(x, stats, t, beta)), gain) < 1e-4
-        assert grad_check(lambda t: square_sum(ad.normalize(x, stats, gain, t)), beta) < 1e-4
+        assert grad_check(lambda t: square_sum(cumulative_layer_norm(t, gain, beta)), x) < 1e-4
+        assert grad_check(lambda t: square_sum(cumulative_layer_norm(x, t, beta)), gain) < 1e-4
+        assert grad_check(lambda t: square_sum(cumulative_layer_norm(x, gain, t)), beta) < 1e-4
 
     @pytest.mark.parametrize(
         "padding,dilation", [((0, 0), 1), ((1, 1), 1), ((4, 0), 2), ((2, 2), 2), ((5, 1), 2), ((0, 3), 1)]
@@ -616,14 +691,14 @@ class TestFusedOpGradCheck:
     def test_prelu_gradient_at_zero_is_zero(self):
         x = Tensor([-1.0, 0.0, 2.0], requires_grad=True, dtype=np.float64)
         alpha = Tensor([0.25], requires_grad=True, dtype=np.float64)
-        backward(ad.tsum(prelu(x, alpha)))
+        backward(tsum(prelu(x, alpha)))
         np.testing.assert_array_equal(x.grad, [0.25, 0.0, 1.0])
         np.testing.assert_array_equal(alpha.grad, [-1.0])
 
 
 def weighted_sum(out, r):
     """sum(out * r) for a fixed array r: the gradient reaching ``out`` is exactly r."""
-    return ad.tsum(ad.mul(out, Tensor(r, dtype=out.dtype)))
+    return tsum(mul(out, Tensor(r, dtype=out.dtype)))
 
 
 class TestChannelMajorBatches:
@@ -666,16 +741,9 @@ class TestChannelMajorBatches:
         w, b = self.weights(self.C, 1, 3), self.weights(self.C)
         self.check(lambda x: conv1d(x, w, b, dilation=dilation, groups=self.C, padding=(2 * dilation, 1)))
 
-    def test_layer_norm_stats_cln(self):
-        self.check(lambda x: ad.layer_norm_stats(x))
-
-    def test_normalize(self):
+    def test_cumulative_layer_norm(self):
         gain, bias = self.weights(self.C, 1, seed=2), self.weights(self.C, 1, seed=3)
-        rng = np.random.default_rng(4)
-        mu = rng.standard_normal((1, self.B, self.T))
-        r = rng.uniform(0.5, 2.0, (1, self.B, self.T))
-        stats = np.concatenate([mu, r]).astype(np.float32)
-        self.check(lambda x, stats: ad.normalize(x, stats, gain, bias), stats=stats)
+        self.check(lambda x: cumulative_layer_norm(x, gain, bias))
 
     def test_matmul(self):
         a = self.weights(5, self.C)
@@ -776,7 +844,7 @@ class TestTensorInvariants:
 
     def test_grad_matches_shape_after_backward(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
-        backward(ad.tsum(x))
+        backward(tsum(x))
         assert x.grad.shape == x.shape
 
     def test_nan_inf_rejected(self):

@@ -180,6 +180,24 @@ class TestStreaming:
         assert len(chunked) == 5  # centers 5, 10, ..., 25 s
         assert decision_bits(chunked) == decision_bits(whole.close())
 
+    def test_rejected_non_finite_chunk_leaves_session_unchanged(self, causal_model):
+        audio = np.random.default_rng(6).uniform(-0.5, 0.5, 5 * FS).astype(np.float32)
+        chunks = [audio[i : i + 1600] for i in range(0, len(audio), 1600)]
+        clean = StreamingSession(causal_model)
+        for chunk in chunks:
+            clean.feed(chunk)
+        session = StreamingSession(causal_model)
+        for chunk in chunks[:40]:  # 4 s: 11 decisions
+            session.feed(chunk)
+        assert len(session.track) == 11
+        bad = chunks[40].copy()
+        bad[7] = np.nan
+        with pytest.raises(ad.NonFiniteError, match="sample 7 .* not added"):
+            session.feed(bad)
+        for chunk in chunks[40:]:
+            session.feed(chunk)
+        assert decision_bits(session.close()) == decision_bits(clean.close())
+
 
 BAD_HOPS = [-0.1, 0.0, 1e-9, math.nan, math.inf]
 

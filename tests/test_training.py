@@ -395,9 +395,8 @@ class TestMicroBatches:
         xs = np.stack([sample.audio[i * hop : i * hop + win] for i in range(n)])
         ys = np.stack([window_label(sample, i * hop + win // 2) for i in range(n)])
         model = MultiScaleTCN(tiny_model_config(), seed=11)
-        oracle = MultiScaleTCN._frozen(
-            model.config, {name: p.data.astype(np.float64) for name, p in model.params.items()}, np.float64
-        )
+        arrays = {name: p.data.astype(np.float64) for name, p in model.params.items()}
+        oracle = MultiScaleTCN._frozen(model.config, arrays)
         for p in oracle.parameters():
             p.requires_grad = True
         want_loss, want = whole_batch_gradients(oracle, xs, ys)
