@@ -220,59 +220,67 @@ class TestLayerNorms:
         np.testing.assert_allclose(out.data[:, -1], expected[:, -1], atol=1e-6)
 
 
+def _suffix_sum(a):
+    return np.flip(np.cumsum(np.flip(a, -1), axis=-1), -1)
+
+
+def reference_layer_norm_stats(x):
+    """Frozen copy of the statistics op the fused cLN replaced, with its own backward.
+
+    Each step's prefix mean and inverse deviation, as one [2, T] or
+    [2, B, T] tensor.
+    """
+    c, t = x.shape[0], x.shape[-1]
+    xd = x.data
+    counts = np.arange(1, t + 1, dtype=xd.dtype) * c
+    mu = np.cumsum(xd.sum(axis=0, keepdims=True), axis=-1) / counts
+    sq = np.einsum("c...,c...->...", xd, xd)[None]
+    var = np.cumsum(sq, axis=-1) / counts - mu * mu
+    live = var > 0
+    r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(ad.NORM_EPS, dtype=xd.dtype))
+
+    def back(g):
+        g_mu, g_r = g[0:1], g[1:2]
+        g_var = -0.5 * g_r * (r * r * r) * live
+        g_s = _suffix_sum((g_mu - 2.0 * mu * g_var) / counts)
+        g_q = _suffix_sum(g_var / counts)
+        ad._accum(x, g_s + 2.0 * xd * g_q)
+
+    return ad._make(np.concatenate([mu, r]), (x,), back)
+
+
+def reference_normalize(x, stats, gain, bias):
+    """Frozen copy of the op the fused cLN replaced that applied the statistics, with its own backward."""
+    mu, r = stats.data[0:1], stats.data[1:2]
+    per_channel = (-1,) + (1,) * (x.ndim - 1)
+    gd = gain.data.reshape(per_channel)
+    out = x.data - mu
+    out *= r
+    out *= gd
+    out += bias.data.reshape(per_channel)
+
+    def back(g):
+        xhat = x.data - mu
+        xhat *= r
+        ad._accum(gain, np.einsum("cn,cn->c", ad._rows(g), ad._rows(xhat))[:, None])
+        ad._accum(bias, np.einsum("cn->c", ad._rows(g))[:, None])
+        h = g * gd
+        g_r = np.einsum("c...,c...->...", h, xhat)[None] / r
+        h *= r
+        ad._accum(stats, np.concatenate([-h.sum(axis=0, keepdims=True), g_r]))
+        ad._accum(x, h)
+
+    return ad._make(out, (x, stats, gain, bias), back)
+
+
 def reference_cln(x, gain, bias):
     """cLN as the two ops the fused one replaced, frozen as a bit-exact oracle.
 
-    ``stats`` is a copy of the statistics op, each step's mean and inverse
-    deviation as one [2, T] or [2, B, T] tensor, and ``normalize`` a copy
-    of the op that applied them, each with its own backward.
+    The oracle's own gradients and batch independence are checked in
+    TestFusedOpGradCheck and TestChannelMajorBatches, as they were when the
+    two ops were the library's.
     """
-
-    def suffix_sum(a):
-        return np.flip(np.cumsum(np.flip(a, -1), axis=-1), -1)
-
-    def stats(x):
-        c, t = x.shape[0], x.shape[-1]
-        xd = x.data
-        counts = np.arange(1, t + 1, dtype=xd.dtype) * c
-        mu = np.cumsum(xd.sum(axis=0, keepdims=True), axis=-1) / counts
-        sq = np.einsum("c...,c...->...", xd, xd)[None]
-        var = np.cumsum(sq, axis=-1) / counts - mu * mu
-        live = var > 0
-        r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(ad.NORM_EPS, dtype=xd.dtype))
-
-        def back(g):
-            g_mu, g_r = g[0:1], g[1:2]
-            g_var = -0.5 * g_r * (r * r * r) * live
-            g_s = suffix_sum((g_mu - 2.0 * mu * g_var) / counts)
-            g_q = suffix_sum(g_var / counts)
-            ad._accum(x, g_s + 2.0 * xd * g_q)
-
-        return ad._make(np.concatenate([mu, r]), (x,), back)
-
-    def normalize(x, stats, gain, bias):
-        mu, r = stats.data[0:1], stats.data[1:2]
-        per_channel = (-1,) + (1,) * (x.ndim - 1)
-        gd = gain.data.reshape(per_channel)
-        out = x.data - mu
-        out *= r
-        out *= gd
-        out += bias.data.reshape(per_channel)
-
-        def back(g):
-            xhat = x.data - mu
-            xhat *= r
-            ad._accum(gain, np.einsum("cn,cn->c", ad._rows(g), ad._rows(xhat))[:, None])
-            ad._accum(bias, np.einsum("cn->c", ad._rows(g))[:, None])
-            h = g * gd
-            g_r = np.einsum("c...,c...->...", h, xhat)[None] / r
-            h *= r
-            ad._accum(stats, np.concatenate([-h.sum(axis=0, keepdims=True), g_r]))
-            ad._accum(x, h)
-
-        return ad._make(out, (x, stats, gain, bias), back)
-
-    return normalize(x, stats(x), gain, bias)
+    return reference_normalize(x, reference_layer_norm_stats(x), gain, bias)
 
 
 class TestFusedNormParity:
@@ -664,6 +672,21 @@ class TestFusedOpGradCheck:
         )
 
     @pytest.mark.parametrize("seed", range(3), ids=lambda seed: f"cLN-{seed}")
+    def test_layer_norm_stats(self, seed):
+        x = self.leaves(seed)["x"]
+        assert grad_check(lambda t: square_sum(reference_layer_norm_stats(t)), x) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(3), ids=lambda seed: f"cLN-{seed}")
+    def test_normalize(self, seed):
+        v = self.leaves(seed)
+        x, gain, beta = v["x"], v["gain"], v["beta"]
+        stats = Tensor(reference_layer_norm_stats(x).data.copy(), requires_grad=True, dtype=np.float64)
+        assert grad_check(lambda t: square_sum(reference_normalize(t, stats, gain, beta)), x) < 1e-4
+        assert grad_check(lambda t: square_sum(reference_normalize(x, t, gain, beta)), stats) < 1e-4
+        assert grad_check(lambda t: square_sum(reference_normalize(x, stats, t, beta)), gain) < 1e-4
+        assert grad_check(lambda t: square_sum(reference_normalize(x, stats, gain, t)), beta) < 1e-4
+
+    @pytest.mark.parametrize("seed", range(3), ids=lambda seed: f"cLN-{seed}")
     def test_cumulative_layer_norm(self, seed):
         v = self.leaves(seed)
         x, gain, beta = v["x"], v["gain"], v["beta"]
@@ -744,6 +767,17 @@ class TestChannelMajorBatches:
     def test_cumulative_layer_norm(self):
         gain, bias = self.weights(self.C, 1, seed=2), self.weights(self.C, 1, seed=3)
         self.check(lambda x: cumulative_layer_norm(x, gain, bias))
+
+    def test_layer_norm_stats_cln(self):
+        self.check(lambda x: reference_layer_norm_stats(x))
+
+    def test_normalize(self):
+        gain, bias = self.weights(self.C, 1, seed=2), self.weights(self.C, 1, seed=3)
+        rng = np.random.default_rng(4)
+        mu = rng.standard_normal((1, self.B, self.T))
+        r = rng.uniform(0.5, 2.0, (1, self.B, self.T))
+        stats = np.concatenate([mu, r]).astype(np.float32)
+        self.check(lambda x, stats: reference_normalize(x, stats, gain, bias), stats=stats)
 
     def test_matmul(self):
         a = self.weights(5, self.C)
