@@ -324,8 +324,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g):
         g2 = _rows(g)
-        _accum(a, g2 @ b2.T)
-        _accum(b, (a.data.T @ g2).reshape(b.shape))
+        if a.requires_grad:
+            _accum(a, g2 @ b2.T)
+        if b.requires_grad:  # the encoder's audio frames never do
+            _accum(b, (a.data.T @ g2).reshape(b.shape))
 
     return _make(out_data, (a, b), back)
 

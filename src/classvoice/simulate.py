@@ -18,6 +18,12 @@ cache builds its missing RIRs one per usable core through
 kernels are summed in fixed chunks, added in chunk order on one thread.
 So every float addition happens in the same order on any core count,
 and the output bytes cannot change.
+
+The package imports only numpy. Dry clips are convolved with their RIRs
+by numpy's real FFT at the length scipy's ``fftconvolve`` picks (the
+smallest 5-smooth length that holds the full convolution), and the
+synthetic noise's one-pole low-pass is the exact sequential recursion
+``lfilter`` evaluates, so both give the bytes the scipy versions gave.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
 from .cores import map_in_order
 from .model import CATEGORY_ORDER, Category
@@ -449,13 +454,13 @@ def render_utterance(
     noise_crop = _crop(noise, n, rng, "noise")
 
     rir_expert, rir_assistant = (rir_cache.get(*request) for request in _scene_rirs(scene, fs))
-    rev_expert = fftconvolve(expert_crop, rir_expert)[:n]
+    rev_expert = _convolve(expert_crop, rir_expert)[:n]
 
     components: dict[str, np.ndarray] = {}
     if category.expert_bit:
         components["expert"] = rev_expert
     if category.assistant_bit:
-        rev_assistant = fftconvolve(assistant_crop, rir_assistant)[:n]
+        rev_assistant = _convolve(assistant_crop, rir_assistant)[:n]
         if category is Category.MIXTURE:
             gain = np.sqrt(
                 _power(rev_expert) * 10.0 ** (scene.power_ratio_db / 10.0) / _power(rev_assistant)
@@ -464,6 +469,32 @@ def render_utterance(
         components["assistant"] = rev_assistant
     components["noise"] = scale_to_snr(rev_expert, noise_crop, scene.snr_db)
     return components
+
+
+def _fast_fft_length(n: int) -> int:
+    """The smallest 5-smooth integer (2**i * 3**j * 5**k) at least ``n`` >= 1: scipy's real fast FFT length."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5  # runs over 3**j * 5**k below best
+        while odd < best:
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+def _convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The full linear convolution of two 1-D float64 arrays, bit-identical to ``scipy.signal.fftconvolve``.
+
+    Like scipy, a length-1 operand is a plain product, and otherwise both
+    operands are zero-padded to ``_fast_fft_length`` of the full length.
+    """
+    if len(a) == 1 or len(b) == 1:
+        return a * b
+    n = len(a) + len(b) - 1
+    size = _fast_fft_length(n)
+    return np.fft.irfft(np.fft.rfft(a, size) * np.fft.rfft(b, size), size)[:n]
 
 
 def _crop(clip: np.ndarray, n: int, rng: np.random.Generator, name: str) -> np.ndarray:
@@ -754,10 +785,20 @@ def synthesize_noise_clip(rng: np.random.Generator, seconds: float, sample_rate:
     """Broadband background: low-passed white noise with a white floor."""
     n = round(seconds * int(sample_rate))
     white = rng.standard_normal(n)
-    low = lfilter([1.0], [1.0, -0.97], white)
+    low = _one_pole_lowpass(white, 0.97)
     low /= np.max(np.abs(low))
     mix = 0.8 * low + 0.2 * white / np.max(np.abs(white))
     return (0.5 * mix / np.max(np.abs(mix))).astype(np.float64)
+
+
+def _one_pole_lowpass(x: np.ndarray, pole: float) -> np.ndarray:
+    """y[n] = x[n] + pole * y[n-1] from y[-1] = 0, rounded step by step as ``lfilter([1], [1, -pole], x)`` rounds it."""
+    y = 0.0
+    out = []
+    for value in x.tolist():
+        y = value + pole * y
+        out.append(y)
+    return np.array(out, dtype=np.float64)
 
 
 def write_synthetic_corpus(

@@ -784,6 +784,42 @@ class TestChannelMajorBatches:
         self.check(lambda x: ad.matmul(a, x))
 
 
+class CountingArray(np.ndarray):
+    """An ndarray that counts the ``@`` products it takes part in."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        CountingArray.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        CountingArray.products += 1
+        return np.asarray(other) @ np.asarray(self)
+
+
+class TestMatmulBackward:
+    """matmul's backward runs one GEMM per operand that requires grad, so the encoder's frames cost none."""
+
+    @pytest.mark.parametrize("a_grad,b_grad", [(True, False), (False, True), (True, True)])
+    @pytest.mark.parametrize("b_shape", [(6, 11), (6, 3, 11)], ids=["2d", "batched"])
+    def test_one_gemm_per_gradient(self, monkeypatch, a_grad, b_grad, b_shape):
+        rng = np.random.default_rng(0)
+        a_data, b_data = rng.standard_normal((5, 6)), rng.standard_normal(b_shape)
+        r = rng.standard_normal((5,) + b_shape[1:])
+        a, b = Tensor(a_data, requires_grad=a_grad), Tensor(b_data, requires_grad=b_grad)
+        a.data, b.data = a_data.view(CountingArray), b_data.view(CountingArray)
+        out = ad.matmul(a, b)
+        monkeypatch.setattr(CountingArray, "products", 0)
+        backward(weighted_sum(out, r))
+        assert CountingArray.products == a_grad + b_grad
+        r2 = r.reshape(5, -1)
+        if a_grad:
+            assert np.array_equal(a.grad, r2 @ b_data.reshape(6, -1).T)
+        if b_grad:
+            assert np.array_equal(b.grad, (a_data.T @ r2).reshape(b_shape))
+
+
 def strided_taps(a, left, right, k, dilation, t_out):
     """[.., t_out, k] strided view of a zero-padded by (left, right), steps t + kk*dilation: the oracle layout."""
     padded = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(left, right)])

@@ -1,6 +1,8 @@
 """The package namespace: an explicit public API, no re-exported helper modules."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +23,14 @@ def test_helper_modules_are_not_reexported():
     namespace = {}
     exec("from classvoice import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(classvoice.__all__)
+
+
+def test_import_loads_no_scipy():
+    # scipy costs ~75 MB of RSS and ~1 s per process; the package needs only numpy
+    src = Path(classvoice.__file__).parents[1]
+    code = "import sys, classvoice, classvoice.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def load_tracer():

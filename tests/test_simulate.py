@@ -285,6 +285,39 @@ class TestScaleToSnr:
             scale_to_snr(np.ones(100), np.zeros(100), 5.0)
 
 
+# every RIR length the tests and the benchmark render with: the 800 Hz test
+# grids and the default grid at 16 kHz, ceil(t60 * fs) samples each
+RIR_LENGTHS = sorted(
+    {int(np.ceil(t60 * fs)) for fs in (800, FS) for t60 in (0.2, 0.3) + SceneGrid().t60_values}
+)
+CONVOLUTION_CASES = [(2400, n) for n in (1, 81) + tuple(RIR_LENGTHS)] + [(48000, n) for n in RIR_LENGTHS]
+
+
+class TestScipyParity:
+    """The numpy convolution and noise filter give scipy's bits, so the simulated bytes are scipy-era bytes."""
+
+    @pytest.mark.parametrize("n_signal,n_rir", CONVOLUTION_CASES)
+    def test_convolve_matches_fftconvolve(self, n_signal, n_rir):
+        signal = pytest.importorskip("scipy.signal")
+        rng = np.random.default_rng([n_signal, n_rir])
+        a, b = rng.uniform(-0.5, 0.5, n_signal), rng.standard_normal(n_rir) * 0.1
+        assert np.array_equal(simulate._convolve(a, b), signal.fftconvolve(a, b))
+        assert np.array_equal(simulate._convolve(b, a), signal.fftconvolve(b, a))
+
+    def test_fast_length_matches_next_fast_len(self):
+        fft = pytest.importorskip("scipy.fft")
+        used = [n_signal + n_rir - 1 for n_signal, n_rir in CONVOLUTION_CASES]
+        for n in list(range(1, 5000)) + used:
+            assert simulate._fast_fft_length(n) == fft.next_fast_len(n, real=True), n
+
+    @pytest.mark.parametrize("seed,length", [(0, 1), (1, 2), (2, 4000), (3, 80000), (4, 12345)])
+    def test_one_pole_lowpass_matches_lfilter(self, seed, length):
+        signal = pytest.importorskip("scipy.signal")
+        white = np.random.default_rng(seed).standard_normal(length)
+        want = signal.lfilter([1.0], [1.0, -0.97], white)
+        assert np.array_equal(simulate._one_pole_lowpass(white, 0.97), want)
+
+
 @pytest.fixture(scope="module")
 def shared_cache():
     return RirCache()
