@@ -51,7 +51,7 @@ def test_every_category_reaches_80_percent(dataset):
     print(f"\nvalid loss {history[0].valid_loss:.3f} -> {checkpoint.metadata['best_valid_loss']:.3f}")
     print(report.render_text())
     for category in CATEGORY_ORDER:
-        name = EvalReport.CATEGORY_NAMES[category]
+        name = category.name.capitalize()
         recall, precision = report.recall(category), report.precision(category)
         assert recall is not None and recall >= GATE_PERCENT, f"{name} recall {recall}"
         assert precision is not None and precision >= GATE_PERCENT, f"{name} precision {precision}"

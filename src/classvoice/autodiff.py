@@ -264,10 +264,8 @@ def transpose(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the gradient at exactly 0 is 0."""
-    mask = a.data > 0
-
     def back(g):
-        _accum(a, g * mask)
+        _accum(a, g * (a.data > 0))
 
     return _make(np.maximum(a.data, 0), (a,), back)
 
@@ -501,7 +499,6 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     mu = np.cumsum(xd.sum(axis=0, keepdims=True), axis=-1) / counts
     sq = np.einsum("c...,c...->...", xd, xd)[None]  # no x*x temporary
     var = np.cumsum(sq, axis=-1) / counts - mu * mu
-    live = var > 0  # clamp mask; the gradient through var is zero where it binds
     r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(NORM_EPS, dtype=xd.dtype))
     per_channel = (-1,) + (1,) * (x.ndim - 1)
     gd = gain.data.reshape(per_channel)
@@ -520,7 +517,7 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         g_r = np.einsum("c...,c...->...", h, xhat)[None] / r
         del xhat
         h *= r  # the gradient in x at fixed mu and r
-        g_var = -0.5 * g_r * (r * r * r) * live
+        g_var = -0.5 * g_r * (r * r * r) * (var > 0)  # zero where the clamp binds
         # mu_t = S_t/n_t and var_t = Q_t/n_t - mu_t^2 over the prefix sums S, Q of x and x^2
         g_s = _suffix_sum((-h.sum(axis=0, keepdims=True) - 2.0 * mu * g_var) / counts)
         g_q = _suffix_sum(g_var / counts)
@@ -557,13 +554,13 @@ def binary_cross_entropy(p: Tensor, y, rows: int | None = None) -> Tensor:
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("binary cross-entropy targets must be exactly 0 or 1")
     lo, hi = 1e-7, 1.0 - 1e-7
-    live = (p.data > lo) & (p.data < hi)
     pc = np.clip(p.data, lo, hi)
     total = (-(y * np.log(pc) + (1 - y) * np.log(1 - pc))).sum()
     scale = np.asarray(1.0 / (rows or p.shape[0]) if p.ndim == 2 else 1.0, dtype=p.dtype)
 
     def back(g):
         h = -(g * scale)
+        live = (p.data > lo) & (p.data < hi)
         _accum(p, ((h * y) / pc - (h * (1 - y)) / (1 - pc)) * live)
 
     return _make(total * scale, (p,), back)

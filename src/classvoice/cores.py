@@ -106,49 +106,26 @@ def one_blas_thread():
     return _BLAS_PIN if _BLAS_PIN is not None else contextlib.nullcontext()
 
 
-class _Job:
-    """One helper's share of a map: run by the first helper that takes it, unless the caller cancels it first."""
-
-    def __init__(self, work):
-        self.work = work
-        self._claim = threading.Lock()  # held by whichever of a helper and the caller takes the job first
-        self._done = threading.Event()
-
-    def run(self):
-        if self._claim.acquire(blocking=False):
-            try:
-                self.work()
-            finally:
-                self._done.set()
-
-    def cancel_or_wait(self):
-        """Cancel the job if no helper has started it, else wait for it to finish."""
-        if not self._claim.acquire(blocking=False):
-            self._done.wait()
-
-
 class _Helpers:
-    """Daemon threads that run queued jobs, started on demand and kept for the life of the process."""
+    """Daemon threads that run queued work, started on demand and kept for the life of the process."""
 
     def __init__(self):
-        self._jobs = queue.SimpleQueue()
+        self._work = queue.SimpleQueue()
         self._lock = threading.Lock()
         self._started = 0
 
-    def start(self, work, count: int) -> list[_Job]:
-        """Queue ``count`` jobs running ``work``, first starting helpers until there are at least ``count``."""
+    def start(self, work, count: int):
+        """Queue ``work`` ``count`` times, first starting helpers until there are at least ``count``."""
         with self._lock:
             while self._started < count:
                 threading.Thread(target=self._serve, name="map_in_order helper", daemon=True).start()
                 self._started += 1
-        jobs = [_Job(work) for _ in range(count)]
-        for job in jobs:
-            self._jobs.put(job)
-        return jobs
+        for _ in range(count):
+            self._work.put(work)
 
     def _serve(self):
         while True:
-            self._jobs.get().run()
+            self._work.get()()
 
 
 _HELPERS = _Helpers()
@@ -166,11 +143,11 @@ def map_in_order(fn, items) -> list:
     the earliest failing item is raised here with its own type, as the
     serial loop would raise it.
 
-    The helpers are shared by every map in the process. Once this thread
-    finds no item left, it cancels its helper jobs that no helper has
-    started and waits only for the started ones, so a map whose helpers
-    are busy, or an ``fn`` that itself calls ``map_in_order``, still
-    finishes.
+    The helpers are shared by every map in the process. A helper that
+    starts on a map late, once its items have run out or one has failed,
+    finds no item and returns, so this thread waits only for the items
+    in flight: a map whose helpers are busy, or an ``fn`` that itself
+    calls ``map_in_order``, still finishes.
     """
     items = list(items)
     workers = min(worker_count(), len(items))
@@ -180,29 +157,33 @@ def map_in_order(fn, items) -> list:
 
     results = [None] * len(items)
     errors: dict[int, BaseException] = {}
-    lock = threading.Lock()
+    idle = threading.Condition()
     pending = iter(enumerate(items))
+    running = 0  # items a worker has taken and not yet finished
 
     def work():
+        nonlocal running
         while True:
-            with lock:
+            with idle:
                 job = None if errors else next(pending, None)
-            if job is None:
-                return
+                if job is None:
+                    return
+                running += 1
             index, item = job
             try:
                 results[index] = fn(item)
             except BaseException as exc:  # re-raised by the calling thread below
-                with lock:
+                with idle:
                     errors[index] = exc
+            with idle:
+                running -= 1
+                idle.notify()
 
     with pin:
-        jobs = _HELPERS.start(work, workers - 1)
-        try:
-            work()
-        finally:
-            for job in jobs:
-                job.cancel_or_wait()
+        _HELPERS.start(work, workers - 1)
+        work()
+        with idle:
+            idle.wait_for(lambda: running == 0)
     if errors:
         raise errors[min(errors)]
     return results

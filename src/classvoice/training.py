@@ -345,7 +345,7 @@ def train(
 
     history: list[EpochStats] = []
     best_loss = np.inf
-    best_params = None
+    best = None
     best_epoch = -1
     bad_epochs = 0
 
@@ -374,23 +374,15 @@ def train(
         if valid_loss < best_loss:
             best_loss = valid_loss
             best_epoch = epoch
-            best_params = {n: p.data.copy() for n, p in model.params.items()}
+            best = Checkpoint.from_model(model)
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= train_config.patience:
                 break
 
-    checkpoint = Checkpoint(
-        config=model_config,
-        params={n: a.astype("<f4") for n, a in best_params.items()},
-        metadata={
-            "best_epoch": best_epoch,
-            "best_valid_loss": float(best_loss),
-            "epochs_run": len(history),
-        },
-    )
-    return checkpoint, history
+    best.metadata = {"best_epoch": best_epoch, "best_valid_loss": float(best_loss), "epochs_run": len(history)}
+    return best, history
 
 
 # ---------------------------------------------------------------------------
@@ -403,13 +395,6 @@ class EvalReport:
 
     confusion: np.ndarray  # [true, pred] in CATEGORY_ORDER
     decisions: int = 0
-
-    CATEGORY_NAMES = {
-        Category.BACKGROUND: "Background",
-        Category.EXPERT: "Expert",
-        Category.ASSISTANT: "Assistant",
-        Category.MIXTURE: "Mixture",
-    }
 
     def recall(self, category: Category) -> float | None:
         i = CATEGORY_ORDER.index(category)
@@ -427,7 +412,7 @@ class EvalReport:
 
         lines = [f"{'Category':<12} {'Rec. (%)':>9} {'Pre. (%)':>9}"]
         for cat in CATEGORY_ORDER:
-            name = f"{self.CATEGORY_NAMES[cat]} ({cat.value})"
+            name = f"{cat.name.capitalize()} ({cat.value})"
             lines.append(f"{name:<12} {fmt(self.recall(cat)):>9} {fmt(self.precision(cat)):>9}")
         lines.append(f"decisions scored: {self.decisions}")
         return "\n".join(lines)

@@ -127,3 +127,42 @@ def test_helpers_persist_across_maps(monkeypatch, blas_pin):
     assert counts == [counts[0]] * 50
     helpers = workers - {threading.current_thread()}
     assert len(helpers) >= 2 and all(t.is_alive() for t in helpers)  # they outlive the maps they served
+
+
+def test_a_helper_that_starts_late_runs_nothing(monkeypatch, blas_pin):
+    monkeypatch.setattr(cores, "worker_count", lambda: 2)
+    monkeypatch.setattr(cores, "_HELPERS", cores._Helpers())  # one helper of this test's own
+    caller = threading.get_ident()
+    helper_busy, release = threading.Event(), threading.Event()
+
+    def hold(x):
+        if x == 0:
+            assert helper_busy.wait(timeout=60)  # so the helper takes item 1
+        else:
+            helper_busy.set()
+            assert release.wait(timeout=60)
+        return x
+
+    first = []
+    runner = threading.Thread(target=lambda: first.append(cores.map_in_order(hold, range(2))))
+    runner.start()
+    assert helper_busy.wait(timeout=60)
+
+    ran_on = []
+    items = range(5)
+    assert cores.map_in_order(lambda x: ran_on.append(threading.get_ident()) or x, items) == list(items)
+    assert ran_on == [caller] * len(items)  # the helper was busy, so the caller ran every item
+
+    release.set()
+    runner.join(timeout=60)
+    assert first == [[0, 1]]
+    barrier = threading.Barrier(2, timeout=60)
+
+    def meet(x):
+        if x < 2:
+            barrier.wait()  # the helper runs one of these, so it has dequeued the second map's work before
+        return x
+
+    assert cores.map_in_order(meet, range(4)) == list(range(4))
+    assert ran_on == [caller] * len(items)  # the second map's late helper ran none of its items
+    assert blas_pin.get_threads() == 2 and blas_pin.holders == 0

@@ -33,6 +33,20 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cores_holds_the_only_thread_pool():
+    # every parallel map goes through cores.map_in_order; other modules may only lock
+    pools = ("threading.Thread(", "ThreadPoolExecutor", "ProcessPoolExecutor", "concurrent.futures", "multiprocessing")
+    package = Path(classvoice.__file__).parent
+    found = [
+        (path.name, pool)
+        for path in sorted(package.glob("*.py"))
+        if path.name != "cores.py"
+        for pool in pools
+        if pool in path.read_text()
+    ]
+    assert found == []
+
+
 def load_tracer():
     spec = importlib.util.spec_from_file_location("bench_tracer", Path(__file__).parents[1] / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
