@@ -28,9 +28,11 @@ An op records its graph exactly when one of its inputs has
 ``requires_grad``; there is no process-wide switch. A frozen parameter
 set (tensors without ``requires_grad``, as ``streaming.resolve_model``
 makes) therefore builds no graph, and many threads can evaluate it at
-once without changing what any other caller's tensors record. Tensors are
-treated as immutable values outside an explicit optimizer step; only
-``adam_step`` mutates data in place.
+once without changing what any other caller's tensors record. A tensor's
+``data`` is a value: no op writes into it, and ``adam_step`` binds each
+parameter to a new array rather than updating the old one in place, so a
+model, its snapshots and its checkpoints can share one copy of the
+weights.
 
 ``backward`` consumes the graph it walks: each node drops its gradient,
 its backward closure and its parents once its backward has run, so the
@@ -591,7 +593,12 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, lr: float):
-    """One bias-corrected Adam update, in place on the parameter tensors."""
+    """One bias-corrected Adam update: each parameter tensor is bound to a new array.
+
+    The old array is not written to, so a snapshot sharing it (a
+    ``Checkpoint``, a frozen or trainable view) keeps its values. The moment
+    estimates in ``state`` are updated in place.
+    """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ShapeError("params, grads, and optimizer state must have matching lengths")
     state.step_count += 1
@@ -608,7 +615,7 @@ def adam_step(params, grads, state: AdamState, lr: float):
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
+        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPSILON)
 
 
 def exp_lr_schedule(epoch: int, total_epochs: int, lr_start: float, lr_end: float) -> float:

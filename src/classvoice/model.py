@@ -28,13 +28,20 @@ repeat-major/block-minor, classifier). ``MultiScaleTCN`` initialises from
 it (weights uniform(-1, 1) / sqrt(fan_in), drawn in table order; norm gains
 1, PReLU slopes 0.25, biases 0), ``param_count`` sums it, and checkpoints
 are checked against it on load and on ``Checkpoint.build_model``, which
-wraps copies of the stored arrays without drawing an initialisation.
+wraps the stored arrays without drawing an initialisation.
+
+The weights are held once. Nothing writes into a parameter array: the
+optimizer step binds each parameter to a new array. So a model, its
+``Checkpoint.from_model`` snapshots and the models built from a checkpoint
+share one copy of each array. ``save_checkpoint`` writes the arrays'
+buffers as they are, and ``load_checkpoint`` reads the payload once into
+one aligned, read-only buffer that the loaded tensors view.
 
 A frozen model (``build_model``, or ``streaming.resolve_model`` of a
 trainable one) builds no graph and can serve concurrent inference from
 many threads. Likewise, each ``trainable_view`` records a graph and
 gradients of its own, so training runs its micro-batches on many threads;
-only the optimizer step mutates parameters, on one thread.
+only the optimizer step rebinds parameters, on one thread.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
@@ -193,6 +201,9 @@ def _param_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
 
 # initial value of each non-weight parameter, by the last component of its name
 _FILL = {"gain": 1.0, "alpha": 0.25, "bias": 0.0}
+# at most this many float64 values of a weight are drawn at once (8 MB); the
+# draws run in the same order and round the same way whatever the size
+_INIT_CHUNK = 1 << 20
 
 
 def _check_layout(config: ModelConfig, shapes: dict) -> dict[str, tuple[int, ...]]:
@@ -237,10 +248,18 @@ class MultiScaleTCN:
         for name, shape in _param_shapes(config):
             kind = name.rsplit(".", 1)[1]
             if kind == "weight":
-                data = rng.uniform(-1.0, 1.0, size=shape) * math.prod(shape[1:]) ** -0.5
+                data = np.empty(shape, dtype)
+                row = math.prod(shape[1:])
+                step = max(1, _INIT_CHUNK // row)
+                for start in range(0, shape[0], step):
+                    # the float64 draw and scale, one bounded chunk of rows at a time
+                    chunk = rng.uniform(-1.0, 1.0, size=(min(step, shape[0] - start),) + shape[1:])
+                    chunk *= row**-0.5
+                    data[start : start + step] = chunk
+                    del chunk  # freed before the next chunk is drawn
             else:
-                data = np.full(shape, _FILL[kind])
-            self.params[name] = Tensor(data.astype(dtype), requires_grad=True, dtype=dtype)
+                data = np.full(shape, _FILL[kind], dtype)
+            self.params[name] = Tensor(data, requires_grad=True, dtype=dtype)
 
     @classmethod
     def _frozen(cls, config: ModelConfig, arrays: dict[str, np.ndarray]) -> "MultiScaleTCN":
@@ -427,24 +446,27 @@ class Checkpoint:
 
     @classmethod
     def from_model(cls, model: MultiScaleTCN, metadata: dict | None = None) -> "Checkpoint":
-        params = {name: np.asarray(t.data, dtype="<f4").copy() for name, t in model.params.items()}
+        """The model's parameters as float32 arrays; a float32 model's own arrays are shared, not copied.
+
+        Nothing writes into a parameter array (``adam_step`` binds new
+        ones), so later training leaves the checkpoint as it was taken.
+        """
+        params = {name: np.asarray(t.data, dtype="<f4") for name, t in model.params.items()}
         return cls(config=model.config, params=params, metadata=dict(metadata or {}))
 
     def build_model(self) -> MultiScaleTCN:
-        """A frozen float32 model over copies of these arrays, checked against the config's layout."""
-        return MultiScaleTCN._frozen(self.config, {n: a.astype(np.float32) for n, a in self.params.items()})
+        """A frozen float32 model sharing these arrays (float32 ones are not copied), checked against the layout."""
+        return MultiScaleTCN._frozen(self.config, {n: a.astype(np.float32, copy=False) for n, a in self.params.items()})
 
 
 def save_checkpoint(path, checkpoint: Checkpoint):
-    """Write the documented binary container (header JSON + raw LE float32)."""
+    """Write the documented binary container (header JSON + raw LE float32), one array buffer at a time."""
     tensors = []
     offset = 0
-    blobs = []
     for name, arr in checkpoint.params.items():
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": len(blob)})
-        blobs.append(blob)
-        offset += len(blob)
+        nbytes = 4 * arr.size
+        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset, "nbytes": nbytes})
+        offset += nbytes
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": checkpoint.config.to_dict(),
@@ -456,8 +478,8 @@ def save_checkpoint(path, checkpoint: Checkpoint):
         f.write(CHECKPOINT_MAGIC)
         f.write(len(header_bytes).to_bytes(8, "little"))
         f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
+        for arr in checkpoint.params.values():
+            f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 _HEADER_KEYS = {"format_version": int, "config": dict, "metadata": dict, "tensors": list}
@@ -472,20 +494,26 @@ def _require(record, keys: dict, what: str):
             raise ValueError(f"{what} has no {kind.__name__} {key!r}")
 
 
-def _parse_checkpoint(blob: bytes) -> Checkpoint:
-    """Checkpoint from the file's bytes; ValueError (without the path) for any malformed field."""
-    magic = blob[: len(CHECKPOINT_MAGIC)]
+def _read_checkpoint(f, size: int) -> Checkpoint:
+    """Checkpoint from an open file of ``size`` bytes; ValueError (without the path) for any malformed field.
+
+    The header is read and checked first. The payload is then read once
+    into one aligned, read-only float32 buffer, and every tensor is a view
+    into it.
+    """
+    start = len(CHECKPOINT_MAGIC) + 8
+    head = f.read(start)
+    magic = head[: len(CHECKPOINT_MAGIC)]
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"not a checkpoint file (bad magic {magic!r})")
-    start = len(CHECKPOINT_MAGIC) + 8
-    if len(blob) < start:
+    if len(head) < start:
         raise ValueError("file ends inside the header length")
-    header_len = int.from_bytes(blob[len(CHECKPOINT_MAGIC) : start], "little")
-    if header_len > len(blob) - start:
-        raise ValueError(f"header length {header_len} exceeds the {len(blob) - start} bytes after it")
+    header_len = int.from_bytes(head[len(CHECKPOINT_MAGIC) :], "little")
+    if header_len > size - start:
+        raise ValueError(f"header length {header_len} exceeds the {size - start} bytes after it")
     payload = start + header_len
     try:
-        header = json.loads(blob[start:payload].decode("utf-8"))
+        header = json.loads(f.read(header_len).decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, an over-long integer, deep nesting
         raise ValueError(f"header is not UTF-8 JSON ({exc})") from None
     if type(header) is dict and header.get("format_version") != CHECKPOINT_VERSION:
@@ -506,9 +534,9 @@ def _parse_checkpoint(blob: bytes) -> Checkpoint:
             raise ValueError(f"tensor {name} starts at payload byte {spec['offset']}, expected {offset}")
         shapes[name] = tuple(shape)
         offset += spec["nbytes"]
-    if offset != len(blob) - payload:
-        raise ValueError(f"tensors cover {offset} payload bytes, but the file holds {len(blob) - payload}")
-    known = {f.name for f in fields(ModelConfig)}
+    if offset != size - payload:
+        raise ValueError(f"tensors cover {offset} payload bytes, but the file holds {size - payload}")
+    known = {item.name for item in fields(ModelConfig)}
     for key in header["config"]:
         if key not in known:
             raise ValueError(f"unknown model config key '{key}'")
@@ -520,23 +548,29 @@ def _parse_checkpoint(blob: bytes) -> Checkpoint:
     if blocks > len(shapes):  # bounds the table built below by the file's size
         raise ValueError(f"config declares {blocks} conv blocks but the file holds {len(shapes)} tensors")
     _check_layout(config, shapes)
+    # numpy's own allocation, so every tensor (at a multiple of 4 bytes) is aligned
+    values = np.empty(offset // 4, "<f4")
+    got = f.readinto(values)
+    if got != offset:
+        raise ValueError(f"payload ends after {got} of {offset} bytes")
+    values.flags.writeable = False
     params = {
-        spec["name"]: np.frombuffer(blob, "<f4", spec["nbytes"] // 4, payload + spec["offset"])
-        .reshape(spec["shape"])
-        .copy()
+        spec["name"]: values[spec["offset"] // 4 : (spec["offset"] + spec["nbytes"]) // 4].reshape(spec["shape"])
         for spec in header["tensors"]
     }
     return Checkpoint(config=config, params=params, metadata=header["metadata"])
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint file; every malformed file raises ValueError("<path>: ...")."""
+    """Read a checkpoint file; every malformed file raises ValueError("<path>: ...").
+
+    The tensors are read-only views into one buffer that holds the payload.
+    """
     with open(path, "rb") as f:
-        blob = f.read()
-    try:
-        return _parse_checkpoint(blob)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        try:
+            return _read_checkpoint(f, os.fstat(f.fileno()).st_size)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def reduced_config(**overrides) -> ModelConfig:

@@ -45,7 +45,7 @@ MIN_SOURCE_MIC_DISTANCE = 0.05
 MIC_DROP = 0.01  # the neckline microphone hangs this far below the assistant, in meters
 SEGMENT_SECONDS = 3.0  # each category's utterance in a sample: four make one 12 s sample
 SINC_KERNEL_TAPS = 81
-# Images whose kernels are summed by one np.bincount before the sum is
+# Images whose kernels are summed in a zeroed accumulator before the sum is
 # added into the RIR. The chunk boundaries (restarting in each parity
 # octant) fix the order of the float additions, so changing this size
 # changes output bits.
@@ -319,8 +319,10 @@ def _deposit(h: np.ndarray, delays: np.ndarray, gains: np.ndarray):
 
     ``h`` must carry SINC_KERNEL_TAPS guard samples on each side so no
     index masking is needed. The images are cut into _IMAGE_CHUNK
-    chunks; each chunk's kernels are summed with one ``np.bincount`` and
-    the chunk sums are added into ``h`` in chunk order.
+    chunks. Each chunk's kernels are summed in image order into a zeroed
+    accumulator, one _IMAGE_BLOCK at a time with ``np.add.at`` (the order
+    ``np.bincount`` would add them in), and the chunk sums are added into
+    ``h`` in chunk order.
 
     The window and sinc are expanded with angle addition so only three
     trig evaluations are needed per image instead of two per tap. Each
@@ -329,8 +331,9 @@ def _deposit(h: np.ndarray, delays: np.ndarray, gains: np.ndarray):
     """
     taps = SINC_KERNEL_TAPS
     half = (taps - 1) // 2
-    kernel = np.empty((_IMAGE_CHUNK, taps))
-    index = np.empty((_IMAGE_CHUNK, taps), dtype=np.int64)
+    acc = np.empty_like(h)
+    kernel = np.empty((_IMAGE_BLOCK, taps))
+    index = np.empty((_IMAGE_BLOCK, taps), dtype=np.int64)
     t = np.empty((_IMAGE_BLOCK, taps))
     part = np.empty((_IMAGE_BLOCK, taps))
     exact = np.empty((_IMAGE_BLOCK, taps), dtype=bool)
@@ -341,11 +344,12 @@ def _deposit(h: np.ndarray, delays: np.ndarray, gains: np.ndarray):
         cf = np.cos(2.0 * np.pi * u / taps)
         sf = np.sin(2.0 * np.pi * u / taps)
         sin_pi_u = np.sin(np.pi * u)  # sin(pi*t) = sin(pi*u) * (-1)^tap
+        acc.fill(0.0)
         with np.errstate(divide="ignore", invalid="ignore"):  # error state is per thread
             for lo in range(0, len(dl), _IMAGE_BLOCK):
                 hi = min(lo + _IMAGE_BLOCK, len(dl))
                 n = hi - lo
-                k, tb, pb, eb = kernel[lo:hi], t[:n], part[:n], exact[:n]
+                k, tb, pb, eb = kernel[:n], t[:n], part[:n], exact[:n]
                 np.copyto(k, cf[lo:hi, None])
                 k *= _BLOCK_COS[:n]
                 k += 1.0
@@ -366,10 +370,11 @@ def _deposit(h: np.ndarray, delays: np.ndarray, gains: np.ndarray):
                 k *= pb
                 np.copyto(pb, gn[lo:hi, None])
                 k *= pb
-                ib = index[lo:hi]
+                ib = index[:n]
                 np.copyto(ib, base[lo:hi, None])
                 ib += _BLOCK_INDEX[:n]
-        h += np.bincount(index[: len(dl)].ravel(), weights=kernel[: len(dl)].ravel(), minlength=len(h))
+                np.add.at(acc, ib.ravel(), k.ravel())
+        h += acc
 
 
 class RirCache:

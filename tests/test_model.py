@@ -1,6 +1,7 @@
 """Network architecture tests: shapes, causality, locality, decoding, checkpoints."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -645,12 +646,113 @@ class TestCheckpoint:
             raise AssertionError("build_model drew random numbers")
 
         monkeypatch.setattr(classvoice.model.np.random, "default_rng", no_rng)
+        stored = {n: a.copy() for n, a in ckpt.params.items()}
         built = ckpt.build_model()
         assert list(built.params) == list(source.params)
         assert not any(p.requires_grad for p in built.parameters())
         np.testing.assert_array_equal(built.window_probs(audio).data, before)
-        # copies: the model does not alias the checkpoint's arrays
-        assert not any(np.shares_memory(built.params[n].data, a) for n, a in ckpt.params.items())
+        # shared: the model wraps the checkpoint's arrays, and running it writes nothing into them
+        assert all(np.shares_memory(built.params[n].data, a) for n, a in ckpt.params.items())
+        for name, arr in stored.items():
+            np.testing.assert_array_equal(ckpt.params[name], arr)
+
+
+def gradients(model):
+    """The loss gradient of every parameter on two random windows (zeros where the loss does not reach)."""
+    audio = np.random.default_rng(23).standard_normal((2, 160)).astype(np.float32)
+    ad.backward(ad.binary_cross_entropy(model.window_probs(audio), np.array([[1.0, 0.0], [0.0, 1.0]])))
+    return [np.zeros_like(p.data) if p.grad is None else p.grad for p in model.parameters()]
+
+
+def train_one_step(model):
+    params = model.parameters()
+    ad.adam_step(params, gradients(model), ad.AdamState.for_params(params), lr=1e-2)
+
+
+class TestSharedWeights:
+    """One copy of the weights serves a model, its snapshots and the models built from checkpoints."""
+
+    def test_checkpoint_is_unchanged_by_a_later_adam_step(self):
+        model = MultiScaleTCN(tiny_config(), seed=28)
+        ckpt = Checkpoint.from_model(model)
+        assert all(np.shares_memory(ckpt.params[n], t.data) for n, t in model.params.items())
+        stored = {n: a.copy() for n, a in ckpt.params.items()}
+        train_one_step(model)
+        assert not np.array_equal(model.params["encoder.weight"].data, stored["encoder.weight"])
+        for name, arr in stored.items():
+            np.testing.assert_array_equal(ckpt.params[name], arr)
+
+    def test_adam_binds_new_arrays_with_the_in_place_bits(self):
+        model = MultiScaleTCN(tiny_config(), seed=29)
+        before = {n: t.data for n, t in model.params.items()}
+        params = model.parameters()
+        grads = gradients(model)
+        # the update the in-place step subtracted, replayed on copies
+        want = {}
+        for (name, p), g in zip(model.params.items(), grads):
+            m = (1.0 - ad.ADAM_BETA1) * g
+            v = (1.0 - ad.ADAM_BETA2) * (g * g)
+            want[name] = p.data.copy()
+            want[name] -= 1e-2 * (m / (1.0 - ad.ADAM_BETA1)) / (np.sqrt(v / (1.0 - ad.ADAM_BETA2)) + ad.ADAM_EPSILON)
+        ad.adam_step(params, grads, ad.AdamState.for_params(params), lr=1e-2)
+        for name, p in model.params.items():
+            assert not np.shares_memory(p.data, before[name]), name
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, want[name]), name
+
+    def test_loaded_arrays_are_aligned_read_only_and_shared_by_build_model(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Checkpoint.from_model(MultiScaleTCN(tiny_config(), seed=30)))
+        ckpt = load_checkpoint(path)
+        for name, arr in ckpt.params.items():
+            assert arr.dtype == np.float32 and arr.flags.aligned and not arr.flags.writeable, name
+        built = ckpt.build_model()
+        assert all(np.shares_memory(built.params[n].data, a) for n, a in ckpt.params.items())
+
+    def test_a_loaded_checkpoint_trains_without_writing_into_its_arrays(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Checkpoint.from_model(MultiScaleTCN(tiny_config(), seed=31)))
+        ckpt = load_checkpoint(path)
+        view = ckpt.build_model().trainable_view()
+        train_one_step(view)
+        assert not np.array_equal(view.params["encoder.weight"].data, ckpt.params["encoder.weight"])
+        for name, arr in load_checkpoint(path).params.items():
+            np.testing.assert_array_equal(ckpt.params[name], arr)
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc saw allocated above the start while fn ran)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemoryBounds:
+    """At paper size, set-up holds one copy of the weights plus bounded scratch."""
+
+    MB = 2**20
+    PAYLOAD = 4 * param_count(ModelConfig())
+
+    def test_init_peaks_within_16_mb_of_the_weights(self):
+        model, peak = traced_peak(lambda: MultiScaleTCN(ModelConfig(), seed=1))
+        assert sum(p.data.nbytes for p in model.parameters()) == self.PAYLOAD
+        assert peak <= self.PAYLOAD + 16 * self.MB
+
+    def test_save_streams_the_arrays(self, tmp_path):
+        ckpt = Checkpoint.from_model(MultiScaleTCN(ModelConfig(), seed=1))
+        largest = max(a.nbytes for a in ckpt.params.values())
+        _, peak = traced_peak(lambda: save_checkpoint(tmp_path / "m.ckpt", ckpt))
+        # the header only: no tensor's bytes are copied (the largest is 24 MiB)
+        assert peak < min(self.MB, largest)
+
+    def test_load_reads_the_payload_once(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Checkpoint.from_model(MultiScaleTCN(ModelConfig(), seed=1)))
+        _, peak = traced_peak(lambda: load_checkpoint(path))
+        assert peak <= self.PAYLOAD + self.MB
 
 
 def write_raw(path, header, payload: bytes):

@@ -1,6 +1,7 @@
 """The package namespace: an explicit public API, no re-exported helper modules."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,24 @@ def test_cores_holds_the_only_thread_pool():
         if path.name != "cores.py"
         for pool in pools
         if pool in path.read_text()
+    ]
+    assert found == []
+
+
+def test_no_module_writes_into_a_data_array():
+    # a parameter's array is shared by the model, its checkpoints and the
+    # models built from them, so it is replaced, never updated in place
+    writes = (
+        r"\.data\s*(?:[-+*/%@&|^]|//|\*\*|<<|>>)=",  # augmented assignment
+        r"\.data\[[^\]]*\]\s*(?:[-+*/%@&|^]|//|\*\*|<<|>>)?=(?!=)",  # item assignment
+        r"\bout=[^,)]*\.data\b",  # a ufunc writing its output there
+    )
+    package = Path(classvoice.__file__).parent
+    found = [
+        (path.name, line.strip())
+        for path in sorted(package.glob("*.py"))
+        for line in path.read_text().splitlines()
+        if any(re.search(write, line) for write in writes)
     ]
     assert found == []
 
