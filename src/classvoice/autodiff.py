@@ -2,10 +2,10 @@
 
 Just enough for a 1-D convolutional voice detector, and no more: ``add``,
 ``tmean``, ``concat`` and ``transpose``; ``relu``, ``prelu`` and
-``sigmoid``; ``matmul``, ``linear`` and ``conv1d`` (pointwise and dilated
-depthwise); the cumulative layer norm; ``binary_cross_entropy``; and Adam.
-Arrays are numpy; float32 is the working precision, and float64 is kept
-when handed over explicitly.
+``sigmoid``; ``matmul``, ``linear`` and ``conv1d`` (pointwise and causal
+dilated depthwise); the cumulative layer norm; ``binary_cross_entropy``;
+and Adam. Arrays are numpy; float32 is the working precision, and float64
+is kept when handed over explicitly.
 
 Elementwise ops take operands of a single shape and do not broadcast;
 every op takes Tensors. The network's layer norm is the cumulative one
@@ -332,7 +332,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out_data, (a, b), back)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     """weight @ x + bias for a vector x, batched as rows when x is 2-D."""
     if weight.ndim != 2:
         raise ShapeError(f"linear weight must be 2-D [out,in], got {weight.shape}")
@@ -340,135 +340,98 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ShapeError(
             f"linear input dimension {x.shape[-1]} does not match weight in-dimension {weight.shape[1]}"
         )
-    if bias is not None and bias.shape != (weight.shape[0],):
+    if bias.shape != (weight.shape[0],):
         raise ShapeError(f"linear bias shape {bias.shape} does not match out-dimension {weight.shape[0]}")
-    out_data = x.data @ weight.data.T
-    if bias is not None:
-        out_data = out_data + bias.data
+    out_data = x.data @ weight.data.T + bias.data
 
     def back(g):
         g2 = g.reshape(-1, g.shape[-1])  # one vector is one row: a K=1 GEMM gives the outer product's bits
         _accum(weight, g2.T @ x.data.reshape(g2.shape[0], -1))
         _accum(x, g @ weight.data)
-        if bias is not None:
-            _accum(bias, g2.sum(axis=0))
+        _accum(bias, g2.sum(axis=0))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out_data, parents, back)
+    return _make(out_data, (x, weight, bias), back)
 
 
 # ---------------------------------------------------------------------------
 # convolution
 
 
-def conv1d(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    dilation: int = 1,
-    groups: int = 1,
-    padding: tuple[int, int] = (0, 0),
-) -> Tensor:
-    """Dilated 1-D convolution (stride 1) in the two forms the network uses.
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, groups: int = 1) -> Tensor:
+    """Dilated 1-D convolution (stride 1) plus bias, in the two forms the network uses.
 
     x is [C_in, T] or channel-major [C_in, B, T], and the output [C_out,
-    T_out] or [C_out, B, T_out]; weight is [C_out, C_in/groups, K];
-    padding is (left, right) zeros on the time axis. Pointwise is groups=1
-    with K=1, one GEMM over all B*T columns; depthwise is groups=C_in=C_out
-    with any K. Any other grouping raises ShapeError. Output length is
-    T_out = T + left + right - (K-1)*dilation.
+    T] or [C_out, B, T]; weight is [C_out, C_in/groups, K], bias [C_out].
+    Pointwise is groups=1 with K=1, one GEMM over all B*T columns.
+    Depthwise is groups=C_in=C_out with any K, and causal: the input is
+    zero-padded by (K-1)*dilation steps on the left, so output step t reads
+    no input step after t. Any other grouping raises ShapeError.
     """
     if x.ndim not in (2, 3):
         raise ShapeError(f"conv1d input must be [C,T] or [C,B,T], got {x.shape}")
     if weight.ndim != 3:
         raise ShapeError(f"conv1d weight must be [C_out, C_in/groups, K], got {weight.shape}")
-    dilation = int(dilation)
-    groups = int(groups)
     if dilation < 1:
         raise ShapeError(f"dilation must be positive, got {dilation}")
-    if groups < 1:
-        raise ShapeError(f"groups must be positive, got {groups}")
 
-    c_in, t_in = x.shape[0], x.shape[-1]
+    c_in, t = x.shape[0], x.shape[-1]
     c_out, cin_g, k = weight.shape
-    if c_in % groups:
-        raise ShapeError(f"input channels {c_in} not divisible by groups {groups}")
-    if cin_g != c_in // groups:
+    pointwise = groups == 1 and k == 1 and cin_g == c_in
+    if not pointwise and not (groups == c_in == c_out and cin_g == 1):
         raise ShapeError(
-            f"weight expects {cin_g} channels per group but input provides {c_in // groups}"
-        )
-    pointwise = groups == 1 and k == 1
-    if not pointwise and not groups == c_in == c_out:
-        raise ShapeError(
-            f"conv1d runs pointwise (groups=1, K=1) or depthwise (groups=C_in=C_out) kernels; "
+            f"conv1d runs pointwise (groups=1, K=1, C_in channels per group) or depthwise "
+            f"(groups=C_in=C_out, 1 channel per group) kernels; "
             f"got groups={groups}, {c_in} input channels and weight {weight.shape}"
         )
-    left, right = int(padding[0]), int(padding[1])
-    if left < 0 or right < 0:
-        raise ShapeError(f"padding must be non-negative, got {padding}")
-    t_out = t_in + left + right - (k - 1) * dilation
-    if t_out < 1:
-        raise ShapeError(
-            f"input length {t_in} with padding {padding} is too short for "
-            f"kernel {k} at dilation {dilation} (needs >= {1 + (k - 1) * dilation})"
-        )
-    if bias is not None and bias.shape != (c_out,):
+    if bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} does not match output channels {c_out}")
 
     w = weight.data
+    span = (k - 1) * dilation
     if pointwise:
         # one GEMM over the B*T columns of the channel-major input
         w2, x2 = w[:, :, 0], _rows(x.data)
         out = (w2 @ x2).reshape((c_out,) + x.shape[1:])
-        if left or right:
-            out = np.pad(out, [(0, 0)] * (x.ndim - 1) + [(left, right)])
     else:
-        x3 = x.data.reshape(c_in, -1, t_in)  # one window is B = 1
-        out = np.einsum("cbtk,ck->cbt", _taps(x3, left, right, k, dilation, t_out), w[:, 0, :])
-        out = out.reshape((c_out,) + x.shape[1:-1] + (t_out,))
-    if bias is not None:
-        out += bias.data.reshape((-1,) + (1,) * (x.ndim - 1))
+        x3 = x.data.reshape(c_in, -1, t)  # one window is B = 1
+        out = np.einsum("cbtk,ck->cbt", _taps(x3, span, 0, k, dilation), w[:, 0, :])
+        out = out.reshape((c_out,) + x.shape[1:])
+    out += bias.data.reshape((-1,) + (1,) * (x.ndim - 1))
 
     def back(g):
-        if bias is not None:
-            _accum(bias, _rows(g).sum(axis=1))
+        _accum(bias, _rows(g).sum(axis=1))
         if pointwise:
-            gy = _rows(g[..., left : left + t_in])
+            gy = _rows(g)
             dw = (gy @ x2.T)[:, :, None]
             dx = (w2.T @ gy).reshape(x.shape)
         else:
-            g3 = g.reshape(c_out, -1, t_out)
-            dw = np.einsum("cbt,cbtk->ck", g3, _taps(x3, left, right, k, dilation, t_out))[:, None, :]
-            # input step s collects tap kk of output step s + left - kk*dilation
-            span = (k - 1) * dilation
-            dx = np.einsum("cbtk,ck->cbt", _taps(g3, span - left, span - right, k, dilation, t_in), w[:, 0, ::-1])
+            g3 = g.reshape(c_out, -1, t)
+            dw = np.einsum("cbt,cbtk->ck", g3, _taps(x3, span, 0, k, dilation))[:, None, :]
+            # input step s collects tap kk of output step s + span - kk*dilation
+            dx = np.einsum("cbtk,ck->cbt", _taps(g3, 0, span, k, dilation), w[:, 0, ::-1])
             dx = dx.reshape(x.shape)
         _accum(x, dx)
         _accum(weight, dw.astype(w.dtype, copy=False))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out, parents, back)
+    return _make(out, (x, weight, bias), back)
 
 
-def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int, t_out: int) -> np.ndarray:
-    """[..., t_out, k] array whose [.., t, kk] entry is step t + kk*dilation of ``a`` zero-padded by (left, right).
+def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int) -> np.ndarray:
+    """[..., T, k] array whose [.., t, kk] entry is step t + kk*dilation of ``a`` zero-padded by (left, right).
 
-    A negative pad crops that many steps instead. It is a strided view of
-    the padded input, except at dilation 1: there the tap stride equals the
-    time stride, and einsum over such a view runs 4-6x slower than over a
-    copy laid out as [..., k, t_out] (the same values, the same bits).
+    The pads add up to the span (k-1)*dilation. It is a strided view of the
+    padded input, except at dilation 1: there the tap stride equals the time
+    stride, and einsum over such a view runs 4-6x slower than over a copy
+    laid out as [..., k, T] (the same values, the same bits).
     """
-    a = a[..., max(0, -left) : a.shape[-1] - max(0, -right)]
-    left, right = max(0, left), max(0, right)
-    padded = a
-    if left or right:
-        padded = np.zeros(a.shape[:-1] + (left + a.shape[-1] + right,), dtype=a.dtype)
-        padded[..., left : left + a.shape[-1]] = a
-    if padded.shape[-1] < t_out + (k - 1) * dilation:  # as_strided does not bounds-check
-        raise ShapeError(f"{padded.shape[-1]} padded steps cannot hold {t_out} outputs of a {k}-tap kernel")
+    t = a.shape[-1]
+    padded = np.zeros(a.shape[:-1] + (left + t + right,), dtype=a.dtype)
+    padded[..., left : left + t] = a
+    if padded.shape[-1] < t + (k - 1) * dilation:  # as_strided does not bounds-check
+        raise ShapeError(f"{padded.shape[-1]} padded steps cannot hold {t} outputs of a {k}-tap kernel")
     s = padded.strides
     view = np.lib.stride_tricks.as_strided(
-        padded, shape=a.shape[:-1] + (t_out, k), strides=s + (s[-1] * dilation,), writeable=False
+        padded, shape=a.shape[:-1] + (t, k), strides=s + (s[-1] * dilation,), writeable=False
     )
     if dilation == 1:
         view = np.ascontiguousarray(np.swapaxes(view, -1, -2)).swapaxes(-1, -2)

@@ -14,9 +14,10 @@ objects a command builds, is echoed into every output directory as
 Final artifacts are written to ``<name>.partial`` and renamed on
 success, so an interrupted run never leaves a complete-looking output.
 ``train``, ``eval`` and ``infer`` create the output directory only once
-their work has succeeded, and ``simulate`` once its scene grid is checked
-and the header of every corpus clip (format, rate, length), so a run that
-fails on those inputs leaves no directory behind.
+their work has succeeded, and ``simulate`` once its scene grid, counts and
+seed are checked and the header of every corpus clip (format, rate,
+length), so a run that fails on those inputs leaves no directory behind.
+Every command writes ``run_config.json`` once its work has succeeded.
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
@@ -201,10 +202,11 @@ def _cmd_simulate(cfg: dict) -> int:
     corpora = Corpora.from_dirs(
         cfg["expert-dir"], cfg["assistant-dir"], cfg["noise-dir"], sample_rate=cfg["sample-rate"]
     )
-    out = _start_output(cfg)
+    # generate_dataset checks the counts and the seed before it creates --out
     manifests = generate_dataset(
-        corpora, grid, cfg["counts"], out, seed=cfg["seed"], sample_rate=cfg["sample-rate"]
+        corpora, grid, cfg["counts"], cfg["out"], seed=cfg["seed"], sample_rate=cfg["sample-rate"]
     )
+    _start_output(cfg)
     for split, path in manifests.items():
         print(f"{split}: {path}")
     return 0

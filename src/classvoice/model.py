@@ -124,23 +124,11 @@ class ModelConfig:
     features_mode: str = "multiscale"
 
     def __post_init__(self):
-        for name in (
-            "frame_len",
-            "frame_stride",
-            "enc_channels",
-            "bottleneck_channels",
-            "skip_channels",
-            "block_channels",
-            "kernel_size",
-            "blocks_per_repeat",
-            "repeats",
-            "hidden1",
-            "hidden2",
-            "sample_rate",
-        ):
-            v = getattr(self, name)
-            if type(v) is not int or v < 1:  # a bool is an int to isinstance
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            # every integer field counts something; a bool is an int to isinstance
+            if type(f.default) is int and (type(v) is not int or v < 1):
+                raise ValueError(f"{f.name} must be a positive integer, got {v!r}")
         if self.frame_stride > self.frame_len:
             raise ValueError(
                 f"frame_stride ({self.frame_stride}) must not exceed frame_len ({self.frame_len})"
@@ -343,13 +331,13 @@ class MultiScaleTCN:
 
         x is [bottleneck_channels, T] or [bottleneck_channels, B, T].
         Returns (residual_out, skip_mean). residual_out = x + res_conv(h)
-        has x's shape (left-only padding keeps T fixed and the block
-        causal). skip_mean is the time mean of the per-frame skip map
-        skip_conv(h), [skip_channels] or [skip_channels, B]: the conv is
-        linear, so it runs on mean_t of the normalised h and the per-frame
-        map is never built. Outputs nothing reads are not computed:
-        residual_out is None for the final block, and skip_mean is None for
-        the other blocks in last_layer mode.
+        has x's shape (the causal depthwise conv keeps T fixed). skip_mean
+        is the time mean of the per-frame skip map skip_conv(h),
+        [skip_channels] or [skip_channels, B]: the conv is linear, so it
+        runs on mean_t of the normalised h and the per-frame map is never
+        built. Outputs nothing reads are not computed: residual_out is None
+        for the final block, and skip_mean is None for the other blocks in
+        last_layer mode.
         """
         c = self.config
         if x.shape[0] != c.bottleneck_channels:
@@ -358,7 +346,6 @@ class MultiScaleTCN:
             )
         pre = f"block.{repeat_idx}.{block_idx}"
         dilation = 2**block_idx
-        span = (c.kernel_size - 1) * dilation
         h = ad.conv1d(x, self.params[f"{pre}.in_conv.weight"], self.params[f"{pre}.in_conv.bias"])
         h = ad.prelu(h, self.params[f"{pre}.prelu1.alpha"])
         h = self._norm(h, f"{pre}.norm1")
@@ -368,7 +355,6 @@ class MultiScaleTCN:
             self.params[f"{pre}.dw_conv.bias"],
             dilation=dilation,
             groups=c.block_channels,
-            padding=(span, 0),
         )
         h = ad.prelu(h, self.params[f"{pre}.prelu2.alpha"])
         h = self._norm(h, f"{pre}.norm2")

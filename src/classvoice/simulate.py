@@ -708,15 +708,18 @@ def generate_dataset(
 
     counts is (train, valid, test). Every record carries the relative
     file paths, the peak-normalization scale, and the full SceneSpec.
-    Returns {split: manifest_path}. Bad counts raise ValueError, and a
-    corpus checked at a rate other than ``sample_rate`` raises CorpusError,
-    before anything is created under ``out_dir``. Every split's scenes are
-    drawn, and their RIRs built, before the first sample is rendered.
+    Returns {split: manifest_path}. Bad counts or a negative seed raise
+    ValueError, and a corpus checked at a rate other than ``sample_rate``
+    raises CorpusError, before anything is created under ``out_dir``. Every
+    split's scenes are drawn, and their RIRs built, before the first sample
+    is rendered.
     """
     counts = tuple(counts)
     whole = all(isinstance(c, (int, np.integer)) and not isinstance(c, bool) for c in counts)
     if len(counts) != 3 or not whole or min(counts) < 0:
         raise ValueError(f"counts must be three non-negative integers (train, valid, test), got {counts}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _check_rates(corpora, int(sample_rate))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

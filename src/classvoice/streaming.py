@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import NonFiniteError
+from .autodiff import NonFiniteError, ShapeError
 from .cores import map_in_order
 from .model import Category, Checkpoint, MultiScaleTCN, decode
 
@@ -132,16 +132,28 @@ def _classify_windows(model: MultiScaleTCN, audio: np.ndarray, centers, win: int
     return probs
 
 
+def _checked_samples(samples, what: str) -> np.ndarray:
+    """``samples`` as a 1-D float32 array; ShapeError names any other shape, NonFiniteError the first NaN or Inf sample."""
+    samples = np.asarray(samples, dtype=np.float32)
+    if samples.ndim != 1:
+        raise ShapeError(f"{what} must be 1-D samples, got shape {samples.shape}")
+    finite = np.isfinite(samples)
+    if not finite.all():
+        raise NonFiniteError(f"{what} sample {int(np.argmin(finite))} is NaN or Inf; the {what} was not added")
+    return samples
+
+
 def infer_offline(audio, checkpoint, hop_seconds: float = HOP_SECONDS) -> DecisionTrack:
     """One decision per hop slot over the entire file.
 
     Produces ceil(duration/hop) decisions at timestamps i*hop. Slots
     whose centered window would cross an audio boundary take the nearest
-    valid window's decision.
+    valid window's decision. Audio that is not 1-D raises ShapeError and
+    a NaN or Inf sample NonFiniteError, each naming the offender.
     """
     model = resolve_model(checkpoint)
     fs, win, hop, half = _window_geometry(model.config, hop_seconds)
-    audio = np.asarray(audio, dtype=np.float32)
+    audio = _checked_samples(audio, "audio")
     s = len(audio)
     if s < win:
         raise AudioTooShortError(f"audio is {s} samples, shorter than one {win}-sample window")
@@ -180,17 +192,15 @@ class StreamingSession:
         self._closed = False
 
     def feed(self, samples) -> list[Decision]:
-        """Append samples; return the decisions that became available.
+        """Append 1-D samples; return the decisions that became available.
 
-        A chunk holding a NaN or Inf raises NonFiniteError, naming the first
-        bad sample, and is not added: the session stays as it was.
+        A chunk of another shape raises ShapeError naming it, and one holding
+        a NaN or Inf NonFiniteError naming the first bad sample. Either is
+        not added: the session stays as it was.
         """
         if self._closed:
             raise SessionClosedError("cannot feed a closed streaming session")
-        samples = np.asarray(samples, dtype=np.float32).reshape(-1)
-        finite = np.isfinite(samples)
-        if not finite.all():
-            raise NonFiniteError(f"chunk sample {int(np.argmin(finite))} is NaN or Inf; the chunk was not added")
+        samples = _checked_samples(samples, "chunk")
         self._buffer = np.concatenate([self._buffer, samples])
         self._received += len(samples)
         emitted = []

@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,10 +79,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "patience", "batch_size", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int:  # a bool is an int to isinstance
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(f.default) is int and type(value) is not int:  # a bool is an int to isinstance
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
         if not 0 < self.patience < self.epochs:

@@ -54,15 +54,16 @@ class TestConv1d:
     def test_identity_kernel(self):
         x = Tensor([[1.0, 2.0, 3.0, 4.0]])
         w = Tensor([[[1.0]]])
-        out = conv1d(x, w)
+        out = conv1d(x, w, Tensor([0.0]))
         np.testing.assert_allclose(out.data, [[1, 2, 3, 4]])
 
     def test_ones_kernel_padded(self):
+        # causal: two zeros of padding on the left, none on the right
         x = np.array([[1.0, 2.0, 3.0, 4.0]])
         w = np.ones((1, 1, 3))
-        expected = naive_conv1d(x, w, None, 1, 1, (1, 1))
-        np.testing.assert_allclose(expected, [[3, 6, 9, 7]])
-        out = conv1d(Tensor(x), Tensor(w), dilation=1, padding=(1, 1))
+        expected = naive_conv1d(x, w, None, 1, 1, (2, 0))
+        np.testing.assert_allclose(expected, [[1, 3, 6, 9]])
+        out = conv1d(Tensor(x), Tensor(w), Tensor([0.0]), dilation=1)
         np.testing.assert_allclose(out.data, expected)
 
     def test_dilated_causal(self):
@@ -70,10 +71,11 @@ class TestConv1d:
         w = np.ones((1, 1, 2))
         expected = naive_conv1d(x, w, None, 2, 1, (2, 0))
         np.testing.assert_allclose(expected, [[1, 2, 4, 6]])
-        out = conv1d(Tensor(x), Tensor(w), dilation=2, padding=(2, 0))
+        out = conv1d(Tensor(x), Tensor(w), Tensor([0.0]), dilation=2)
         np.testing.assert_allclose(out.data, expected)
 
     def test_random_against_oracle(self):
+        # against the oracle padded causally, by the span (k-1)*d on the left: spans of 0..8 steps over T of 1..16
         rng = np.random.default_rng(7)
         for case in range(200):
             c = int(rng.integers(1, 5))
@@ -84,20 +86,16 @@ class TestConv1d:
                 groups, k, c_out = 1, 1, int(rng.integers(1, 6))
             else:  # depthwise
                 groups, c_out = c, c
-            need = 1 + (k - 1) * d
-            left = int(rng.integers(0, need + 2))
-            right = max(0, need - t - left) + int(rng.integers(0, 3))
             x = rng.standard_normal((c, t))
             w = rng.standard_normal((c_out, c // groups, k))
-            bias = rng.standard_normal(c_out) if rng.random() < 0.5 else None
-            expected = naive_conv1d(x, w, bias, d, groups, (left, right))
+            bias = rng.standard_normal(c_out)
+            expected = naive_conv1d(x, w, bias, d, groups, ((k - 1) * d, 0))
             out = conv1d(
                 Tensor(x, dtype=np.float64),
                 Tensor(w, dtype=np.float64),
-                None if bias is None else Tensor(bias, dtype=np.float64),
+                Tensor(bias, dtype=np.float64),
                 dilation=d,
                 groups=groups,
-                padding=(left, right),
             )
             np.testing.assert_allclose(out.data, expected, atol=1e-6, err_msg=f"case {case}")
 
@@ -107,7 +105,7 @@ class TestConv1d:
         for w_shape, groups in (((5, 3, 1), 1), ((3, 1, 3), 3)):  # pointwise, depthwise
             w = rng.standard_normal(w_shape)
             b = rng.standard_normal(w_shape[0])
-            kw = dict(dilation=2, groups=groups, padding=(2, 2))
+            kw = dict(dilation=2, groups=groups)
             batched = conv1d(Tensor(x), Tensor(w), Tensor(b), **kw)
             for i in range(4):
                 single = conv1d(Tensor(x[:, i]), Tensor(w), Tensor(b), **kw)
@@ -121,21 +119,21 @@ class TestConv1d:
     def test_unsupported_grouping_rejected(self, w_shape, groups):
         x = Tensor(np.zeros((4, 8)))
         with pytest.raises(ShapeError, match="pointwise .* or depthwise"):
-            conv1d(x, Tensor(np.zeros(w_shape)), groups=groups)
+            conv1d(x, Tensor(np.zeros(w_shape)), Tensor(np.zeros(w_shape[0])), groups=groups)
 
     def test_shape_errors_name_offender(self):
         x = Tensor(np.zeros((4, 8)))
         with pytest.raises(ShapeError, match="groups"):
-            conv1d(x, Tensor(np.zeros((4, 2, 3))), groups=3)
+            conv1d(x, Tensor(np.zeros((4, 2, 3))), Tensor(np.zeros(4)), groups=3)
         with pytest.raises(ShapeError, match="channels per group"):
-            conv1d(x, Tensor(np.zeros((4, 3, 3))), groups=1)
-        with pytest.raises(ShapeError, match="too short"):
-            conv1d(Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 1, 3))), dilation=4)
+            conv1d(x, Tensor(np.zeros((4, 3, 3))), Tensor(np.zeros(4)), groups=1)
+        with pytest.raises(ShapeError, match="bias shape"):
+            conv1d(x, Tensor(np.zeros((4, 1, 3))), Tensor(np.zeros(3)), groups=4)
 
     def test_non_finite_rejected(self):
         # two channels of 3e38 sum past float32's max (3.4e38): the conv's own output is inf
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            conv1d(Tensor(np.full((2, 4), 3e38, np.float32)), Tensor(np.ones((1, 2, 1), np.float32)))
+            conv1d(Tensor(np.full((2, 4), 3e38, np.float32)), Tensor(np.ones((1, 2, 1), np.float32)), Tensor([0.0]))
         with pytest.raises(NonFiniteError):
             Tensor([np.nan])
 
@@ -512,7 +510,7 @@ class TestGraphRelease:
         x = Tensor(rng.standard_normal((4, 2, 9)), requires_grad=True)
         w = Tensor(rng.standard_normal((4, 4, 1)), requires_grad=True)
         gain, bias = Tensor(np.ones((4, 1)), requires_grad=True), Tensor(np.zeros((4, 1)), requires_grad=True)
-        h = conv1d(x, w)
+        h = conv1d(x, w, Tensor(np.zeros(4)))
         activation = weakref.ref(h.data)
         loss = tsum(cumulative_layer_norm(prelu(h, Tensor([0.25])), gain, bias))
         del h
@@ -588,16 +586,16 @@ class TestGradCheck:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_conv1d(self, seed):
-        # pointwise, batched ([C, B, T]) and padded
+        # pointwise and batched ([C, B, T])
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((3, 2, 7)), requires_grad=True, dtype=np.float64)
         w = Tensor(rng.standard_normal((4, 3, 1)) * 0.5, requires_grad=True, dtype=np.float64)
         b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64)
-        f = lambda t: tsum(mul(c := conv1d(t, w, b, padding=(2, 1)), c))
+        f = lambda t: tsum(mul(c := conv1d(t, w, b), c))
         assert grad_check(f, x) < 1e-4
-        fw = lambda t: tsum(mul(c := conv1d(x, t, b, padding=(2, 1)), c))
+        fw = lambda t: tsum(mul(c := conv1d(x, t, b), c))
         assert grad_check(fw, w) < 1e-4
-        fb = lambda t: tsum(mul(c := conv1d(x, w, t, padding=(2, 1)), c))
+        fb = lambda t: tsum(mul(c := conv1d(x, w, t), c))
         assert grad_check(fb, b) < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -605,10 +603,13 @@ class TestGradCheck:
         rng = np.random.default_rng(seed)
         x = Tensor(rng.standard_normal((4, 6)), requires_grad=True, dtype=np.float64)
         w = Tensor(rng.standard_normal((4, 1, 3)), requires_grad=True, dtype=np.float64)
-        f = lambda t: tsum(mul(c := conv1d(t, w, groups=4, padding=(2, 0)), c))
+        b = Tensor(rng.standard_normal(4), requires_grad=True, dtype=np.float64)
+        f = lambda t: tsum(mul(c := conv1d(t, w, b, groups=4), c))
         assert grad_check(f, x) < 1e-4
-        fw = lambda t: tsum(mul(c := conv1d(x, t, groups=4, padding=(2, 0)), c))
+        fw = lambda t: tsum(mul(c := conv1d(x, t, b, groups=4), c))
         assert grad_check(fw, w) < 1e-4
+        fb = lambda t: tsum(mul(c := conv1d(x, w, t, groups=4), c))
+        assert grad_check(fb, b) < 1e-4
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_relu_prelu(self, seed):
@@ -694,18 +695,17 @@ class TestFusedOpGradCheck:
         assert grad_check(lambda t: square_sum(cumulative_layer_norm(x, t, beta)), gain) < 1e-4
         assert grad_check(lambda t: square_sum(cumulative_layer_norm(x, gain, t)), beta) < 1e-4
 
-    @pytest.mark.parametrize(
-        "padding,dilation", [((0, 0), 1), ((1, 1), 1), ((4, 0), 2), ((2, 2), 2), ((5, 1), 2), ((0, 3), 1)]
-    )
-    def test_depthwise_padding_and_dilation(self, padding, dilation):
-        rng = np.random.default_rng(sum(padding) + dilation)
-        x = Tensor(rng.standard_normal((3, 2, 7)), requires_grad=True, dtype=np.float64)  # [C, B, T]
+    # a 3-tap kernel spans 2*dilation steps: less than T, T exactly, and more than T
+    @pytest.mark.parametrize("t,dilation", [(7, 1), (7, 2), (7, 3), (4, 2), (3, 4), (1, 2)])
+    def test_causal_depthwise_dilation(self, t, dilation):
+        rng = np.random.default_rng(t + dilation)
+        x = Tensor(rng.standard_normal((3, 2, t)), requires_grad=True, dtype=np.float64)  # [C, B, T]
         w = Tensor(rng.standard_normal((3, 1, 3)), requires_grad=True, dtype=np.float64)
         b = Tensor(rng.standard_normal(3), requires_grad=True, dtype=np.float64)
-        kw = dict(dilation=dilation, groups=3, padding=padding)
+        kw = dict(dilation=dilation, groups=3)
         out = conv1d(x, w, b, **kw)
         for i in range(2):
-            want = naive_conv1d(x.data[:, i], w.data, b.data, dilation, 3, padding)
+            want = naive_conv1d(x.data[:, i], w.data, b.data, dilation, 3, (2 * dilation, 0))
             np.testing.assert_allclose(out.data[:, i], want, atol=1e-12)
         assert grad_check(lambda t: square_sum(conv1d(t, w, b, **kw)), x) < 1e-4
         assert grad_check(lambda t: square_sum(conv1d(x, t, b, **kw)), w) < 1e-4
@@ -762,7 +762,7 @@ class TestChannelMajorBatches:
     @pytest.mark.parametrize("dilation", [1, 2])
     def test_conv1d_depthwise_padded(self, dilation):
         w, b = self.weights(self.C, 1, 3), self.weights(self.C)
-        self.check(lambda x: conv1d(x, w, b, dilation=dilation, groups=self.C, padding=(2 * dilation, 1)))
+        self.check(lambda x: conv1d(x, w, b, dilation=dilation, groups=self.C))
 
     def test_cumulative_layer_norm(self):
         gain, bias = self.weights(self.C, 1, seed=2), self.weights(self.C, 1, seed=3)
@@ -830,21 +830,22 @@ def strided_taps(a, left, right, k, dilation, t_out):
 class TestDilationOneTaps:
     """At dilation 1 the taps are copied into a contiguous block; the einsums give the strided view's bits."""
 
-    @pytest.mark.parametrize("padding", [(0, 0), (2, 0), (1, 1)], ids=["unpadded", "causal", "symmetric"])
-    def test_matches_strided_view_einsum(self, padding):
-        rng = np.random.default_rng(sum(padding))
-        c, b, t, k = 5, 2, 13, 3
-        left, right = padding
+    # causal: padded by the span k-1 = 2 on the left, over T longer than, equal to and shorter than the span
+    @pytest.mark.parametrize("t", [13, 2, 1], ids=["causal", "causal-span-equals-T", "causal-span-exceeds-T"])
+    def test_matches_strided_view_einsum(self, t):
+        rng = np.random.default_rng(t)
+        c, b, k = 5, 2, 3
+        span = k - 1
         x = Tensor(rng.standard_normal((c, b, t)).astype(np.float32), requires_grad=True)
         w = Tensor(rng.standard_normal((c, 1, k)).astype(np.float32), requires_grad=True)
-        out = conv1d(x, w, groups=c, padding=padding)
-        t_out = out.shape[-1]
+        bias = rng.standard_normal(c).astype(np.float32)
+        out = conv1d(x, w, Tensor(bias), groups=c)
         g = rng.standard_normal(out.shape).astype(np.float32)
         backward(weighted_sum(out, g))
-        span = k - 1
-        want_out = np.einsum("cbtk,ck->cbt", strided_taps(x.data, left, right, k, 1, t_out), w.data[:, 0])
-        want_dw = np.einsum("cbt,cbtk->ck", g, strided_taps(x.data, left, right, k, 1, t_out))
-        gpad = strided_taps(g, span - left, span - right, k, 1, t)
+        want_out = np.einsum("cbtk,ck->cbt", strided_taps(x.data, span, 0, k, 1, t), w.data[:, 0])
+        want_out += bias[:, None, None]
+        want_dw = np.einsum("cbt,cbtk->ck", g, strided_taps(x.data, span, 0, k, 1, t))
+        gpad = strided_taps(g, 0, span, k, 1, t)
         want_dx = np.einsum("cbtk,ck->cbt", gpad, w.data[:, 0, ::-1])
         assert np.array_equal(out.data, want_out)
         assert np.array_equal(w.grad[:, 0], want_dw)

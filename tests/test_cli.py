@@ -256,6 +256,12 @@ class TestRuns:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_simulate_with_negative_seed_exits_2_without_out(self, corpus_dirs, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert cli.main(["simulate", "--out", str(out), *corpus_dirs, *SCENE_FLAGS, "--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_simulate_with_empty_corpus_exits_2_without_out(self, corpus_dirs, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()

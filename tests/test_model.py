@@ -2,7 +2,7 @@
 
 import json
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -69,6 +69,12 @@ class TestModelConfig:
         for name, value in (("repeats", True), ("hidden1", True), ("kernel_size", 3.0), ("sample_rate", "16000")):
             with pytest.raises(ValueError, match=f"{name} must be a positive integer"):
                 ModelConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [0, True])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ModelConfig) if type(f.default) is int])
+    def test_every_int_field_rejects_zero_and_bool_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a positive integer, got {value!r}$"):
+            ModelConfig(**{name: value})
 
     def test_last_layer_input_dim(self):
         assert ModelConfig(features_mode="last_layer").classifier_input_dim == 128

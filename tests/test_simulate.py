@@ -569,6 +569,12 @@ class TestGenerateDataset:
             generate_dataset(None, SceneGrid(), counts, tmp_path / "ds", seed=0, sample_rate=FS)
         assert not (tmp_path / "ds").exists()
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_bad_seed_rejected_naming_it(self, tmp_path, seed):
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            generate_dataset(None, SceneGrid(), (1, 1, 1), tmp_path / "ds", seed=seed, sample_rate=FS)
+        assert not (tmp_path / "ds").exists()
+
     def test_empty_corpus_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(CorpusError, match="no .wav files"):

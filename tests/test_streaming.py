@@ -82,6 +82,18 @@ class TestInferOffline:
         with pytest.raises(AudioTooShortError):
             infer_offline(np.zeros(FS, np.float32), causal_model)
 
+    @pytest.mark.parametrize("shape", [(2, 4 * FS), (4 * FS, 1)], ids=["two-rows", "column"])
+    def test_audio_not_1d_rejected_naming_its_shape(self, causal_model, shape):
+        with pytest.raises(ad.ShapeError, match=re.escape(f"audio must be 1-D samples, got shape {shape}")):
+            infer_offline(np.zeros(shape, np.float32), causal_model)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_audio_rejected_naming_the_sample(self, causal_model, audio_12s, bad):
+        audio = audio_12s.copy()
+        audio[[1234, 5000]] = bad
+        with pytest.raises(ad.NonFiniteError, match="^audio sample 1234 is NaN or Inf"):
+            infer_offline(audio, causal_model)
+
     def test_deterministic(self, causal_model, audio_12s):
         t1 = infer_offline(audio_12s, causal_model, hop_seconds=0.2)
         t2 = infer_offline(audio_12s, causal_model, hop_seconds=0.2)
@@ -196,6 +208,17 @@ class TestStreaming:
             session.feed(bad)
         for chunk in chunks[40:]:
             session.feed(chunk)
+        assert decision_bits(session.close()) == decision_bits(clean.close())
+
+    def test_chunk_not_1d_rejected_naming_its_shape_and_not_added(self, causal_model):
+        # flattened, a [2, N] chunk would feed 2N samples
+        audio = np.random.default_rng(7).uniform(-0.5, 0.5, 4 * FS).astype(np.float32)
+        clean = StreamingSession(causal_model)
+        clean.feed(audio)
+        session = StreamingSession(causal_model)
+        with pytest.raises(ad.ShapeError, match=re.escape("chunk must be 1-D samples, got shape (2, 1600)")):
+            session.feed(audio[: 2 * 1600].reshape(2, 1600))
+        session.feed(audio)
         assert decision_bits(session.close()) == decision_bits(clean.close())
 
 

@@ -4,7 +4,7 @@ import json
 import math
 import re
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -89,6 +89,14 @@ class TestTrainConfig:
     def test_integer_fields_reject_bools_and_non_integers(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**{name: value})
+
+    # a negative seed would otherwise fail only once training seeds numpy, naming nothing
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig) if type(f.default) is int])
+    def test_every_int_field_rejects_bool_and_negative_by_name(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got True$"):
+            TrainConfig(**{name: True})
+        with pytest.raises(ValueError, match=f"^{name} must .*, got -1$"):
+            TrainConfig(**{name: -1})
 
     @pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["lr_start", "lr_end"])

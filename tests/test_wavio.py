@@ -8,7 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classvoice.wavio import WavFile, WavFormatError, read_wav, write_wav
+from classvoice.wavio import WavFile, WavFormatError, read_wav, read_wav_header, write_wav
+
+# Corpus checks every clip with the header reader alone, so it must reject what read_wav rejects
+READERS = (read_wav, read_wav_header)
 
 
 class TestScaling:
@@ -62,8 +65,9 @@ class TestRejection:
             w.setsampwidth(2)
             w.setframerate(16000)
             w.writeframes(b"\x00\x00" * 8)
-        with pytest.raises(WavFormatError, match="channels=2"):
-            read_wav(path)
+        for read in READERS:
+            with pytest.raises(WavFormatError, match="channels=2"):
+                read(path)
 
     def test_wrong_bit_depth_rejected(self, tmp_path):
         path = tmp_path / "wide.wav"
@@ -72,8 +76,9 @@ class TestRejection:
             w.setsampwidth(4)
             w.setframerate(16000)
             w.writeframes(b"\x00" * 16)
-        with pytest.raises(WavFormatError, match="16-bit"):
-            read_wav(path)
+        for read in READERS:
+            with pytest.raises(WavFormatError, match="16-bit"):
+                read(path)
 
     def test_non_pcm_rejected(self, tmp_path):
         # hand-built RIFF with IEEE-float format tag (3)
@@ -82,22 +87,25 @@ class TestRejection:
         fmt = struct.pack("<HHIIHH", 3, 1, 16000, 64000, 4, 32)
         body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(data)) + data
         path.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
-        with pytest.raises(WavFormatError):
-            read_wav(path)
+        for read in READERS:
+            with pytest.raises(WavFormatError):
+                read(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         good = tmp_path / "good.wav"
         write_wav(good, WavFile(sample_rate=16000, samples=np.zeros(1000, np.float32)))
         bad = tmp_path / "trunc.wav"
         bad.write_bytes(good.read_bytes()[:-500])
-        with pytest.raises(WavFormatError):
-            read_wav(bad)
+        for read in READERS:
+            with pytest.raises(WavFormatError):
+                read(bad)
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "noise.bin"
         path.write_bytes(b"this is not a wav file at all")
-        with pytest.raises(WavFormatError):
-            read_wav(path)
+        for read in READERS:
+            with pytest.raises(WavFormatError):
+                read(path)
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +116,7 @@ def small_wav(tmp_path_factory):
 
 
 class TestMalformedWav:
-    """Every damaged file reads or raises WavFormatError starting with its path."""
+    """Every damaged file reads or raises WavFormatError starting with its path, in both readers alike."""
 
     HEADER_BYTES = 44  # RIFF, fmt and data chunk headers of a plain PCM file
 
@@ -123,7 +131,12 @@ class TestMalformedWav:
             blob[at] ^= mask
         path = tmp_path_factory.mktemp("prop") / "c.wav"
         path.write_bytes(bytes(blob))
-        try:
-            read_wav(path)
-        except WavFormatError as exc:
-            assert str(exc).startswith(f"{path}: ")
+        accepted = []
+        for read in READERS:
+            try:
+                read(path)
+                accepted.append(True)
+            except WavFormatError as exc:
+                assert str(exc).startswith(f"{path}: ")
+                accepted.append(False)
+        assert accepted[0] == accepted[1], "read_wav and read_wav_header disagree on this file"
