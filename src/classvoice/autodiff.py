@@ -3,17 +3,23 @@
 Just enough for a 1-D convolutional voice detector, and no more: ``add``,
 ``tmean``, ``concat`` and ``transpose``; ``relu``, ``prelu`` and
 ``sigmoid``; ``matmul``, ``linear`` and ``conv1d`` (pointwise and causal
-dilated depthwise); the cumulative layer norm; ``binary_cross_entropy``;
-and Adam. Arrays are numpy; float32 is the working precision, and float64
-is kept when handed over explicitly.
+dilated depthwise); the cumulative layer norm, optionally of a PReLU;
+``binary_cross_entropy``; and Adam. Arrays are numpy; float32 is the
+working precision, and float64 is kept when handed over explicitly.
+A Tensor checks its values for NaN and Inf on construction, with no
+mask as large as the array.
 
 Elementwise ops take operands of a single shape and do not broadcast;
 every op takes Tensors. The network's layer norm is the cumulative one
 of causal Conv-TasNet (cLN), ``cumulative_layer_norm``: one op with a
 hand-written backward, which takes each step's mean and inverse deviation
-over the channels and the time prefix up to it and applies them. The
-loss, ``binary_cross_entropy``, is one op with a hand-written backward
-too.
+over the channels and the time prefix up to it and applies them. Given a
+PReLU slope it applies PReLU first, into the buffer it then normalizes
+in place, and its backward rebuilds the activation from the PReLU input:
+a block's PReLU output is never a tensor that a training graph holds
+until backward. The PReLU arithmetic is written once, in ``_prelu``,
+which the standalone ``prelu`` op runs too. The loss,
+``binary_cross_entropy``, is one op with a hand-written backward too.
 
 Batches are channel-major: a batch of B windows of [C, T] activations is
 one [C, B, T] array, not [B, C, T]. A 1x1 conv then multiplies its weight
@@ -77,6 +83,17 @@ def _coerce(data, dtype):
     return np.asarray(data).astype(DEFAULT_DTYPE, copy=False)
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite, with no mask as large as ``a``.
+
+    The max propagates a NaN, and an Inf of either sign is the max or the
+    min, so both are finite exactly when every entry is. The two
+    reductions allocate nothing proportional to ``a``, and unlike a sum
+    they cannot overflow on finite entries.
+    """
+    return a.size == 0 or bool(np.isfinite(a.max()) and np.isfinite(a.min()))
+
+
 class Tensor:
     """A dense real array with an optional gradient slot.
 
@@ -90,7 +107,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad=False, dtype=None):
         a = _coerce(data, dtype)
-        if not np.all(np.isfinite(a)):
+        if not _all_finite(a):
             raise NonFiniteError("tensor contains NaN or Inf values")
         self.data = a
         self.grad = None
@@ -275,20 +292,40 @@ def relu(a: Tensor) -> Tensor:
 def prelu(a: Tensor, alpha: Tensor) -> Tensor:
     """x for x >= 0, alpha*x for x < 0. alpha is a learnable scalar tensor.
 
-    Evaluated as max(x, alpha*x) when alpha <= 1 and min(x, alpha*x)
-    otherwise: two passes, no mask arrays, and the same bits as x*slope.
-    Gradients at exactly x == 0 are 0 in both x and alpha.
+    The network applies PReLU inside ``cumulative_layer_norm`` (its
+    ``alpha``), so the activation never becomes a tensor. This op stays
+    because two callers need the activation as a tensor: ``bench/tracer.py``
+    wraps ``prelu`` and ``cumulative_layer_norm`` by name, and the tests'
+    identity-norm fake (``tests/test_model.without_norms``) keeps each
+    block's PReLU while it removes the norms. Both ops run the arithmetic
+    of ``_prelu``.
     """
-    av = alpha.data.reshape(())
-    out_data = a.data * av
-    (np.maximum if av <= 1 else np.minimum)(out_data, a.data, out=out_data)
+    values, back = _prelu(a, alpha)
+    return _make(values(), (a, alpha), back)
+
+
+def _prelu(x: Tensor, alpha: Tensor):
+    """PReLU of x at alpha's slope, as (values, back): PReLU's one forward and one backward.
+
+    ``values()`` evaluates max(x, alpha*x) when alpha <= 1 and min(x,
+    alpha*x) otherwise into a fresh array: two passes, no mask arrays, and
+    the same bits as x*slope. ``back(g)`` takes the activation's gradient
+    g to x and alpha; both are 0 at exactly x == 0. Each reads the x and
+    the slope of this call, so ``values()`` can rebuild in a backward the
+    activation a forward did not keep.
+    """
+    xd, av = x.data, alpha.data.reshape(())
+
+    def values():
+        out = xd * av
+        (np.maximum if av <= 1 else np.minimum)(out, xd, out=out)
+        return out
 
     def back(g):
-        x = a.data
-        _accum(a, g * ((x > 0) + av * (x < 0)))  # dtype-promoting bool arithmetic
-        _accum(alpha, np.array([(g * np.minimum(x, 0)).sum()], dtype=alpha.dtype).reshape(alpha.shape))
+        _accum(x, g * ((xd > 0) + av * (xd < 0)))  # dtype-promoting bool arithmetic
+        _accum(alpha, np.array([(g * np.minimum(xd, 0)).sum()], dtype=alpha.dtype).reshape(alpha.shape))
 
-    return _make(out_data, (a, alpha), back)
+    return values, back
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -442,14 +479,22 @@ def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int) -> np.nda
 # normalizations
 
 
-def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """gain * (x - mu_t) * r_t + bias: x normalized over channels and the time prefix 1..t at each step t (cLN).
+def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, alpha: Tensor | None = None) -> Tensor:
+    """gain * (y - mu_t) * r_t + bias: y normalized over channels and the time prefix 1..t at each step t (cLN).
 
-    x is [C, T] or channel-major [C, B, T]; gain/bias are [C, 1] and apply
-    per channel, over rows of B*T steps. mu_t and r_t = 1/sqrt(var_t +
-    NORM_EPS) are taken jointly over channels (axis 0) and the time prefix
-    1..t, per batch item, so column t of the output depends only on input
-    columns 1..t, which is what makes the model causal.
+    y is x, or, given a PReLU slope ``alpha``, PReLU(x) at that slope (see
+    ``prelu``). x is [C, T] or channel-major [C, B, T]; gain/bias are [C, 1]
+    and apply per channel, over rows of B*T steps. mu_t and r_t =
+    1/sqrt(var_t + NORM_EPS) are taken jointly over channels (axis 0) and
+    the time prefix 1..t, per batch item, so column t of the output depends
+    only on input columns 1..t, which is what makes the model causal.
+
+    With ``alpha`` the op runs PReLU into a fresh buffer, takes the
+    statistics of that buffer and normalizes it in place, so the
+    activation is never a tensor that the graph keeps until backward. The
+    backward rebuilds it from x, which the graph holds anyway, then runs
+    the cLN backward and the PReLU backward: the same output and gradient
+    bits as ``prelu`` followed by this op without ``alpha``.
     """
     if x.ndim not in (2, 3):
         raise ShapeError(f"layer norm input must be [C,T] or [C,B,T], got {x.shape}")
@@ -459,36 +504,48 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     for name, p in (("gain", gain), ("bias", bias)):
         if p.shape != (c, 1):
             raise ShapeError(f"layer norm {name} must have shape ({c}, 1), got {p.shape}")
-    xd = x.data
-    counts = np.arange(1, t + 1, dtype=xd.dtype) * c
-    mu = np.cumsum(xd.sum(axis=0, keepdims=True), axis=-1) / counts
-    sq = np.einsum("c...,c...->...", xd, xd)[None]  # no x*x temporary
+    if alpha is None:
+        y = x.data
+        parents = (x, gain, bias)
+    else:
+        prelu_values, prelu_back = _prelu(x, alpha)
+        y = prelu_values()
+        parents = (x, gain, bias, alpha)
+    counts = np.arange(1, t + 1, dtype=y.dtype) * c
+    mu = np.cumsum(y.sum(axis=0, keepdims=True), axis=-1) / counts
+    sq = np.einsum("c...,c...->...", y, y)[None]  # no y*y temporary
     var = np.cumsum(sq, axis=-1) / counts - mu * mu
-    r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(NORM_EPS, dtype=xd.dtype))
+    r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(NORM_EPS, dtype=y.dtype))
     per_channel = (-1,) + (1,) * (x.ndim - 1)
     gd = gain.data.reshape(per_channel)
-    out_data = xd - mu
+    out_data = np.subtract(y, mu, out=None if alpha is None else y)  # PReLU's buffer is normalized in place
     out_data *= r
     out_data *= gd
     out_data += bias.data.reshape(per_channel)
 
     def back(g):
-        xhat = xd - mu
+        yd = x.data if alpha is None else prelu_values()
+        xhat = yd - mu
         xhat *= r
         _accum(gain, np.einsum("cn,cn->c", _rows(g), _rows(xhat))[:, None])
         _accum(bias, np.einsum("cn->c", _rows(g))[:, None])
         h = g * gd
-        # d/dr of sum_c h*(x - mu)*r is sum_c h*(x - mu) = sum_c h*xhat / r
+        # d/dr of sum_c h*(y - mu)*r is sum_c h*(y - mu) = sum_c h*xhat / r
         g_r = np.einsum("c...,c...->...", h, xhat)[None] / r
         del xhat
-        h *= r  # the gradient in x at fixed mu and r
+        h *= r  # the gradient in y at fixed mu and r
         g_var = -0.5 * g_r * (r * r * r) * (var > 0)  # zero where the clamp binds
-        # mu_t = S_t/n_t and var_t = Q_t/n_t - mu_t^2 over the prefix sums S, Q of x and x^2
+        # mu_t = S_t/n_t and var_t = Q_t/n_t - mu_t^2 over the prefix sums S, Q of y and y^2
         g_s = _suffix_sum((-h.sum(axis=0, keepdims=True) - 2.0 * mu * g_var) / counts)
         g_q = _suffix_sum(g_var / counts)
-        _accum(x, h + (g_s + 2.0 * xd * g_q))
+        g_y = h + (g_s + 2.0 * yd * g_q)
+        del yd, h
+        if alpha is None:
+            _accum(x, g_y)
+        else:
+            prelu_back(g_y)
 
-    return _make(out_data, (x, gain, bias), back)
+    return _make(out_data, parents, back)
 
 
 def _suffix_sum(a):

@@ -4,12 +4,14 @@ Configuration is a flat key-value space merged as defaults < config file
 < command-line flags. Every field of ModelConfig, TrainConfig and
 SceneGrid is one key: the flag is the field name in kebab-case, its
 default is the field default, and the field is documented in that
-class's docstring. Only paths, ``counts``, ``hop-seconds`` and
-``streaming`` are declared here. Flags and config-file values are
-checked by the same parser; unknown config-file keys are rejected by
-name. The fully resolved configuration, which holds every field of the
-objects a command builds, is echoed into every output directory as
-``run_config.json`` so a run can be reproduced from it exactly.
+class's docstring. ``seed`` and ``sample-rate``, which ``simulate`` reads
+too, have help saying what each command does with them. Only paths,
+``counts``, ``hop-seconds`` and ``streaming`` are declared here. Flags
+and config-file values are checked by the same parser; unknown
+config-file keys are rejected by name. The fully resolved
+configuration, which holds every field of the objects a command builds,
+is echoed into every output directory as ``run_config.json`` so a run
+can be reproduced from it exactly.
 
 Final artifacts are written to ``<name>.partial`` and renamed on
 success, so an interrupted run never leaves a complete-looking output.
@@ -55,7 +57,19 @@ class _Key:
 _TYPES = {"bool": bool, "int": int, "float": float, "str": str}  # bool first: it subclasses int
 # the commands that build each class, and the further commands that read one of its keys
 _BUILDERS = ((ModelConfig, ("train",)), (TrainConfig, ("train",)), (SceneGrid, ("simulate",)))
-_SHARED = {"seed": ("simulate",), "sample-rate": ("simulate",)}
+# keys that a further command reads too: those commands, and help saying what each command does with the key
+_SHARED = {
+    "seed": (
+        ("simulate",),
+        "train: model initialisation and shuffling seed (see TrainConfig.seed); "
+        "simulate: the seed that every split's scenes are drawn from",
+    ),
+    "sample-rate": (
+        ("simulate",),
+        "audio sample rate in Hz; train: the model's rate, which every training clip must have "
+        "(see ModelConfig.sample_rate); simulate: the rate scenes are rendered at, which every corpus clip must have",
+    ),
+}
 
 
 def _flag(field_name: str) -> str:
@@ -68,12 +82,14 @@ def _kind(default) -> str:
     return next(kind for kind, t in _TYPES.items() if isinstance(default, t))
 
 
-KEYS = [
-    _Key(_flag(f.name), _kind(f.default), f.default, f"see {cls.__name__}.{f.name}",
-         cmds + _SHARED.get(_flag(f.name), ()))
-    for cls, cmds in _BUILDERS
-    for f in fields(cls)
-] + [
+def _field_key(cls, commands: tuple, f) -> _Key:
+    """The key of one field of ``cls``, which ``commands`` build; a shared key gets its own help."""
+    name = _flag(f.name)
+    more, text = _SHARED.get(name, ((), f"see {cls.__name__}.{f.name}"))
+    return _Key(name, _kind(f.default), f.default, text, commands + more)
+
+
+KEYS = [_field_key(cls, cmds, f) for cls, cmds in _BUILDERS for f in fields(cls)] + [
     _Key("counts", "counts", (8, 2, 2), "train,valid,test sample counts", ("simulate",)),
     _Key("expert-dir", "str", None, "directory of expert WAV clips", ("simulate",)),
     _Key("assistant-dir", "str", None, "directory of assistant WAV clips", ("simulate",)),

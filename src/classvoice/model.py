@@ -37,6 +37,15 @@ share one copy of each array. ``save_checkpoint`` writes the arrays'
 buffers as they are, and ``load_checkpoint`` reads the payload once into
 one aligned, read-only buffer that the loaded tensors view.
 
+Each block's two PReLU -> cLN pairs are one op each
+(``ad.cumulative_layer_norm`` with the PReLU slope), so a training graph
+holds four block-wide activations per block: the 1x1 in-conv and the
+depthwise outputs, which the fused ops read and rebuild the PReLU from in
+backward, and the two norm outputs, which the next conv and the pooling
+read. The PReLU outputs are never tensors: in ``reduced_config()`` a
+4-window micro-batch's graph holds 35 [64, 4, 599] tensors, where
+separate PReLU ops would hold 51.
+
 A frozen model (``build_model``, or ``streaming.resolve_model`` of a
 trainable one) builds no graph and can serve concurrent inference from
 many threads. Likewise, each ``trainable_view`` records a graph and
@@ -287,8 +296,9 @@ class MultiScaleTCN:
 
     # -- forward pieces ----------------------------------------------------
 
-    def _norm(self, x: Tensor, prefix: str) -> Tensor:
-        return ad.cumulative_layer_norm(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"])
+    def _norm(self, x: Tensor, prefix: str, alpha: Tensor | None = None) -> Tensor:
+        """The cLN ``prefix`` of x, or of PReLU(x) at slope ``alpha`` (see ``ad.cumulative_layer_norm``)."""
+        return ad.cumulative_layer_norm(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"], alpha)
 
     def encode(self, audio) -> Tensor:
         """Frame audio into overlapping segments and apply the ReLU filterbank.
@@ -347,8 +357,7 @@ class MultiScaleTCN:
         pre = f"block.{repeat_idx}.{block_idx}"
         dilation = 2**block_idx
         h = ad.conv1d(x, self.params[f"{pre}.in_conv.weight"], self.params[f"{pre}.in_conv.bias"])
-        h = ad.prelu(h, self.params[f"{pre}.prelu1.alpha"])
-        h = self._norm(h, f"{pre}.norm1")
+        h = self._norm(h, f"{pre}.norm1", self.params[f"{pre}.prelu1.alpha"])
         h = ad.conv1d(
             h,
             self.params[f"{pre}.dw_conv.weight"],
@@ -356,8 +365,7 @@ class MultiScaleTCN:
             dilation=dilation,
             groups=c.block_channels,
         )
-        h = ad.prelu(h, self.params[f"{pre}.prelu2.alpha"])
-        h = self._norm(h, f"{pre}.norm2")
+        h = self._norm(h, f"{pre}.norm2", self.params[f"{pre}.prelu2.alpha"])
         final = (repeat_idx, block_idx) == (c.repeats - 1, c.blocks_per_repeat - 1)
         res = skip = None
         if not final:

@@ -54,7 +54,8 @@ class TrainConfig:
     """The training recipe.
 
     epochs: maximum epoch count. patience: epochs without a strict
-    validation-loss decrease before stopping early. lr_start/lr_end:
+    validation-loss decrease before stopping early; a patience of at
+    least ``epochs`` never stops early. lr_start/lr_end:
     learning rate at the first epoch and reached at the last, decayed
     exponentially in between. batch_size: windows per Adam step.
     window_hop_seconds: stride between the training windows, each
@@ -87,8 +88,8 @@ class TrainConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be positive, got {self.epochs}")
-        if not 0 < self.patience < self.epochs:
-            raise ValueError(f"patience must lie in (0, epochs), got {self.patience}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be positive, got {self.patience}")
         for name in ("lr_start", "lr_end"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # also false for NaN

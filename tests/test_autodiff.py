@@ -1,6 +1,7 @@
 """Tensor-core tests: oracles for conv/norm/linear, gradient checks, Adam."""
 
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -305,6 +306,36 @@ class TestFusedNormParity:
             results.append([out.data] + [t.grad for t in leaves])
         for name, want, got in zip(("out", "x", "gain", "bias"), *results):
             assert got.dtype == want.dtype == dtype and np.array_equal(got, want), name
+
+
+class TestPreluNormParity:
+    """cumulative_layer_norm with a slope gives prelu followed by the op without one, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6, 9), (6, 3, 9)], ids=["CT", "CBT"])
+    @pytest.mark.parametrize("slope", [0.25, 1.5], ids=["max", "min"])  # PReLU runs max(x, a*x) for a <= 1, else min
+    def test_bit_exact(self, dtype, shape, slope):
+        rng = np.random.default_rng([np.dtype(dtype).itemsize, len(shape), int(4 * slope)])
+        x = rng.standard_normal(shape).astype(dtype)
+        x.reshape(-1)[::5] = 0.0  # exact zeros, where both gradients are 0
+        gain, bias = (rng.standard_normal((shape[0], 1)).astype(dtype) for _ in range(2))
+        r = rng.standard_normal(shape).astype(dtype)
+        results = []
+        for fused in (False, True):
+            leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, gain, bias, [slope])]
+            xt, g, b, alpha = leaves
+            out = cumulative_layer_norm(xt, g, b, alpha) if fused else cumulative_layer_norm(prelu(xt, alpha), g, b)
+            backward(weighted_sum(out, r))
+            results.append([out.data] + [t.grad for t in leaves])
+        for name, want, got in zip(("out", "x", "gain", "bias", "alpha"), *results):
+            assert got.dtype == want.dtype == dtype and np.array_equal(got, want), name
+
+    def test_graph_keeps_no_activation(self):
+        # the fused op's parents are its inputs: no PReLU output tensor sits between x and the norm
+        arrays = (np.ones((2, 3)), np.ones((2, 1)), np.zeros((2, 1)), [0.25])
+        x, gain, bias, alpha = (Tensor(a, requires_grad=True) for a in arrays)
+        out = cumulative_layer_norm(x, gain, bias, alpha)
+        assert out._parents == (x, gain, bias, alpha)
 
 
 class TestLinear:
@@ -695,6 +726,17 @@ class TestFusedOpGradCheck:
         assert grad_check(lambda t: square_sum(cumulative_layer_norm(x, t, beta)), gain) < 1e-4
         assert grad_check(lambda t: square_sum(cumulative_layer_norm(x, gain, t)), beta) < 1e-4
 
+    @pytest.mark.parametrize("seed", range(3), ids=lambda seed: f"cLN-{seed}")
+    @pytest.mark.parametrize("slope", [0.25, 1.5])
+    def test_cumulative_layer_norm_with_prelu(self, seed, slope):
+        v = self.leaves(seed)
+        x, gain, beta = v["x"], v["gain"], v["beta"]
+        alpha = Tensor([slope], requires_grad=True, dtype=np.float64)
+        assert grad_check(lambda t: square_sum(cumulative_layer_norm(t, gain, beta, alpha)), x) < 1e-4
+        assert grad_check(lambda t: square_sum(cumulative_layer_norm(x, t, beta, alpha)), gain) < 1e-4
+        assert grad_check(lambda t: square_sum(cumulative_layer_norm(x, gain, t, alpha)), beta) < 1e-4
+        assert grad_check(lambda t: square_sum(cumulative_layer_norm(x, gain, beta, t)), alpha) < 1e-4
+
     # a 3-tap kernel spans 2*dilation steps: less than T, T exactly, and more than T
     @pytest.mark.parametrize("t,dilation", [(7, 1), (7, 2), (7, 3), (4, 2), (3, 4), (1, 2)])
     def test_causal_depthwise_dilation(self, t, dilation):
@@ -922,6 +964,29 @@ class TestTensorInvariants:
         for bad in (np.inf, -np.inf, np.nan):
             with pytest.raises(NonFiniteError):
                 Tensor([[1.0, bad]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 499, 999], ids=["first", "middle", "last"])
+    def test_one_non_finite_entry_rejected_anywhere(self, dtype, bad, where):
+        a = np.ones((10, 100), dtype)
+        a.reshape(-1)[where] = bad
+        with pytest.raises(NonFiniteError):
+            Tensor(a, dtype=dtype)
+
+    def test_finite_entries_whose_sum_overflows_accepted(self):
+        a = np.array([3e38, 3e38], np.float32)  # their float32 sum is Inf
+        assert Tensor(a).data is a
+
+    def test_finiteness_check_allocates_no_mask(self):
+        a = np.ones(1 << 22, np.float32)  # 4 MB of entries: an elementwise mask would take 4 MB
+        tracemalloc.start()
+        try:
+            t = Tensor(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert t.data is a and peak < 1 << 20
 
     def test_float64_preserved_float32_default(self):
         assert Tensor([1.0]).dtype == np.float32

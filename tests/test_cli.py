@@ -75,6 +75,15 @@ class TestKeys:
                       "--noise-dir", "n", "--seed", "9", "--sample-rate", "8000")
         assert (cfg["seed"], cfg["sample-rate"]) == (9, 8000)
 
+    def test_simulate_help_says_what_simulate_does_with_shared_keys(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help lines
+        assert "simulate: the seed that every split's scenes are drawn from" in text
+        assert "simulate: the rate scenes are rendered at, which every corpus clip must have" in text
+        assert "--seed see" not in text and "--sample-rate see" not in text
+
 
 class TestConfigResolution:
     def test_defaults_then_file_then_flags(self, tmp_path):
@@ -189,6 +198,16 @@ class TestRuns:
         path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(8, "little") + header)
         assert cli.main(["inspect", "--checkpoint", str(path)]) == 2
         assert f"{path}: header is not UTF-8 JSON" in capsys.readouterr().err
+
+    def test_one_epoch_train_exits_0(self, runs, tmp_path):
+        manifests = ["--train-manifest", str(runs / "sim" / "manifest_train.jsonl"),
+                     "--valid-manifest", str(runs / "sim" / "manifest_valid.jsonl")]
+        out = tmp_path / "train"
+        # the later flags win: one epoch, and a patience that exceeds it
+        assert cli.main(["train", "--out", str(out), *manifests, *TINY_MODEL_FLAGS, "--epochs", "1", "--patience", "10"]) == 0
+        history = (out / "history.csv").read_text().splitlines()
+        assert len(history) == 2 and history[1].startswith("0,")
+        assert json.loads((out / "run_config.json").read_text())["epochs"] == 1
 
     def test_train_with_bad_manifest_exits_2_without_out(self, runs, tmp_path, capsys):
         manifest = tmp_path / "bad.jsonl"

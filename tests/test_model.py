@@ -227,9 +227,10 @@ def without_norms(model):
 
     The layer norms pool statistics over the past, so a perturbed frame
     reaches every later frame; without them each frame sees only its
-    receptive field.
+    receptive field. A norm that a block fuses with its PReLU keeps the
+    PReLU.
     """
-    model._norm = lambda x, prefix: x
+    model._norm = lambda x, prefix, alpha=None: x if alpha is None else ad.prelu(x, alpha)
     return model
 
 
@@ -759,6 +760,39 @@ class TestMemoryBounds:
         save_checkpoint(path, Checkpoint.from_model(MultiScaleTCN(ModelConfig(), seed=1)))
         _, peak = traced_peak(lambda: load_checkpoint(path))
         assert peak <= self.PAYLOAD + self.MB
+
+    def test_built_model_holds_the_payload_once(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, Checkpoint.from_model(MultiScaleTCN(ModelConfig(), seed=1)))
+        # wrapping the arrays checks each for NaN and Inf with no mask as large as the array
+        _, peak = traced_peak(lambda: load_checkpoint(path).build_model())
+        assert peak <= self.PAYLOAD + self.MB
+
+
+def graph_tensors(loss):
+    """Every tensor reachable from ``loss`` through ``_parents``, the loss included."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+class TestTrainingGraph:
+    def test_a_block_holds_four_block_wide_activations(self):
+        # reduced_config: enc_channels == block_channels, so the encoder's and bottleneck's outputs count too
+        cfg = reduced_config()
+        view = MultiScaleTCN(cfg, seed=32).trainable_view()
+        audio = np.random.default_rng(33).uniform(-0.5, 0.5, (4, 3 * cfg.sample_rate)).astype(np.float32)
+        loss = ad.binary_cross_entropy(view.window_probs(audio), np.array([[1.0, 0.0], [0.0, 1.0]] * 2))
+        frames = (audio.shape[1] - cfg.frame_len) // cfg.frame_stride + 1
+        wide = [t for t in graph_tensors(loss) if t._parents and t.shape == (cfg.block_channels, 4, frames)]
+        # per block the in_conv and depthwise outputs and the two norm outputs, but no PReLU output: the
+        # norms apply PReLU themselves; then the encoder's GEMM and ReLU outputs and the bottleneck norm's
+        blocks = cfg.repeats * cfg.blocks_per_repeat
+        assert len(wide) == 4 * blocks + 3 == 35
 
 
 def write_raw(path, header, payload: bytes):

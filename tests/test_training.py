@@ -71,10 +71,14 @@ class TestTrainConfig:
         assert (c.lr_start, c.lr_end) == (1e-5, 1e-8)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="patience"):
-            TrainConfig(epochs=5, patience=5)
+        with pytest.raises(ValueError, match="^patience must be positive, got 0$"):
+            TrainConfig(epochs=5, patience=0)
         with pytest.raises(ValueError, match="window_hop_seconds"):
             TrainConfig(window_hop_seconds=0)
+
+    @pytest.mark.parametrize("patience", [1, 10])
+    def test_one_epoch_builds_whatever_the_patience(self, patience):
+        assert TrainConfig(epochs=1, patience=patience).epochs == 1
 
     @pytest.mark.parametrize("hop", [-0.1, 0.0, 1e-9, math.nan, math.inf])
     def test_bad_window_hop_rejected_naming_it(self, tiny_dataset, hop):
@@ -301,6 +305,19 @@ class TestTrainLoop:
                           window_hop_seconds=1.5, batch_size=16)
         _, history = train(tiny_model_config(), cfg, tiny_dataset["train"], tiny_dataset["valid"])
         assert len(history) == 11
+
+    def test_one_epoch_runs_at_lr_start(self, tiny_dataset):
+        # the default patience (10) exceeds the single epoch, which is allowed: it never stops early
+        cfg = TrainConfig(epochs=1, lr_start=1e-4, lr_end=1e-7, window_hop_seconds=1.5, batch_size=16)
+        ckpt, history = train(tiny_model_config(), cfg, tiny_dataset["train"], tiny_dataset["valid"])
+        assert [(h.epoch, h.lr) for h in history] == [(0, 1e-4)]
+        assert (ckpt.metadata["best_epoch"], ckpt.metadata["epochs_run"]) == (0, 1)
+
+    def test_patience_of_epochs_never_stops_early(self, tiny_dataset):
+        # at a negligible lr no epoch after the first improves (see test_negligible_lr_stops_after_patience)
+        cfg = TrainConfig(epochs=3, patience=3, lr_start=1e-30, lr_end=1e-30, window_hop_seconds=1.5, batch_size=16)
+        _, history = train(tiny_model_config(), cfg, tiny_dataset["train"], tiny_dataset["valid"])
+        assert len(history) == 3
 
     def test_lr_endpoints_recorded(self, tiny_dataset):
         cfg = TrainConfig(epochs=4, patience=3, lr_start=1e-5, lr_end=1e-8, seed=0,
