@@ -21,6 +21,11 @@ until backward. The PReLU arithmetic is written once, in ``_prelu``,
 which the standalone ``prelu`` op runs too. The loss,
 ``binary_cross_entropy``, is one op with a hand-written backward too.
 
+The two causal ops, the cLN and the depthwise conv, also run a frozen input
+as contiguous time chunks: given a ``Carry``, an op takes its state at the
+end of the chunk before and posts its own for the chunk after, so the
+chunks' outputs are the whole input's.
+
 Batches are channel-major: a batch of B windows of [C, T] activations is
 one [C, B, T] array, not [B, C, T]. A 1x1 conv then multiplies its weight
 by a single [C, B*T] matrix, one GEMM in the forward and in each gradient
@@ -52,6 +57,7 @@ gradient is added out of place, never into an array already handed over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -391,10 +397,40 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# time chunks
+
+
+class Carry(Protocol):
+    """The state a causal op hands from one time chunk of a frozen input to the next.
+
+    The causal ops (the cLN and the depthwise conv) can run a [C, T] input
+    as contiguous time chunks, each through the same op, as the causal
+    network does with one window on several cores. Column t of an output
+    reads only input columns up to t, so all that chunk i needs from the
+    columns before it is each op's state at chunk i-1's last column. Each
+    chunk passes its ops one ``Carry``: an op calls ``take()`` before it
+    computes, for the state the same op left at the end of the chunk before
+    (None for a chunk that starts the input, which starts from zero), and
+    ``post(state)`` after, for the chunk after. A chunk's ops take and post
+    in one order, the order of the ops. Only inputs without
+    ``requires_grad`` take a carry: a chunked op records no graph.
+
+    The chunks' outputs are the whole input's bit for bit when each chunk
+    but the last is a whole number of numpy's SIMD blocks (16 steps cover
+    AVX-512 at float32 and float64): numpy computes the steps of a partial
+    block with other instructions.
+    """
+
+    def take(self): ...
+
+    def post(self, state) -> None: ...
+
+
+# ---------------------------------------------------------------------------
 # convolution
 
 
-def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, groups: int = 1) -> Tensor:
+def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, groups: int = 1, carry: Carry | None = None) -> Tensor:
     """Dilated 1-D convolution (stride 1) plus bias, in the two forms the network uses.
 
     x is [C_in, T] or channel-major [C_in, B, T], and the output [C_out,
@@ -403,6 +439,13 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, groups: i
     Depthwise is groups=C_in=C_out with any K, and causal: the input is
     zero-padded by (K-1)*dilation steps on the left, so output step t reads
     no input step after t. Any other grouping raises ShapeError.
+
+    A depthwise conv takes a ``carry`` (see ``Carry``) when x is a time
+    chunk of a longer frozen input: the left padding is then the last
+    (K-1)*dilation input steps before the chunk, zero-padded as the whole
+    input would be, and the chunk posts its own last (K-1)*dilation steps
+    for the next chunk, so the chunks' outputs are the whole input's
+    (see ``Carry`` for the chunk widths that give the same bits).
     """
     if x.ndim not in (2, 3):
         raise ShapeError(f"conv1d input must be [C,T] or [C,B,T], got {x.shape}")
@@ -422,6 +465,10 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, groups: i
         )
     if bias.shape != (c_out,):
         raise ShapeError(f"bias shape {bias.shape} does not match output channels {c_out}")
+    if carry is not None:
+        if pointwise:
+            raise ShapeError("a carry applies to the causal depthwise conv only; a pointwise conv reads one step")
+        _frozen_only("conv1d", (x, weight, bias))
 
     w = weight.data
     span = (k - 1) * dilation
@@ -431,8 +478,14 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, groups: i
         out = (w2 @ x2).reshape((c_out,) + x.shape[1:])
     else:
         x3 = x.data.reshape(c_in, -1, t)  # one window is B = 1
-        out = np.einsum("cbtk,ck->cbt", _taps(x3, span, 0, k, dilation), w[:, 0, :])
+        head = None if carry is None else carry.take()
+        out = np.einsum("cbtk,ck->cbt", _taps(x3, span, 0, k, dilation, head), w[:, 0, :])
         out = out.reshape((c_out,) + x.shape[1:])
+        if carry is not None:
+            if head is None:
+                head = np.zeros(x3.shape[:-1] + (span,), dtype=x3.dtype)
+            # the last span steps of head followed by x3: some of head's when the chunk is shorter than span
+            carry.post(np.concatenate([head[..., t:], x3[..., max(t - span, 0) :]], axis=-1))
     out += bias.data.reshape((-1,) + (1,) * (x.ndim - 1))
 
     def back(g):
@@ -453,10 +506,11 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, groups: i
     return _make(out, (x, weight, bias), back)
 
 
-def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int) -> np.ndarray:
+def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int, head=None) -> np.ndarray:
     """[..., T, k] array whose [.., t, kk] entry is step t + kk*dilation of ``a`` zero-padded by (left, right).
 
-    The pads add up to the span (k-1)*dilation. It is a strided view of the
+    The pads add up to the span (k-1)*dilation; a given ``head`` of ``left``
+    steps is the left pad instead of zeros. It is a strided view of the
     padded input, except at dilation 1: there the tap stride equals the time
     stride, and einsum over such a view runs 4-6x slower than over a copy
     laid out as [..., k, T] (the same values, the same bits).
@@ -464,6 +518,8 @@ def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int) -> np.nda
     t = a.shape[-1]
     padded = np.zeros(a.shape[:-1] + (left + t + right,), dtype=a.dtype)
     padded[..., left : left + t] = a
+    if head is not None:
+        padded[..., :left] = head
     if padded.shape[-1] < t + (k - 1) * dilation:  # as_strided does not bounds-check
         raise ShapeError(f"{padded.shape[-1]} padded steps cannot hold {t} outputs of a {k}-tap kernel")
     s = padded.strides
@@ -479,7 +535,7 @@ def _taps(a: np.ndarray, left: int, right: int, k: int, dilation: int) -> np.nda
 # normalizations
 
 
-def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, alpha: Tensor | None = None) -> Tensor:
+def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, alpha: Tensor | None = None, carry: Carry | None = None) -> Tensor:
     """gain * (y - mu_t) * r_t + bias: y normalized over channels and the time prefix 1..t at each step t (cLN).
 
     y is x, or, given a PReLU slope ``alpha``, PReLU(x) at that slope (see
@@ -495,6 +551,14 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, alpha: Tensor |
     backward rebuilds it from x, which the graph holds anyway, then runs
     the cLN backward and the PReLU backward: the same output and gradient
     bits as ``prelu`` followed by this op without ``alpha``.
+
+    Given a ``carry`` (see ``Carry``), x is a time chunk of a longer frozen
+    input. The chunk takes the step count and the channel sum and square
+    sum prefixes at the step before it, continues the prefix sums from
+    them, and posts its own at its last step. The running sums repeat the
+    additions the whole input's would make, so each chunk's output is the
+    whole input's at its steps (see ``Carry`` for the chunk widths that
+    give the same bits).
     """
     if x.ndim not in (2, 3):
         raise ShapeError(f"layer norm input must be [C,T] or [C,B,T], got {x.shape}")
@@ -511,10 +575,24 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, alpha: Tensor |
         prelu_values, prelu_back = _prelu(x, alpha)
         y = prelu_values()
         parents = (x, gain, bias, alpha)
-    counts = np.arange(1, t + 1, dtype=y.dtype) * c
-    mu = np.cumsum(y.sum(axis=0, keepdims=True), axis=-1) / counts
-    sq = np.einsum("c...,c...->...", y, y)[None]  # no y*y temporary
-    var = np.cumsum(sq, axis=-1) / counts - mu * mu
+    sums = y.sum(axis=0, keepdims=True)
+    squares = np.einsum("c...,c...->...", y, y)[None]  # no y*y temporary
+    before = 0  # the steps before x's first
+    if carry is not None:
+        _frozen_only("cumulative_layer_norm", parents)
+        prefix = carry.take()
+        if prefix is not None:
+            # added to the first step, the sum the cumulative sum would form next
+            before, sums_before, squares_before = prefix
+            sums[..., :1] += sums_before
+            squares[..., :1] += squares_before
+    sums = np.cumsum(sums, axis=-1)
+    squares = np.cumsum(squares, axis=-1)
+    if carry is not None:
+        carry.post((before + t, sums[..., -1:], squares[..., -1:]))
+    counts = np.arange(before + 1, before + t + 1, dtype=y.dtype) * c
+    mu = sums / counts
+    var = squares / counts - mu * mu
     r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(NORM_EPS, dtype=y.dtype))
     per_channel = (-1,) + (1,) * (x.ndim - 1)
     gd = gain.data.reshape(per_channel)
@@ -546,6 +624,11 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, alpha: Tensor |
             prelu_back(g_y)
 
     return _make(out_data, parents, back)
+
+
+def _frozen_only(op: str, inputs):
+    if any(p.requires_grad for p in inputs):
+        raise GraphError(f"{op} runs a carry on frozen inputs only; one of its inputs requires grad")
 
 
 def _suffix_sum(a):

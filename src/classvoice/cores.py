@@ -9,6 +9,16 @@ one worker and 2241 ms on 2 workers with BLAS pinned to one thread. So
 ``map_in_order`` runs its workers only while BLAS is pinned to one thread,
 and on the calling thread alone when the pin is not available.
 
+One window of the causal network runs as time chunks on this map too
+(``MultiScaleTCN.window_probs``), and every GEMM of that call, from the
+encoder's to the classifier's, runs inside the map, so the pin covers the
+whole call. It has to: after a GEMM on two BLAS threads, OpenBLAS's second
+thread spins on the other core for a while, and that is where the helper
+runs the second chunk. A paper-size window on 2 cores (OpenBLAS 0.3.31),
+medians of 35 windows in three alternating runs: 120, 129 and 136 ms with
+the whole call pinned, against 155, 190 and 159 ms with one two-thread
+encoder-sized GEMM just before each call.
+
 The same map builds the simulator's room impulse responses, one per core.
 An RIR build makes no BLAS call, so it needs no pin, but it shares the
 one rule: without the pin, RIRs build one after another on the calling
@@ -106,6 +116,11 @@ def one_blas_thread():
     return _BLAS_PIN if _BLAS_PIN is not None else contextlib.nullcontext()
 
 
+def usable_workers() -> int:
+    """The most workers ``map_in_order`` runs: one per usable core, or one when BLAS cannot be pinned."""
+    return worker_count() if _BLAS_PIN is not None else 1
+
+
 class _Helpers:
     """Daemon threads that run queued work, started on demand and kept for the life of the process."""
 
@@ -150,9 +165,8 @@ def map_in_order(fn, items) -> list:
     calls ``map_in_order``, still finishes.
     """
     items = list(items)
-    workers = min(worker_count(), len(items))
-    pin = _BLAS_PIN if workers > 1 else None
-    if pin is None:
+    workers = min(usable_workers(), len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
 
     results = [None] * len(items)
@@ -179,7 +193,7 @@ def map_in_order(fn, items) -> list:
                 running -= 1
                 idle.notify()
 
-    with pin:
+    with _BLAS_PIN:
         _HELPERS.start(work, workers - 1)
         work()
         with idle:

@@ -51,6 +51,14 @@ trainable one) builds no graph and can serve concurrent inference from
 many threads. Likewise, each ``trainable_view`` records a graph and
 gradients of its own, so training runs its micro-batches on many threads;
 only the optimizer step rebinds parameters, on one thread.
+
+A frozen model also runs one window on several cores, as contiguous time
+chunks, one per core, about one layer apart (``window_probs``). Chunk i
+takes from chunk i-1, as each of its causal ops reaches it, that op's
+carry: the bottleneck's and each block's two cLNs' step count and channel
+sum and square sum prefixes, each depthwise conv's last (K-1)*dilation
+input frames, and each block's pooling so far (``_Chunk.pool``). The
+probabilities are the whole window's, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,12 +67,14 @@ import copy
 import json
 import math
 import os
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
 from . import autodiff as ad
+from . import cores
 from .autodiff import NonFiniteError, ShapeError, Tensor
 
 CHECKPOINT_MAGIC = b"CVCHKPT1"
@@ -296,9 +306,12 @@ class MultiScaleTCN:
 
     # -- forward pieces ----------------------------------------------------
 
-    def _norm(self, x: Tensor, prefix: str, alpha: Tensor | None = None) -> Tensor:
-        """The cLN ``prefix`` of x, or of PReLU(x) at slope ``alpha`` (see ``ad.cumulative_layer_norm``)."""
-        return ad.cumulative_layer_norm(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"], alpha)
+    def _norm(self, x: Tensor, prefix: str, alpha: Tensor | None = None, carry: "_Chunk | None" = None) -> Tensor:
+        """The cLN ``prefix`` of x, or of PReLU(x) at slope ``alpha`` (see ``ad.cumulative_layer_norm``).
+
+        Only a time chunk passes ``carry``; a whole window calls ``_norm(x, prefix, alpha)``.
+        """
+        return ad.cumulative_layer_norm(x, self.params[prefix + ".gain"], self.params[prefix + ".bias"], alpha, carry)
 
     def encode(self, audio) -> Tensor:
         """Frame audio into overlapping segments and apply the ReLU filterbank.
@@ -322,21 +335,24 @@ class MultiScaleTCN:
         frames = np.ascontiguousarray(np.moveaxis(frames, -1, 0))  # [L, B, T] or [L, T]
         return ad.relu(ad.matmul(self.params["encoder.weight"], Tensor(frames, dtype=self.dtype)))
 
-    def bottleneck(self, w: Tensor) -> Tensor:
+    def bottleneck(self, w: Tensor, chunk: "_Chunk | None" = None) -> Tensor:
         """Layer-normalize and compress encoder channels with a 1x1 conv.
 
         w is [enc_channels, T] or [enc_channels, B, T]; the output is
-        [bottleneck_channels, T] or [bottleneck_channels, B, T].
+        [bottleneck_channels, T] or [bottleneck_channels, B, T]. Given a
+        ``chunk`` (see ``window_probs``), w is that time chunk of a window.
         """
         c = self.config
         if w.shape[0] != c.enc_channels:
             raise ShapeError(
                 f"bottleneck expects {c.enc_channels} channels, got {w.shape[0]}"
             )
-        x = self._norm(w, "bottleneck.norm")
+        x = self._norm(w, "bottleneck.norm", **_carried(chunk))
         return ad.conv1d(x, self.params["bottleneck.conv.weight"], self.params["bottleneck.conv.bias"])
 
-    def conv_block(self, x: Tensor, repeat_idx: int, block_idx: int) -> tuple[Tensor | None, Tensor | None]:
+    def conv_block(
+        self, x: Tensor, repeat_idx: int, block_idx: int, chunk: "_Chunk | None" = None
+    ) -> tuple[Tensor | None, Tensor | None]:
         """One dilated depthwise-separable block at dilation 2**block_idx.
 
         x is [bottleneck_channels, T] or [bottleneck_channels, B, T].
@@ -348,6 +364,10 @@ class MultiScaleTCN:
         built. Outputs nothing reads are not computed: residual_out is None
         for the final block, and skip_mean is None for the other blocks in
         last_layer mode.
+
+        Given a ``chunk`` (see ``window_probs``), x is that time chunk of
+        a window, and skip_mean, the whole window's, is None in every chunk
+        but the last.
         """
         c = self.config
         if x.shape[0] != c.bottleneck_channels:
@@ -357,26 +377,29 @@ class MultiScaleTCN:
         pre = f"block.{repeat_idx}.{block_idx}"
         dilation = 2**block_idx
         h = ad.conv1d(x, self.params[f"{pre}.in_conv.weight"], self.params[f"{pre}.in_conv.bias"])
-        h = self._norm(h, f"{pre}.norm1", self.params[f"{pre}.prelu1.alpha"])
+        h = self._norm(h, f"{pre}.norm1", self.params[f"{pre}.prelu1.alpha"], **_carried(chunk))
         h = ad.conv1d(
             h,
             self.params[f"{pre}.dw_conv.weight"],
             self.params[f"{pre}.dw_conv.bias"],
             dilation=dilation,
             groups=c.block_channels,
+            carry=chunk,
         )
-        h = self._norm(h, f"{pre}.norm2", self.params[f"{pre}.prelu2.alpha"])
+        h = self._norm(h, f"{pre}.norm2", self.params[f"{pre}.prelu2.alpha"], **_carried(chunk))
         final = (repeat_idx, block_idx) == (c.repeats - 1, c.blocks_per_repeat - 1)
         res = skip = None
         if not final:
             res = ad.add(x, ad.conv1d(h, self.params[f"{pre}.res_conv.weight"], self.params[f"{pre}.res_conv.bias"]))
         if final or c.features_mode == "multiscale":
             # the skip conv of the [C, 1] (or [C, B, 1]) time mean; the outer tmean drops that unit time axis
-            pooled = ad.tmean(h, keepdims=True)
-            skip = ad.tmean(ad.conv1d(pooled, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"]))
+            pooled = ad.tmean(h, keepdims=True) if chunk is None else chunk.pool(h)
+            if pooled is not None:
+                skip_conv = ad.conv1d(pooled, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"])
+                skip = ad.tmean(skip_conv)
         return res, skip
 
-    def extract(self, x: Tensor) -> Tensor:
+    def extract(self, x: Tensor, chunk: "_Chunk | None" = None) -> Tensor | None:
         """Run all blocks, threading the residual path; gather the pooled skip outputs.
 
         x is [bottleneck_channels, T] or [bottleneck_channels, B, T].
@@ -385,16 +408,20 @@ class MultiScaleTCN:
         concatenates every block's skip_mean in (repeat, block) order,
         last_layer mode returns only the final block's. This equals the
         time mean of the concatenated per-frame skip maps, which is what
-        the classifier reads.
+        the classifier reads. Given a ``chunk`` (see ``window_probs``), x
+        is that time chunk of a window, and the window's feature is None
+        in every chunk but the last.
         """
         c = self.config
         pooled = []
         cur = x
         for r in range(c.repeats):
             for m in range(c.blocks_per_repeat):
-                cur, skip = self.conv_block(cur, r, m)
+                cur, skip = self.conv_block(cur, r, m, chunk)
                 if skip is not None:
                     pooled.append(skip)
+        if not pooled:  # a chunk before the window's last
+            return None
         features = ad.concat(pooled)  # [D] or [D, B]
         return features if features.ndim == 1 else ad.transpose(features)
 
@@ -422,8 +449,217 @@ class MultiScaleTCN:
 
         In between, a batch runs channel-major ([C, B, T], see ``autodiff``)
         until ``extract`` hands the classifier one row per window.
+
+        A frozen model (no parameter requires grad) runs one window on
+        every usable core (``cores.usable_workers()``): its T frames are
+        cut into contiguous time chunks, one per worker (``_time_chunks``),
+        that run through ``cores.map_in_order`` as a wavefront. Each chunk
+        runs ``encode``, ``bottleneck`` and ``extract`` on its own frames.
+        The network is causal, so all that chunk i needs from the frames
+        before it is each causal op's state at chunk i-1's last frame, its
+        carry (see ``ad.Carry``): each cLN's step count and channel sum and
+        square sum prefixes, and each depthwise conv's last (K-1)*dilation
+        input frames. Chunk i takes each carry once chunk i-1 has posted it,
+        so the chunks run about one layer apart. The pooled features need
+        every frame, so the chunks hand their pooling on too (``_Chunk.pool``)
+        and the last chunk runs the skip convs and the classifier. Chunk 0
+        never waits, and ``map_in_order`` starts the chunks in order, so the
+        call finishes however the chunks land on threads. Every GEMM of the
+        call, from the encoder's to the classifier's, runs in a chunk, so
+        BLAS is held at one thread for all of them (see ``cores``). Each
+        chunk's columns, and the probabilities, are the whole window's, bit
+        for bit.
+
+        A batch, a trainable model, a window too short to cut, one usable
+        core, or a BLAS that cannot be pinned runs the window whole.
         """
-        return self.classify(self.extract(self.bottleneck(self.encode(audio))))
+        audio = np.asarray(audio, dtype=self.dtype)
+        frames = _frame_count(audio, self.config)
+        spans = _time_chunks(frames, cores.usable_workers(), self.config)
+        if len(spans) == 1 or audio.ndim != 1 or any(p.requires_grad for p in self.params.values()):
+            return self.classify(self.extract(self.bottleneck(self.encode(audio))))
+        ready = threading.Condition()
+        chunks = []
+        for span in spans:
+            chunks.append(_Chunk(span, frames, chunks[-1] if chunks else None, ready))
+        return cores.map_in_order(lambda chunk: chunk.run(self, audio), chunks)[-1]
+
+
+def _carried(chunk: "_Chunk | None") -> dict:
+    """``MultiScaleTCN._norm``'s carry argument: passed only for a time chunk."""
+    return {} if chunk is None else {"carry": chunk}
+
+
+def _frame_count(audio: np.ndarray, config: ModelConfig) -> int:
+    """Encoder frames of ``audio`` (samples on the last axis); 0 when it holds less than one frame."""
+    s = audio.shape[-1] if audio.ndim else 0
+    return max(0, (s - config.frame_len) // config.frame_stride + 1)
+
+
+# a chunk starts at a multiple of this many frames. numpy's SIMD loops and
+# BLAS's GEMM kernels take a row in blocks counted from its first column,
+# and some compute a last, partial block otherwise than a whole one
+# (OpenBLAS's float64 GEMM differs in the last bit). Cut at a multiple of
+# 64, each column falls in the same kind of block as in the whole window.
+_CHUNK_ALIGN = 64
+# OpenBLAS runs a GEMM of at most 10^6 multiply-adds with small-matrix
+# kernels (its x86-64 AVX-512 builds), whose last bit can differ from its
+# large kernels' on the same column. A window is cut only where each
+# chunk's pointwise GEMMs do 4x that, so they run the whole window's kernels.
+_SMALL_GEMM = 1 << 22
+
+
+def _time_chunks(frames: int, workers: int, config: ModelConfig) -> list[tuple[int, int]]:
+    """The (start, end) frames of a window's time chunks: one per worker, as even as ``_CHUNK_ALIGN`` allows.
+
+    Fewer chunks are cut when the narrowest would make a pointwise GEMM of
+    at most ``_SMALL_GEMM`` multiply-adds; a window that cannot be cut in
+    two is one chunk.
+    """
+    c = config
+    per_frame = min(c.enc_channels * c.frame_len, c.bottleneck_channels * c.enc_channels, c.block_channels * c.bottleneck_channels)
+    for count in range(workers, 1, -1):
+        cuts = [round(frames * i / count / _CHUNK_ALIGN) * _CHUNK_ALIGN for i in range(count)] + [frames]
+        narrowest = min(b - a for a, b in zip(cuts, cuts[1:]))
+        if narrowest > 0 and narrowest * per_frame > _SMALL_GEMM:
+            return list(zip(cuts, cuts[1:]))
+    return [(0, frames)]
+
+
+# numpy sums a row of more than this many values as two parts, the first of
+# n//2 values rounded down to a multiple of 8, and a row of at most this many
+# in one unrolled loop (its pairwise summation's PW_BLOCKSIZE)
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_split(lo: int, hi: int) -> int | None:
+    """Where numpy's pairwise sum splits the values lo..hi of a row; None for a leaf, which it sums in one loop."""
+    if hi - lo <= _PAIRWISE_BLOCK:
+        return None
+    half = (hi - lo) // 2
+    return lo + half - half % 8
+
+
+def _pooling_plan(lo: int, hi: int, frames: int) -> list[tuple[int, int]]:
+    """The nodes (a, b) of numpy's pairwise sum of a ``frames``-value row that a chunk lo..hi takes part in, in order.
+
+    Each is a node inside the chunk whose parent is not, or a leaf that one
+    of the chunk's ends cuts.
+    """
+    plan = []
+
+    def visit(a, b):
+        if b <= lo or hi <= a:
+            return
+        mid = _pairwise_split(a, b)
+        if lo <= a and b <= hi or mid is None:
+            plan.append((a, b))
+        else:
+            visit(a, mid)
+            visit(mid, b)
+
+    visit(0, frames)
+    return plan
+
+
+def _node_sum(sums: dict, a: int, b: int) -> np.ndarray:
+    """The pairwise sum of values a..b of the rows, from the node sums in ``sums``: numpy's additions, in its order."""
+    if (a, b) in sums:
+        return sums[a, b]
+    mid = _pairwise_split(a, b)
+    return _node_sum(sums, a, mid) + _node_sum(sums, mid, b)
+
+
+def _window_mean(sums: dict, frames: int) -> np.ndarray:
+    """numpy's mean of ``frames``-value rows, bit for bit, from node sums of its pairwise sum that cover the rows.
+
+    numpy's mean is its row sum, started from 0, divided by the count as an
+    intp.
+    """
+    total = np.zeros_like(next(iter(sums.values())))
+    total += _node_sum(sums, 0, frames)
+    return np.true_divide(total, np.intp(frames), out=total, casting="unsafe")
+
+
+class _ChunkAbandoned(RuntimeError):
+    """The chunk before this one failed, so this one cannot go on; the earlier chunk's error is raised."""
+
+
+class _Chunk:
+    """One time chunk of a frozen window: its frames, and the ``ad.Carry`` its causal ops take and post.
+
+    Every chunk runs the same layers, so its causal ops take and post their
+    carries in one order: the bottleneck's cLN, then per block norm1, the
+    depthwise conv, norm2 and the pooling (``pool``). The k-th value a
+    chunk takes is the k-th its predecessor posted, dropped once taken.
+    The last chunk posts nothing.
+    """
+
+    def __init__(self, span, frames: int, before: "_Chunk | None", ready: threading.Condition):
+        self.span, self.frames, self.before = span, frames, before
+        self.last = span[1] == frames
+        self.plan = _pooling_plan(*span, frames)
+        self._ready = ready  # one per window, shared by its chunks
+        self._posted: list = []
+        self._taken = 0
+        self.failed = False
+
+    def run(self, model: MultiScaleTCN, audio: np.ndarray) -> Tensor | None:
+        """This chunk's part of ``model.window_probs(audio)``: the probabilities from the last chunk, else None."""
+        c, (lo, hi) = model.config, self.span
+        try:
+            frames = model.encode(audio[lo * c.frame_stride : (hi - 1) * c.frame_stride + c.frame_len])
+            features = model.extract(model.bottleneck(frames, self), self)
+            return None if features is None else model.classify(features)
+        except BaseException:
+            with self._ready:
+                self.failed = True
+                self._ready.notify_all()
+            raise
+
+    def take(self):
+        if self.before is None:
+            return None
+        before, k = self.before, self._taken
+        self._taken += 1
+        with self._ready:
+            self._ready.wait_for(lambda: len(before._posted) > k or before.failed)
+            if len(before._posted) <= k:
+                raise _ChunkAbandoned(f"time chunk {before.span} failed before posting carry {k}")
+            value, before._posted[k] = before._posted[k], None
+        return value
+
+    def post(self, state) -> None:
+        if not self.last:
+            with self._ready:
+                self._posted.append(state)
+                self._ready.notify_all()
+
+    def pool(self, h: Tensor) -> Tensor | None:
+        """The window's ``ad.tmean(h, keepdims=True)``, bit for bit, in the last chunk; None in the others.
+
+        numpy's mean sums each row pairwise (``_pairwise_split``). Each
+        chunk adds to the node sums of the chunks before it the sums of its
+        own nodes (``_pooling_plan``). A leaf that the chunk's end cuts,
+        at most ``_PAIRWISE_BLOCK`` columns, goes on to the next chunk as
+        columns, to be summed whole where it ends.
+        """
+        sums, head = self.take() or ({}, None)
+        lo, hi = self.span
+        tail = None
+        for a, b in self.plan:
+            part = h.data[:, max(a, lo) - lo : min(b, hi) - lo]
+            if a < lo:  # a leaf that the chunks before began
+                part = np.concatenate([head, part], axis=1)
+            if b > hi:  # a leaf that the chunks after finish
+                tail = part.copy()
+            else:
+                sums[a, b] = part.sum(axis=-1, keepdims=True)
+        if not self.last:
+            self.post((sums, tail))
+            return None
+        mean = _window_mean(sums, self.frames)
+        return Tensor(mean, dtype=mean.dtype)
 
 
 # ---------------------------------------------------------------------------

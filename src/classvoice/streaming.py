@@ -17,7 +17,12 @@ Offline inference classifies its windows as batches of ``BATCH_WINDOWS``,
 one batch per usable core at a time, with BLAS pinned to one thread
 meanwhile (``cores.map_in_order``). Each window's probabilities come from
 the same batch on any core count, so the decisions do not depend on it.
-A streaming session classifies one window at a time, on its own thread.
+A streaming session classifies one window per call; a paper-size window
+runs as time chunks, one per usable core, with the bits of the whole
+window (``MultiScaleTCN.window_probs``).
+
+A session keeps only the audio its next window needs: ``feed`` returns
+each decision once, and ``infer_streaming`` collects them into a track.
 """
 
 from __future__ import annotations
@@ -177,13 +182,14 @@ class StreamingSession:
 
     Decisions appear on the same i*hop grid as infer_offline; the first
     one is emitted once the first full window has arrived, tagged to
-    that window's middle time.
+    that window's middle time. Each is returned by the ``feed`` it became
+    available in and not kept, so a session of any length holds about one
+    window of audio.
     """
 
     def __init__(self, checkpoint, hop_seconds: float = HOP_SECONDS):
         self.model = resolve_model(checkpoint)
         self.fs, self.win, self.hop, self.half = _window_geometry(self.model.config, hop_seconds)
-        self.track = DecisionTrack(hop_seconds=self.hop / self.fs)
         # first slot on the i*hop grid whose centered window fits
         self._next_slot = -(-self.half // self.hop)
         self._buffer = np.zeros(0, dtype=np.float32)
@@ -217,7 +223,6 @@ class StreamingSession:
                 category=decode(p, self.model.config.threshold),
                 probs=p,
             )
-            self.track.decisions.append(decision)
             emitted.append(decision)
             self._next_slot += 1
             # a hop longer than the window can put the next window past what has arrived
@@ -227,21 +232,22 @@ class StreamingSession:
                 self._buffer_start = keep_from
         return emitted
 
-    def close(self) -> DecisionTrack:
+    def close(self) -> None:
+        """End the session: a later ``feed`` raises SessionClosedError."""
         self._closed = True
-        return self.track
 
 
 def infer_streaming(frames, checkpoint, hop_seconds: float = HOP_SECONDS) -> DecisionTrack:
-    """Run a streaming session over an iterable of sample chunks.
+    """Run a streaming session over an iterable of sample chunks and collect its decisions.
 
     Raises AudioTooShortError when the chunks end before the first full
     window, as infer_offline does.
     """
     session = StreamingSession(checkpoint, hop_seconds)
+    track = DecisionTrack(hop_seconds=session.hop / session.fs)
     for chunk in frames:
-        session.feed(chunk)
-    track = session.close()
+        track.decisions.extend(session.feed(chunk))
+    session.close()
     if not track.decisions:
         raise AudioTooShortError(
             f"audio is {session._received} samples, too short for the first {session.win}-sample window"

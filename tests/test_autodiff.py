@@ -894,6 +894,71 @@ class TestDilationOneTaps:
         assert np.array_equal(x.grad, want_dx)
 
 
+class Relay:
+    """An ``ad.Carry`` for one op run on a row's time chunks in order: each chunk takes what the one before posted."""
+
+    def __init__(self):
+        self.state = None
+
+    def take(self):
+        return self.state
+
+    def post(self, state):
+        self.state = state
+
+
+def chunked(op, x, edges):
+    """op(chunk, carry) over x's time chunks between edges, joined along time."""
+    relay = Relay()
+    return np.concatenate([op(Tensor(x[..., lo:hi]), relay).data for lo, hi in zip(edges, edges[1:])], axis=-1)
+
+
+# chunk edges over 100 steps, each chunk but the last a whole number of 16-step
+# SIMD blocks (see model._CHUNK_ALIGN); some narrower than the 32-step span of
+# a 3-tap conv at dilation 16
+EDGES = [[0, 100], [0, 64, 100], [0, 16, 32, 64, 80, 100]]
+
+
+class TestCarries:
+    """A frozen row run in time chunks with carries gives the whole row's outputs, bit for bit."""
+
+    @pytest.mark.parametrize("edges", EDGES, ids=["whole", "two", "ragged"])
+    @pytest.mark.parametrize("dilation", [1, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_depthwise_conv(self, edges, dilation, dtype):
+        rng = np.random.default_rng(dilation)
+        x = rng.standard_normal((6, 100)).astype(dtype)
+        w, bias = Tensor(rng.standard_normal((6, 1, 3)), dtype=dtype), Tensor(rng.standard_normal(6), dtype=dtype)
+        want = conv1d(Tensor(x), w, bias, dilation, 6).data
+        got = chunked(lambda t, relay: conv1d(t, w, bias, dilation, 6, carry=relay), x, edges)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("edges", EDGES, ids=["whole", "two", "ragged"])
+    @pytest.mark.parametrize("slope", [None, 0.25, 1.7])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_cumulative_layer_norm(self, edges, slope, dtype):
+        rng = np.random.default_rng(7)
+        x = (rng.standard_normal((24, 100)) * np.geomspace(1e-3, 1e3, 100)).astype(dtype)  # the prefixes span magnitudes
+        gain, bias = Tensor(rng.uniform(0.5, 1.5, (24, 1)), dtype=dtype), Tensor(rng.standard_normal((24, 1)), dtype=dtype)
+        alpha = None if slope is None else Tensor([slope], dtype=dtype)
+        want = cumulative_layer_norm(Tensor(x), gain, bias, alpha).data
+        got = chunked(lambda t, relay: cumulative_layer_norm(t, gain, bias, alpha, carry=relay), x, edges)
+        assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_only_frozen_inputs_take_a_carry(self):
+        x = Tensor(np.ones((4, 5)), requires_grad=True)
+        w, bias = Tensor(np.ones((4, 1, 3))), Tensor(np.zeros(4))
+        with pytest.raises(GraphError, match="conv1d runs a carry on frozen inputs only"):
+            conv1d(x, w, bias, groups=4, carry=Relay())
+        with pytest.raises(GraphError, match="cumulative_layer_norm runs a carry on frozen inputs only"):
+            cumulative_layer_norm(x, Tensor(np.ones((4, 1))), Tensor(np.zeros((4, 1))), carry=Relay())
+
+    def test_a_pointwise_conv_takes_no_carry(self):
+        x, w, bias = Tensor(np.ones((4, 5))), Tensor(np.ones((3, 4, 1))), Tensor(np.zeros(3))
+        with pytest.raises(ShapeError, match="depthwise conv only"):
+            conv1d(x, w, bias, carry=Relay())
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]))

@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,11 @@ def decision_bits(track):
     return [(d.timestamp, d.category, d.probs.tobytes()) for d in track.decisions]
 
 
+def fed(session, chunks):
+    """Feed every chunk to the session; the decisions it returned, in a track."""
+    return DecisionTrack(session.hop / session.fs, [d for chunk in chunks for d in session.feed(chunk)])
+
+
 class TestBatchesPerCore:
     # one batch, an uneven split (8 + 1), and more batches (8 + 8 + 1) than workers
     @pytest.mark.parametrize("windows", [3, 9, 17])
@@ -149,9 +155,7 @@ class TestStreaming:
         audio = np.random.default_rng(3).uniform(-0.5, 0.5, 6 * FS).astype(np.float32)
         offline = infer_offline(audio, causal_model, hop_seconds=0.1)
         session = StreamingSession(causal_model, hop_seconds=0.1)
-        for start in range(0, len(audio), 1000):
-            session.feed(audio[start : start + 1000])
-        stream = session.close()
+        stream = fed(session, (audio[start : start + 1000] for start in range(0, len(audio), 1000)))
         interior = offline.decisions[15:46]  # centers 1.5 .. 4.5 s
         assert len(stream.decisions) == len(interior)
         for s, o in zip(stream.decisions, interior):
@@ -175,9 +179,7 @@ class TestStreaming:
         audio = np.random.default_rng(4).uniform(-0.5, 0.5, 4 * FS).astype(np.float32)
         chunks = [audio[i : i + 3000] for i in range(0, len(audio), 3000)]
         track = infer_streaming(chunks, causal_model, hop_seconds=0.5)
-        session = StreamingSession(causal_model, hop_seconds=0.5)
-        session.feed(audio)
-        ref = session.close()
+        ref = fed(StreamingSession(causal_model, hop_seconds=0.5), [audio])
         assert len(track) == len(ref)
         for a, b in zip(track.decisions, ref.decisions):
             assert a.timestamp == b.timestamp
@@ -186,40 +188,64 @@ class TestStreaming:
     def test_hop_longer_than_window_matches_whole_file_feed(self, causal_model):
         # after each decision the next 5 s hop's window starts past what 0.1 s chunks have delivered
         audio = np.random.default_rng(5).uniform(-0.5, 0.5, 30 * FS).astype(np.float32)
-        whole = StreamingSession(causal_model, hop_seconds=5.0)
-        whole.feed(audio)
+        whole = fed(StreamingSession(causal_model, hop_seconds=5.0), [audio])
         chunked = infer_streaming((audio[i : i + 1600] for i in range(0, len(audio), 1600)), causal_model, 5.0)
         assert len(chunked) == 5  # centers 5, 10, ..., 25 s
-        assert decision_bits(chunked) == decision_bits(whole.close())
+        assert decision_bits(chunked) == decision_bits(whole)
 
     def test_rejected_non_finite_chunk_leaves_session_unchanged(self, causal_model):
         audio = np.random.default_rng(6).uniform(-0.5, 0.5, 5 * FS).astype(np.float32)
         chunks = [audio[i : i + 1600] for i in range(0, len(audio), 1600)]
-        clean = StreamingSession(causal_model)
-        for chunk in chunks:
-            clean.feed(chunk)
+        clean = fed(StreamingSession(causal_model), chunks)
         session = StreamingSession(causal_model)
-        for chunk in chunks[:40]:  # 4 s: 11 decisions
-            session.feed(chunk)
-        assert len(session.track) == 11
+        before = fed(session, chunks[:40])  # 4 s: 11 decisions
+        assert len(before) == 11
         bad = chunks[40].copy()
         bad[7] = np.nan
         with pytest.raises(ad.NonFiniteError, match="sample 7 .* not added"):
             session.feed(bad)
-        for chunk in chunks[40:]:
-            session.feed(chunk)
-        assert decision_bits(session.close()) == decision_bits(clean.close())
+        after = fed(session, chunks[40:])
+        assert decision_bits(before) + decision_bits(after) == decision_bits(clean)
 
     def test_chunk_not_1d_rejected_naming_its_shape_and_not_added(self, causal_model):
         # flattened, a [2, N] chunk would feed 2N samples
         audio = np.random.default_rng(7).uniform(-0.5, 0.5, 4 * FS).astype(np.float32)
-        clean = StreamingSession(causal_model)
-        clean.feed(audio)
+        clean = fed(StreamingSession(causal_model), [audio])
         session = StreamingSession(causal_model)
         with pytest.raises(ad.ShapeError, match=re.escape("chunk must be 1-D samples, got shape (2, 1600)")):
             session.feed(audio[: 2 * 1600].reshape(2, 1600))
-        session.feed(audio)
-        assert decision_bits(session.close()) == decision_bits(clean.close())
+        assert decision_bits(fed(session, [audio])) == decision_bits(clean)
+
+    def test_memory_stays_flat_over_a_thousand_decisions(self):
+        # a session keeps no decision: it returns each once, from feed
+        cfg = ModelConfig(
+            frame_len=16,
+            frame_stride=8,
+            enc_channels=4,
+            bottleneck_channels=3,
+            skip_channels=2,
+            block_channels=4,
+            blocks_per_repeat=1,
+            repeats=1,
+            hidden1=4,
+            hidden2=4,
+            sample_rate=800,
+        )
+        session = StreamingSession(MultiScaleTCN(cfg, seed=0))
+        hop, warm, counted = session.hop, 500, 1000
+        audio = np.random.default_rng(8).uniform(-0.5, 0.5, session.win + hop * (warm + counted)).astype(np.float32)
+        chunks = [audio[i : i + hop] for i in range(0, len(audio), hop)]
+        start = session.win // hop + warm
+        assert sum(len(session.feed(chunk)) for chunk in chunks[:start]) == warm + 1  # fills numpy's and Python's caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert sum(len(session.feed(chunk)) for chunk in chunks[start:]) == counted
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # a kept decision costs ~320 B here, so keeping these 1000 would grow ~320 KB; the caches add ~12 KB
+        assert grown < 64 * 1024
 
 
 BAD_HOPS = [-0.1, 0.0, 1e-9, math.nan, math.inf]
@@ -245,10 +271,7 @@ class TestSharedModel:
         chunks = [audio_12s[i : i + 1600] for i in range(0, 8 * FS, 1600)]
 
         def run():
-            session = StreamingSession(model)
-            for chunk in chunks:
-                session.feed(chunk)
-            return [(d.timestamp, d.category, d.probs.tobytes()) for d in session.close().decisions]
+            return decision_bits(fed(StreamingSession(model), chunks))
 
         want = run()
         results = [None] * 4
