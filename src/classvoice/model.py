@@ -473,9 +473,10 @@ class MultiScaleTCN:
         A batch, a trainable model, a window too short to cut, one usable
         core, or a BLAS that cannot be pinned runs the window whole.
         """
+        c = self.config
         audio = np.asarray(audio, dtype=self.dtype)
-        frames = _frame_count(audio, self.config)
-        spans = _time_chunks(frames, cores.usable_workers(), self.config)
+        frames = max(0, (audio.shape[-1] - c.frame_len) // c.frame_stride + 1) if audio.ndim else 0
+        spans = _time_chunks(frames, cores.usable_workers(), c)
         if len(spans) == 1 or audio.ndim != 1 or any(p.requires_grad for p in self.params.values()):
             return self.classify(self.extract(self.bottleneck(self.encode(audio))))
         ready = threading.Condition()
@@ -488,12 +489,6 @@ class MultiScaleTCN:
 def _carried(chunk: "_Chunk | None") -> dict:
     """``MultiScaleTCN._norm``'s carry argument: passed only for a time chunk."""
     return {} if chunk is None else {"carry": chunk}
-
-
-def _frame_count(audio: np.ndarray, config: ModelConfig) -> int:
-    """Encoder frames of ``audio`` (samples on the last axis); 0 when it holds less than one frame."""
-    s = audio.shape[-1] if audio.ndim else 0
-    return max(0, (s - config.frame_len) // config.frame_stride + 1)
 
 
 # a chunk starts at a multiple of this many frames. numpy's SIMD loops and

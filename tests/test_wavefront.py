@@ -214,13 +214,41 @@ class TestPooling:
 
 
 class TestFailures:
-    @pytest.mark.parametrize("sample", [100, 47000], ids=["first_chunk", "last_chunk"])
-    def test_a_nan_frame_raises_and_releases_the_other_chunk(self, sample, monkeypatch, blas_pin, chunk_runs):
+    def test_a_nan_frame_in_the_first_chunk_releases_the_chunk_waiting_on_it(self, monkeypatch, blas_pin, chunk_runs):
         monkeypatch.setattr(cores, "worker_count", lambda: 2)
         net = frozen(WIDE)
         audio = windows(WIDE, 1)[0]
         bad = audio.copy()
-        bad[sample] = np.nan
+        bad[100] = np.nan
+        # the first chunk fails only once the second waits for its first carry
+        waiting = threading.Event()
+        take, encode = model_module._Chunk.take, MultiScaleTCN.encode
+
+        def spy_take(chunk):
+            if chunk.before is not None:
+                waiting.set()
+            return take(chunk)
+
+        def held_encode(model, samples):
+            if not np.isfinite(samples).all():
+                assert waiting.wait(timeout=60)
+            return encode(model, samples)
+
+        monkeypatch.setattr(model_module._Chunk, "take", spy_take)
+        monkeypatch.setattr(MultiScaleTCN, "encode", held_encode)
+        outcome, exc = joined(lambda: net.window_probs(bad))
+        assert outcome == "raised" and type(exc) is ad.NonFiniteError
+        assert [span for span, _ in chunk_runs] == [(0, 320), (320, 599)]
+        assert blas_pin.get_threads() == 2 and blas_pin.holders == 0
+        # nothing is left behind: the next window runs as before
+        assert net.window_probs(audio).data.tobytes() == whole(net, audio).data.tobytes()
+
+    def test_a_nan_frame_in_the_last_chunk_raises(self, monkeypatch, blas_pin):
+        monkeypatch.setattr(cores, "worker_count", lambda: 2)
+        net = frozen(WIDE)
+        audio = windows(WIDE, 1)[0]
+        bad = audio.copy()
+        bad[47000] = np.nan
         outcome, exc = joined(lambda: net.window_probs(bad))
         assert outcome == "raised" and type(exc) is ad.NonFiniteError
         assert blas_pin.get_threads() == 2 and blas_pin.holders == 0
