@@ -1,5 +1,6 @@
 """One frozen window on several cores: its time chunks carry each causal op's state and give the whole window's bits."""
 
+import sys
 import threading
 
 import numpy as np
@@ -264,6 +265,32 @@ class TestFailures:
             want = [whole(net, a).data.tobytes() for a in audio]
         outcome, got = joined(lambda: cores.map_in_order(lambda a: net.window_probs(a).data.tobytes(), audio))
         assert outcome == "ok" and got == want
+
+    def test_many_threads_share_one_model(self, monkeypatch, blas_pin, chunk_runs):
+        # more callers than cores, each cutting its windows into chunks on the shared helpers
+        monkeypatch.setattr(cores, "worker_count", lambda: 2)
+        net = frozen(WIDE)
+        audio = windows(WIDE, 3)
+        with cores.one_blas_thread():
+            want = [whole(net, a).data.tobytes() for a in audio]
+        results = [None] * 4
+
+        def caller(i):
+            results[i] = [net.window_probs(a).data.tobytes() for a in audio]
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [want] * 4 and len(chunk_runs) == 4 * 3 * 2
+        assert blas_pin.get_threads() == 2 and blas_pin.holders == 0
 
     def test_a_trainable_model_builds_a_graph(self, monkeypatch, blas_pin, chunk_runs):
         monkeypatch.setattr(cores, "worker_count", lambda: 2)
