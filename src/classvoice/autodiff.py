@@ -52,10 +52,24 @@ after it. Leaf gradients stay; a second ``backward`` through a consumed
 graph raises GraphError. Gradients are read-only values that may be
 shared: an op may hand the same array to several inputs, and a later
 gradient is added out of place, never into an array already handed over.
+
+A graph may also drop an activation before backward, where backward can
+compute it again cheaply. Only a ``cumulative_layer_norm`` output in a
+training graph can be dropped: it carries a rebuild that repeats the
+forward's float operations (PReLU, then xhat = (y - mu) * r, then
+xhat * gain + bias) over the norm's input, which the graph holds anyway,
+and the mu and r that the op keeps. ``release(t)`` drops such a tensor's
+array once its forward readers have run, and leaves any other tensor
+alone. A backward that reads an input's array (a conv's weight gradient)
+reads it through ``_value``, which rebuilds a released array without
+keeping it, and the norm's own backward then takes over the y and xhat
+the rebuild made. Outputs and gradients keep their bits. A conv's
+output is not released: its rebuild would run the conv again.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -106,10 +120,10 @@ class Tensor:
     ``data`` is float32 unless float64 is passed in (or forced via
     ``dtype``). Construction rejects NaN/Inf, which is what enforces
     finiteness at every op boundary: ops only consume and produce
-    Tensors.
+    Tensors. ``data`` is None once ``release`` has dropped it.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_rebuild")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         a = _coerce(data, dtype)
@@ -120,39 +134,74 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
+        self._rebuild: _Rebuild | None = None
+
+    # a released tensor (``data`` None) keeps its shape and dtype in its rebuild
 
     @property
     def shape(self):
-        return self.data.shape
+        return self.data.shape if self.data is not None else self._rebuild.shape
 
     @property
     def ndim(self):
-        return self.data.ndim
+        return len(self.shape)
 
     @property
     def size(self):
-        return self.data.size
+        return math.prod(self.shape)
 
     @property
     def dtype(self):
-        return self.data.dtype
+        return self.data.dtype if self.data is not None else self._rebuild.dtype
 
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _make(data, parents, backward_fn):
-    """Build an op output, wiring the graph when any input requires grad."""
+class _Rebuild:
+    """How backward computes a graph tensor's array again once ``release`` dropped it.
+
+    ``fn()`` returns a fresh array of ``shape`` and ``dtype``, with the
+    bits the forward computed. It must not reference its tensor: the tensor
+    references it, and a cycle would leave the graph to the cyclic GC.
+    """
+
+    __slots__ = ("fn", "shape", "dtype")
+
+    def __init__(self, fn, like: np.ndarray):
+        self.fn, self.shape, self.dtype = fn, like.shape, like.dtype
+
+
+def _make(data, parents, backward_fn, rebuild=None):
+    """Build an op output, wiring the graph, and its ``rebuild`` if given, when any input requires grad."""
     data = np.asarray(data)
     out = Tensor(data, dtype=data.dtype)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
+        if rebuild is not None:
+            out._rebuild = _Rebuild(rebuild, data)
     return out
+
+
+def release(t: Tensor) -> None:
+    """Drop t's array when backward can rebuild it (a cLN output in a training graph); else do nothing.
+
+    Call it once every forward reader of the array has run. A backward
+    that reads the array rebuilds it (``_value``); ``shape``, ``ndim``,
+    ``size`` and ``dtype`` stay.
+    """
+    if t._rebuild is not None:
+        t.data = None
+
+
+def _value(t: Tensor) -> np.ndarray:
+    """t's array, for a backward: rebuilt, and not kept, when ``release`` dropped it."""
+    return t.data if t.data is not None else t._rebuild.fn()
 
 
 def _accum(t: Tensor, g: np.ndarray):
@@ -249,14 +298,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def tmean(a: Tensor, keepdims: bool = False) -> Tensor:
-    """The mean over the last (time) axis."""
-    inv = 1.0 / a.shape[-1]
+    """The mean over the last (time) axis; the graph keeps only a's shape."""
+    shape = a.shape
+    inv = 1.0 / shape[-1]
 
     def back(g):
         g = g * inv
         if not keepdims:
             g = np.expand_dims(g, -1)
-        _accum(a, np.broadcast_to(g, a.shape))
+        _accum(a, np.broadcast_to(g, shape))
 
     return _make(a.data.mean(axis=-1, keepdims=keepdims), (a,), back)
 
@@ -490,13 +540,16 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor, dilation: int = 1, groups: i
 
     def back(g):
         _accum(bias, _rows(g).sum(axis=1))
+        xv = _value(x)  # read now, not kept since the forward: a released input is rebuilt here
         if pointwise:
             gy = _rows(g)
-            dw = (gy @ x2.T)[:, :, None]
+            dw = (gy @ _rows(xv).T)[:, :, None]
+            del xv
             dx = (w2.T @ gy).reshape(x.shape)
         else:
             g3 = g.reshape(c_out, -1, t)
-            dw = np.einsum("cbt,cbtk->ck", g3, _taps(x3, span, 0, k, dilation))[:, None, :]
+            dw = np.einsum("cbt,cbtk->ck", g3, _taps(xv.reshape(c_in, -1, t), span, 0, k, dilation))[:, None, :]
+            del xv
             # input step s collects tap kk of output step s + span - kk*dilation
             dx = np.einsum("cbtk,ck->cbt", _taps(g3, 0, span, k, dilation), w[:, 0, ::-1])
             dx = dx.reshape(x.shape)
@@ -552,6 +605,10 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, alpha: Tensor |
     the cLN backward and the PReLU backward: the same output and gradient
     bits as ``prelu`` followed by this op without ``alpha``.
 
+    In a training graph the output carries a rebuild, so ``release`` can
+    drop its array (see the module docstring). A rebuild keeps its y and
+    xhat for the backward, which then computes neither.
+
     Given a ``carry`` (see ``Carry``), x is a time chunk of a longer frozen
     input. The chunk takes the step count and the channel sum and square
     sum prefixes at the step before it, continues the prefix sums from
@@ -595,35 +652,51 @@ def cumulative_layer_norm(x: Tensor, gain: Tensor, bias: Tensor, alpha: Tensor |
     var = squares / counts - mu * mu
     r = 1.0 / np.sqrt(np.maximum(var, 0.0) + np.asarray(NORM_EPS, dtype=y.dtype))
     per_channel = (-1,) + (1,) * (x.ndim - 1)
-    gd = gain.data.reshape(per_channel)
+    gd, bd = gain.data.reshape(per_channel), bias.data.reshape(per_channel)
     out_data = np.subtract(y, mu, out=None if alpha is None else y)  # PReLU's buffer is normalized in place
     out_data *= r
     out_data *= gd
-    out_data += bias.data.reshape(per_channel)
+    out_data += bd
+    rebuilt = []  # the last rebuild's y and xhat, which the backward takes over
 
-    def back(g):
+    def normalized():
+        """y and xhat = (y - mu) * r, with the forward's bits."""
         yd = x.data if alpha is None else prelu_values()
         xhat = yd - mu
         xhat *= r
+        return yd, xhat
+
+    def rebuild():
+        rebuilt[:] = normalized()
+        out = rebuilt[1] * gd
+        out += bd
+        return out
+
+    def back(g):
+        yd, xhat = rebuilt or normalized()
+        rebuilt.clear()
         _accum(gain, np.einsum("cn,cn->c", _rows(g), _rows(xhat))[:, None])
         _accum(bias, np.einsum("cn->c", _rows(g))[:, None])
         h = g * gd
         # d/dr of sum_c h*(y - mu)*r is sum_c h*(y - mu) = sum_c h*xhat / r
         g_r = np.einsum("c...,c...->...", h, xhat)[None] / r
-        del xhat
         h *= r  # the gradient in y at fixed mu and r
         g_var = -0.5 * g_r * (r * r * r) * (var > 0)  # zero where the clamp binds
         # mu_t = S_t/n_t and var_t = Q_t/n_t - mu_t^2 over the prefix sums S, Q of y and y^2
         g_s = _suffix_sum((-h.sum(axis=0, keepdims=True) - 2.0 * mu * g_var) / counts)
         g_q = _suffix_sum(g_var / counts)
-        g_y = h + (g_s + 2.0 * yd * g_q)
-        del yd, h
+        # g_y = h + (g_s + 2 * y * g_q), built in xhat's buffer, which nothing reads any more
+        g_y = np.multiply(yd, 2.0, out=xhat)
+        g_y *= g_q
+        g_y += g_s
+        g_y += h
+        del yd, xhat, h
         if alpha is None:
             _accum(x, g_y)
         else:
             prelu_back(g_y)
 
-    return _make(out_data, parents, back)
+    return _make(out_data, parents, back, rebuild)
 
 
 def _frozen_only(op: str, inputs):

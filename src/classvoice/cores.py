@@ -31,11 +31,12 @@ it and then serves every later map, so a process holds at most
 ``worker_count() - 1`` of them. glibc serves each thread's allocations
 from a malloc arena of its own and keeps much of what is freed there for
 reuse rather than returning it, so every fresh thread can leave resident
-memory behind. Training at ``reduced_config()`` (the ``train_reduced``
-benchmark, 2 cores, one map per Adam batch) peaked at 207 MB in some runs
-and 240-246 MB in 5 of 8 with a fresh helper per map, at 204 MB with
-``MALLOC_ARENA_MAX=1``, and at 208-209 MB in 4 of 4 with one persistent
-helper.
+memory behind. When this was measured on training at ``reduced_config()``
+(the ``train_reduced`` benchmark, 2 cores, one map per Adam batch), a
+fresh helper per map raised the peak RSS by 16-19% in 5 of 8 runs, while
+one persistent helper stayed within 3% of a single malloc arena
+(``MALLOC_ARENA_MAX=1``) in 4 of 4. The absolute peaks have fallen since,
+as later changes cut what a training graph holds.
 """
 
 from __future__ import annotations

@@ -38,13 +38,18 @@ buffers as they are, and ``load_checkpoint`` reads the payload once into
 one aligned, read-only buffer that the loaded tensors view.
 
 Each block's two PReLU -> cLN pairs are one op each
-(``ad.cumulative_layer_norm`` with the PReLU slope), so a training graph
-holds four block-wide activations per block: the 1x1 in-conv and the
-depthwise outputs, which the fused ops read and rebuild the PReLU from in
-backward, and the two norm outputs, which the next conv and the pooling
-read. The PReLU outputs are never tensors: in ``reduced_config()`` a
-4-window micro-batch's graph holds 35 [64, 4, 599] tensors, where
-separate PReLU ops would hold 51.
+(``ad.cumulative_layer_norm`` with the PReLU slope), and each cLN output
+is released (``ad.release``) once its forward readers have run: the
+bottleneck norm's after the bottleneck conv, a block's norm1 output after
+the depthwise conv, and its norm2 output after the residual conv and the
+pooling. Backward rebuilds a released output from the norm's input, bit
+for bit. So a training graph holds two block-wide activations per block:
+the 1x1 in-conv and the depthwise outputs, which the norms read. In
+``reduced_config()`` a 4-window micro-batch's graph holds 18 [64, 4, 599]
+arrays after the forward, where holding the norm outputs took 35 and
+separate PReLU ops 51; its forward + backward peaks at 21.1 MB
+(tracemalloc), not 31.0 MB. At paper size the peak is 375.6 MB, not
+609.1 MB. A frozen forward builds no graph, so it releases nothing.
 
 A frozen model (``build_model``, or ``streaming.resolve_model`` of a
 trainable one) builds no graph and can serve concurrent inference from
@@ -348,7 +353,9 @@ class MultiScaleTCN:
                 f"bottleneck expects {c.enc_channels} channels, got {w.shape[0]}"
             )
         x = self._norm(w, "bottleneck.norm", **_carried(chunk))
-        return ad.conv1d(x, self.params["bottleneck.conv.weight"], self.params["bottleneck.conv.bias"])
+        out = ad.conv1d(x, self.params["bottleneck.conv.weight"], self.params["bottleneck.conv.bias"])
+        ad.release(x)  # read by the conv only: a training backward rebuilds it
+        return out
 
     def conv_block(
         self, x: Tensor, repeat_idx: int, block_idx: int, chunk: "_Chunk | None" = None
@@ -377,15 +384,16 @@ class MultiScaleTCN:
         pre = f"block.{repeat_idx}.{block_idx}"
         dilation = 2**block_idx
         h = ad.conv1d(x, self.params[f"{pre}.in_conv.weight"], self.params[f"{pre}.in_conv.bias"])
-        h = self._norm(h, f"{pre}.norm1", self.params[f"{pre}.prelu1.alpha"], **_carried(chunk))
+        normed = self._norm(h, f"{pre}.norm1", self.params[f"{pre}.prelu1.alpha"], **_carried(chunk))
         h = ad.conv1d(
-            h,
+            normed,
             self.params[f"{pre}.dw_conv.weight"],
             self.params[f"{pre}.dw_conv.bias"],
             dilation=dilation,
             groups=c.block_channels,
             carry=chunk,
         )
+        ad.release(normed)
         h = self._norm(h, f"{pre}.norm2", self.params[f"{pre}.prelu2.alpha"], **_carried(chunk))
         final = (repeat_idx, block_idx) == (c.repeats - 1, c.blocks_per_repeat - 1)
         res = skip = None
@@ -397,6 +405,7 @@ class MultiScaleTCN:
             if pooled is not None:
                 skip_conv = ad.conv1d(pooled, self.params[f"{pre}.skip_conv.weight"], self.params[f"{pre}.skip_conv.bias"])
                 skip = ad.tmean(skip_conv)
+        ad.release(h)
         return res, skip
 
     def extract(self, x: Tensor, chunk: "_Chunk | None" = None) -> Tensor | None:

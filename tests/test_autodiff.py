@@ -1,5 +1,6 @@
 """Tensor-core tests: oracles for conv/norm/linear, gradient checks, Adam."""
 
+import gc
 import re
 import tracemalloc
 import weakref
@@ -608,6 +609,76 @@ class TestGraphRelease:
         np.testing.assert_array_equal(seen["g"], seen["copy"])
         np.testing.assert_array_equal(b.grad, w.data)
         np.testing.assert_array_equal(a.grad, w.data + 2 * a.data)
+
+
+class TestReleasedNormOutput:
+    """A cLN output in a training graph can be released: backward rebuilds it, with the forward's bits."""
+
+    def norm(self, dtype, slope, rng, shape=(6, 3, 40)):
+        x = Tensor(rng.standard_normal(shape).astype(dtype), requires_grad=True, dtype=dtype)
+        gain = Tensor(rng.uniform(0.5, 1.5, (shape[0], 1)).astype(dtype), requires_grad=True, dtype=dtype)
+        bias = Tensor(rng.uniform(-0.2, 0.2, (shape[0], 1)).astype(dtype), requires_grad=True, dtype=dtype)
+        alpha = None if slope is None else Tensor([slope], requires_grad=True, dtype=dtype)
+        return cumulative_layer_norm(x, gain, bias, alpha), [t for t in (x, gain, bias, alpha) if t is not None]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [None, 0.25, 1.7], ids=["no-prelu", "max", "min"])
+    def test_rebuilt_array_has_the_forward_bytes(self, dtype, slope):
+        out, _ = self.norm(dtype, slope, np.random.default_rng(1))
+        want = out.data.copy()
+        ad.release(out)
+        assert out.data is None
+        assert (out.shape, out.ndim, out.size, out.dtype) == (want.shape, 3, want.size, np.dtype(dtype))
+        rebuilt = ad._value(out)
+        assert rebuilt.dtype == want.dtype and rebuilt.tobytes() == want.tobytes()
+        assert out.data is None  # the rebuild is handed to the reader, not kept
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [None, 0.25, 1.7], ids=["no-prelu", "max", "min"])
+    @pytest.mark.parametrize("groups", [1, 6], ids=["pointwise", "depthwise"])
+    def test_gradients_equal_an_unreleased_run(self, dtype, slope, groups):
+        results = []
+        for released in (False, True):
+            rng = np.random.default_rng(2)
+            out, leaves = self.norm(dtype, slope, rng)
+            w = Tensor(rng.standard_normal((6, 6 // groups, 1 if groups == 1 else 3)).astype(dtype), requires_grad=True, dtype=dtype)
+            y = conv1d(out, w, Tensor(np.zeros(6, dtype), dtype=dtype), 2, groups)
+            if released:
+                ad.release(out)
+            backward(weighted_sum(y, rng.standard_normal(y.shape).astype(dtype)))
+            results.append([t.grad.tobytes() for t in leaves + [w]])
+        assert results[0] == results[1]
+
+    def test_release_without_a_rebuild_does_nothing(self):
+        frozen = cumulative_layer_norm(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 1))), Tensor(np.zeros((2, 1))))
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        for t in (frozen, leaf):
+            data = t.data
+            ad.release(t)
+            assert t.data is data and t._rebuild is None
+
+    def test_shape_follows_rebound_data(self):
+        t = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        t.data = np.ones((4, 5, 6))
+        assert (t.shape, t.ndim, t.size, t.dtype) == ((4, 5, 6), 3, 120, np.float64)
+
+    def test_graph_freed_without_the_cyclic_gc(self):
+        # the rebuild holds the norm's input, not its output: nothing cyclic keeps the input alive
+        rng = np.random.default_rng(3)
+        gc.disable()
+        try:
+            x = Tensor(rng.standard_normal((4, 2, 9)), requires_grad=True)
+            h = conv1d(x, Tensor(rng.standard_normal((4, 4, 1)), requires_grad=True), Tensor(np.zeros(4)))
+            activation = weakref.ref(h.data)
+            gain, bias = Tensor(np.ones((4, 1)), requires_grad=True), Tensor(np.zeros((4, 1)), requires_grad=True)
+            normed = cumulative_layer_norm(h, gain, bias, Tensor([0.25]))
+            loss = tsum(conv1d(normed, Tensor(rng.standard_normal((4, 4, 1)), requires_grad=True), Tensor(np.zeros(4))))
+            ad.release(normed)
+            del h, normed
+            backward(loss)
+            assert activation() is None
+        finally:
+            gc.enable()
 
 
 class TestGradCheck:

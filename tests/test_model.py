@@ -780,8 +780,26 @@ def graph_tensors(loss):
     return list(seen.values())
 
 
+def micro_batch(cfg, windows, seed, dtype=np.float32, slope=0.25):
+    """A trainable view of a fresh model with the given PReLU slope and random norm gains and biases, and the
+    loss of ``windows`` random windows through it."""
+    model = MultiScaleTCN(cfg, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for name, p in model.params.items():
+        if name.endswith(".alpha"):
+            p.data = np.full(p.shape, slope, dtype)
+        elif name.endswith(".gain"):
+            p.data = rng.uniform(0.5, 1.5, p.shape).astype(dtype)
+        elif ".norm" in name:
+            p.data = rng.uniform(-0.2, 0.2, p.shape).astype(dtype)
+    view = model.trainable_view()
+    audio = rng.uniform(-0.5, 0.5, (windows, 3 * cfg.sample_rate)).astype(dtype)
+    labels = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.0]] * windows)[:windows]
+    return view, ad.binary_cross_entropy(view.window_probs(audio), labels)
+
+
 class TestTrainingGraph:
-    def test_a_block_holds_four_block_wide_activations(self):
+    def test_a_block_holds_two_block_wide_activations(self):
         # reduced_config: enc_channels == block_channels, so the encoder's and bottleneck's outputs count too
         cfg = reduced_config()
         view = MultiScaleTCN(cfg, seed=32).trainable_view()
@@ -789,10 +807,62 @@ class TestTrainingGraph:
         loss = ad.binary_cross_entropy(view.window_probs(audio), np.array([[1.0, 0.0], [0.0, 1.0]] * 2))
         frames = (audio.shape[1] - cfg.frame_len) // cfg.frame_stride + 1
         wide = [t for t in graph_tensors(loss) if t._parents and t.shape == (cfg.block_channels, 4, frames)]
-        # per block the in_conv and depthwise outputs and the two norm outputs, but no PReLU output: the
-        # norms apply PReLU themselves; then the encoder's GEMM and ReLU outputs and the bottleneck norm's
+        held = [t for t in wide if t.data is not None]
+        # per block the in_conv and depthwise outputs, which the norms read; then the encoder's GEMM and ReLU
+        # outputs. The norm outputs are released once their forward readers have run, and no PReLU output is
+        # a tensor: the norms apply PReLU themselves
         blocks = cfg.repeats * cfg.blocks_per_repeat
-        assert len(wide) == 4 * blocks + 3 == 35
+        assert len(held) == 2 * blocks + 2 == 18
+        assert len(wide) - len(held) == 2 * blocks + 1  # each block's two norm outputs and the bottleneck norm's
+
+    def test_a_micro_batch_peaks_within_25_mb(self):
+        cfg = reduced_config()
+        view = MultiScaleTCN(cfg, seed=34).trainable_view()
+        audio = np.random.default_rng(35).uniform(-0.5, 0.5, (4, 3 * cfg.sample_rate)).astype(np.float32)
+        labels = np.array([[1.0, 0.0], [0.0, 1.0]] * 2)
+        _, peak = traced_peak(lambda: ad.backward(ad.binary_cross_entropy(view.window_probs(audio), labels)))
+        assert peak <= 25 * 2**20
+
+
+class TestReleasedNormOutputs:
+    """Releasing the cLN outputs changes no byte of the loss or of any gradient."""
+
+    @staticmethod
+    def loss_and_gradients(monkeypatch, release, cfg, windows, dtype, slope):
+        with monkeypatch.context() as m:
+            if not release:
+                m.setattr(ad, "release", lambda t: None)
+            view, loss = micro_batch(cfg, windows, seed=36, dtype=dtype, slope=slope)
+            ad.backward(loss)
+        return [loss.data.tobytes()] + [b"" if p.grad is None else p.grad.tobytes() for p in view.parameters()]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.25, 1.7], ids=["max", "min"])
+    @pytest.mark.parametrize("windows", [1, 4])
+    def test_reduced_config_bit_exact(self, monkeypatch, dtype, slope, windows):
+        runs = [self.loss_and_gradients(monkeypatch, release, reduced_config(), windows, dtype, slope) for release in (False, True)]
+        assert runs[0] == runs[1]
+
+    def test_paper_size_window_bit_exact(self, monkeypatch):
+        runs = [self.loss_and_gradients(monkeypatch, release, ModelConfig(), 1, np.float32, 1.7) for release in (False, True)]
+        assert runs[0] == runs[1]
+
+    def test_a_frozen_forward_attaches_no_rebuild(self, monkeypatch):
+        # wide enough that one window is cut into time chunks, given two usable cores
+        cfg = reduced_config(enc_channels=256, bottleneck_channels=160, block_channels=256, blocks_per_repeat=3)
+        frozen = Checkpoint.from_model(MultiScaleTCN(cfg, seed=37)).build_model()
+        outputs = []
+
+        def recorded(*args, **kwargs):
+            outputs.append(norm(*args, **kwargs))
+            return outputs[-1]
+
+        norm = ad.cumulative_layer_norm
+        monkeypatch.setattr(ad, "cumulative_layer_norm", recorded)
+        audio = np.random.default_rng(38).uniform(-0.5, 0.5, (2, 3 * cfg.sample_rate)).astype(np.float32)
+        frozen.window_probs(audio)
+        frozen.window_probs(audio[0])
+        assert outputs and all(t._rebuild is None and t.data is not None for t in outputs)
 
 
 def write_raw(path, header, payload: bytes):
