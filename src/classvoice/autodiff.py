@@ -54,17 +54,24 @@ shared: an op may hand the same array to several inputs, and a later
 gradient is added out of place, never into an array already handed over.
 
 A graph may also drop an activation before backward, where backward can
-compute it again cheaply. Only a ``cumulative_layer_norm`` output in a
-training graph can be dropped: it carries a rebuild that repeats the
-forward's float operations (PReLU, then xhat = (y - mu) * r, then
-xhat * gain + bias) over the norm's input, which the graph holds anyway,
-and the mu and r that the op keeps. ``release(t)`` drops such a tensor's
-array once its forward readers have run, and leaves any other tensor
-alone. A backward that reads an input's array (a conv's weight gradient)
-reads it through ``_value``, which rebuilds a released array without
-keeping it, and the norm's own backward then takes over the y and xhat
-the rebuild made. Outputs and gradients keep their bits. A conv's
-output is not released: its rebuild would run the conv again.
+compute it again cheaply or never reads it. Two outputs of a training
+graph can be dropped, and carry a rebuild for that:
+
+- a ``cumulative_layer_norm`` output, whose rebuild repeats the forward's
+  float operations (PReLU, then xhat = (y - mu) * r, then xhat * gain +
+  bias) over the norm's input, which the graph holds anyway, and the mu
+  and r that the op keeps;
+- a ``matmul`` output, whose rebuild repeats the GEMM. The network's only
+  matmul is the encoder's, read by a ReLU whose backward reads the mask of
+  its own output, so no backward rebuilds it.
+
+``release(t)`` drops such a tensor's array once its forward readers have
+run, and leaves any other tensor alone. A backward that reads an input's
+array (a conv's weight gradient) reads it through ``_value``, which
+rebuilds a released array without keeping it, and the norm's own
+backward then takes over the y and xhat the rebuild made. Outputs and
+gradients keep their bits. A conv's output is not released: a backward
+reads it, and its rebuild would run the conv again.
 """
 
 from __future__ import annotations
@@ -189,7 +196,7 @@ def _make(data, parents, backward_fn, rebuild=None):
 
 
 def release(t: Tensor) -> None:
-    """Drop t's array when backward can rebuild it (a cLN output in a training graph); else do nothing.
+    """Drop t's array when backward can rebuild it (a cLN or matmul output in a training graph); else do nothing.
 
     Call it once every forward reader of the array has run. A backward
     that reads the array rebuilds it (``_value``); ``shape``, ``ndim``,
@@ -338,11 +345,17 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the gradient at exactly 0 is 0."""
-    def back(g):
-        _accum(a, g * (a.data > 0))
+    """max(x, 0); the gradient at exactly 0 is 0.
 
-    return _make(np.maximum(a.data, 0), (a,), back)
+    The backward reads the mask from the output (out > 0 is a > 0), so a
+    graph need not hold the input for it.
+    """
+    out_data = np.maximum(a.data, 0)
+
+    def back(g):
+        _accum(a, g * (out_data > 0))
+
+    return _make(out_data, (a,), back)
 
 
 def prelu(a: Tensor, alpha: Tensor) -> Tensor:
@@ -412,17 +425,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul supports [m,k] @ [k,n] or [m,k] @ [k,B,n]; got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape[1]} vs {b.shape[0]}")
-    b2 = _rows(b.data)
-    out_data = (a.data @ b2).reshape(a.shape[:1] + b.shape[1:])
+    a2, b2, shape = a.data, _rows(b.data), a.shape[:1] + b.shape[1:]
+    out_data = (a2 @ b2).reshape(shape)
 
     def back(g):
         g2 = _rows(g)
         if a.requires_grad:
             _accum(a, g2 @ b2.T)
         if b.requires_grad:  # the encoder's audio frames never do
-            _accum(b, (a.data.T @ g2).reshape(b.shape))
+            _accum(b, (a2.T @ g2).reshape(b.shape))
 
-    return _make(out_data, (a, b), back)
+    return _make(out_data, (a, b), back, lambda: (a2 @ b2).reshape(shape))
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

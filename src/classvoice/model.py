@@ -43,13 +43,15 @@ is released (``ad.release``) once its forward readers have run: the
 bottleneck norm's after the bottleneck conv, a block's norm1 output after
 the depthwise conv, and its norm2 output after the residual conv and the
 pooling. Backward rebuilds a released output from the norm's input, bit
-for bit. So a training graph holds two block-wide activations per block:
-the 1x1 in-conv and the depthwise outputs, which the norms read. In
-``reduced_config()`` a 4-window micro-batch's graph holds 18 [64, 4, 599]
-arrays after the forward, where holding the norm outputs took 35 and
-separate PReLU ops 51; its forward + backward peaks at 21.1 MB
-(tracemalloc), not 31.0 MB. At paper size the peak is 375.6 MB, not
-609.1 MB. A frozen forward builds no graph, so it releases nothing.
+for bit. The encoder's GEMM output is released after the ReLU, whose
+backward reads its own output's mask. So a training graph holds two
+block-wide activations per block: the 1x1 in-conv and the depthwise
+outputs, which the norms read. In ``reduced_config()`` a 4-window
+micro-batch's graph holds 17 [64, 4, 599] arrays after the forward, where
+holding the GEMM output took 18, holding the norm outputs 35 and separate
+PReLU ops 51; its forward + backward peaks at 20.5 MB (tracemalloc), not
+31.0 MB. At paper size the peak is 370.7 MB, not 609.1 MB. A frozen
+forward builds no graph, so it releases nothing.
 
 A frozen model (``build_model``, or ``streaming.resolve_model`` of a
 trainable one) builds no graph and can serve concurrent inference from
@@ -338,7 +340,10 @@ class MultiScaleTCN:
         frames = np.lib.stride_tricks.sliding_window_view(audio, c.frame_len, axis=-1)
         frames = frames[..., :: c.frame_stride, :]  # [B, T, L] or [T, L]
         frames = np.ascontiguousarray(np.moveaxis(frames, -1, 0))  # [L, B, T] or [L, T]
-        return ad.relu(ad.matmul(self.params["encoder.weight"], Tensor(frames, dtype=self.dtype)))
+        gemm = ad.matmul(self.params["encoder.weight"], Tensor(frames, dtype=self.dtype))
+        out = ad.relu(gemm)
+        ad.release(gemm)  # read by the ReLU only, whose backward reads its own output's mask
+        return out
 
     def bottleneck(self, w: Tensor, chunk: "_Chunk | None" = None) -> Tensor:
         """Layer-normalize and compress encoder channels with a 1x1 conv.

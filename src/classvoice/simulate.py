@@ -238,6 +238,15 @@ def image_source_rir(
     The image lattice covers every path up to
     t60 * sound_speed meters; later arrivals sit below -60 dB by
     definition of T60.
+
+    Each parity octant's lattice is built in slabs of at most
+    8 * _IMAGE_CHUNK points (``_octant_images``), and its kept images are
+    deposited in whole chunks as they queue. So a build holds a few MB
+    beyond its RIR, whatever t60 is: one slab's arrays (at most ~1.3 MB),
+    the queued images, and ``_deposit``'s block buffers (~1.3 MB). A
+    t60 = 0.9 s, 16 kHz RIR of the default grid peaks at 2.5 MiB
+    (tracemalloc), where holding each octant's ~300k-point lattice at once
+    took 9.7 MiB. The bits are those of the whole-lattice build.
     """
     src = np.asarray(source, dtype=np.float64)
     mc = np.asarray(mic, dtype=np.float64)
@@ -257,39 +266,62 @@ def image_source_rir(
     axes_n = [np.arange(-o, o + 1) for o in orders]
     max_delay = (length - 1) + half
 
-    for px in (0, 1):
-        for py in (0, 1):
-            for pz in (0, 1):
-                par = (px, py, pz)
-                coords = []
-                gains_ax = []
-                for ax in range(3):
-                    n = axes_n[ax]
-                    coord = (1 - 2 * par[ax]) * src[ax] + 2.0 * n * dims[ax]
-                    bounces = np.abs(n + par[ax]) + np.abs(n)
-                    coords.append(coord - mc[ax])
-                    gains_ax.append(beta**bounces)
-                d2 = (
-                    coords[0][:, None, None] ** 2
-                    + coords[1][None, :, None] ** 2
-                    + coords[2][None, None, :] ** 2
-                )
-                g = (
-                    gains_ax[0][:, None, None]
-                    * gains_ax[1][None, :, None]
-                    * gains_ax[2][None, None, :]
-                )
-                # in place, so the lattices of RIRs built side by side stay small
-                np.sqrt(d2, out=d2)
-                d = d2.reshape(-1)
-                delays = d / c
-                delays *= fs
-                keep = delays <= max_delay
-                g = g.reshape(-1)[keep]
-                g /= d[keep]
-                del d, d2
-                _deposit(h, delays[keep], g)
+    for parity in np.ndindex(2, 2, 2):
+        axes = []
+        for ax in range(3):
+            n = axes_n[ax]
+            coord = (1 - 2 * parity[ax]) * src[ax] + 2.0 * n * dims[ax]
+            bounces = np.abs(n + parity[ax]) + np.abs(n)
+            axes.append((coord - mc[ax], beta**bounces))
+        _deposit_in_chunks(h, _octant_images(axes, c, fs, max_delay))
     return h[SINC_KERNEL_TAPS : SINC_KERNEL_TAPS + length].copy()
+
+
+def _octant_images(axes, c: float, fs: int, max_delay: float):
+    """Yield one parity octant's images up to ``max_delay``, slab by slab, as (delays, gains).
+
+    ``axes`` holds each axis's (mic-relative image coordinates, wall
+    gains). A slab is whole x-planes of the lattice, at most
+    8 * _IMAGE_CHUNK points but at least one plane, so a small lattice is
+    one slab. Each image's distance is sqrt((cx**2 + cy**2) + cz**2) and
+    its gain (gx*gy)*gz / distance, and only the kept images outlive a
+    slab: the yielded images, in order, are those of the whole lattice.
+    """
+    (cx, gx), (cy, gy), (cz, gz) = axes
+    cy2, cz2, gy = (cy**2)[:, None], cz**2, gy[:, None]
+    planes = max(1, 8 * _IMAGE_CHUNK // (len(cy) * len(cz)))
+    for lo in range(0, len(cx), planes):
+        d = cx[lo : lo + planes, None, None] ** 2 + cy2 + cz2
+        g = gx[lo : lo + planes, None, None] * gy * gz
+        np.sqrt(d, out=d)
+        delays = d / c
+        delays *= fs
+        keep = delays <= max_delay
+        g = g[keep]
+        g /= d[keep]
+        delays = delays[keep]
+        del d, keep
+        yield delays, g
+
+
+def _deposit_in_chunks(h: np.ndarray, pieces):
+    """``_deposit`` the concatenation of a stream of (delays, gains) pieces, holding one piece at a time.
+
+    Whole _IMAGE_CHUNK chunks are deposited as soon as they are queued and
+    the remainder at the end, so each chunk holds the images it would hold
+    in one ``_deposit`` call over the concatenation, and ``h`` gets its
+    bits.
+    """
+    queued = np.empty(0), np.empty(0)
+    for delays, gains in pieces:
+        if len(queued[0]):
+            delays, gains = np.concatenate((queued[0], delays)), np.concatenate((queued[1], gains))
+        whole = len(delays) - len(delays) % _IMAGE_CHUNK
+        if whole:
+            _deposit(h, delays[:whole], gains[:whole])
+        queued = delays[whole:].copy(), gains[whole:].copy()
+    if len(queued[0]):
+        _deposit(h, *queued)
 
 
 _TAP_OFFSETS = np.arange(SINC_KERNEL_TAPS)
@@ -298,7 +330,7 @@ _TAP_SIN = np.sin(2.0 * np.pi * _TAP_OFFSETS / SINC_KERNEL_TAPS)
 _TAP_SIGN = np.where(_TAP_OFFSETS % 2 == 0, 1.0, -1.0)
 
 # Images per block of the kernel evaluation. Each block's temporaries
-# (~1.4 MB) stay in cache; blocks of 256 images ran ~20% slower on a
+# (~1.3 MB) stay in cache; blocks of 256 images ran ~20% slower on a
 # 2-core Xeon, where per-call overhead and the interpreter-lock hand-off
 # between the two threads dominate, and 1024 gained ~5% more for twice
 # the tiled constants below. Blocking splits only elementwise
@@ -306,9 +338,12 @@ _TAP_SIGN = np.where(_TAP_OFFSETS % 2 == 0, 1.0, -1.0)
 _IMAGE_BLOCK = 512
 # The per-tap constants tiled to one block, so every per-tap operation is
 # between two contiguous arrays; numpy runs those several times faster
-# than an operation that broadcasts a [n, 1] column against a row.
-_BLOCK_COS = np.tile(_TAP_COS, (_IMAGE_BLOCK, 1))
-_BLOCK_SIN = np.tile(_TAP_SIN, (_IMAGE_BLOCK, 1))
+# than an operation that broadcasts a [n, 1] column against a row. The
+# Hann constants carry the tap sign (-1)**tap: 1 + cos becomes sign +
+# sign*cos, and the sign the sinc needs rides in with the window
+# (``_deposit``).
+_BLOCK_COS = np.tile(_TAP_SIGN * _TAP_COS, (_IMAGE_BLOCK, 1))
+_BLOCK_SIN = np.tile(_TAP_SIGN * _TAP_SIN, (_IMAGE_BLOCK, 1))
 _BLOCK_SIGN = np.tile(_TAP_SIGN, (_IMAGE_BLOCK, 1))
 _BLOCK_OFFSETS = np.tile(_TAP_OFFSETS.astype(np.float64), (_IMAGE_BLOCK, 1))
 _BLOCK_INDEX = np.tile(_TAP_OFFSETS + SINC_KERNEL_TAPS, (_IMAGE_BLOCK, 1))
@@ -325,20 +360,31 @@ def _deposit(h: np.ndarray, delays: np.ndarray, gains: np.ndarray):
     ``h`` in chunk order.
 
     The window and sinc are expanded with angle addition so only three
-    trig evaluations are needed per image instead of two per tap. Each
-    tap value takes the same float operations in the same order as
-    ``0.5 * (1.0 + cf*C - sf*S) * ((sin_pi_u*sign) / (pi*t)) * gain``.
+    trig evaluations are needed per image instead of two per tap. A tap's
+    value is ``0.5 * (1 + cf*C - sf*S) * ((sin_pi_u*sign) / (pi*t)) *
+    gain`` with sign = (-1)**tap, evaluated as ``((sign + cf*(sign*C)) -
+    sf*(sign*S)) * (sin_pi_u / (pi*t)) * (gain*0.5)``. That has the same
+    bits: negation commutes with rounding, so the two signs cancel
+    exactly, and halving is exact as long as no value is subnormal, which
+    none is: the window is at least 3.7e-4 on the 81 taps, and the sinc
+    and the gains stay many orders of magnitude above 1e-308.
+
+    The first tap lies at u = ceil(delay - 40) - delay, in [-40, -39), so
+    only taps 39 and 40 come within 1 of t = 0, and only they are checked
+    for |t| < 1e-12, where the sinc is 1 (here: the tap's sign) instead of
+    0/0.
     """
     taps = SINC_KERNEL_TAPS
     half = (taps - 1) // 2
+    near = slice(half - 1, half + 1)  # the taps that can sit at t = 0
     acc = np.empty_like(h)
     kernel = np.empty((_IMAGE_BLOCK, taps))
     index = np.empty((_IMAGE_BLOCK, taps), dtype=np.int64)
     t = np.empty((_IMAGE_BLOCK, taps))
     part = np.empty((_IMAGE_BLOCK, taps))
-    exact = np.empty((_IMAGE_BLOCK, taps), dtype=bool)
     for start in range(0, len(delays), _IMAGE_CHUNK):
-        dl, gn = delays[start : start + _IMAGE_CHUNK], gains[start : start + _IMAGE_CHUNK]
+        dl = delays[start : start + _IMAGE_CHUNK]
+        gn = gains[start : start + _IMAGE_CHUNK] * 0.5  # the Hann window's 0.5
         base = np.ceil(dl - half).astype(np.int64)
         u = base - dl  # fractional offset of the first tap, in [-half, -half+1)
         cf = np.cos(2.0 * np.pi * u / taps)
@@ -349,24 +395,21 @@ def _deposit(h: np.ndarray, delays: np.ndarray, gains: np.ndarray):
             for lo in range(0, len(dl), _IMAGE_BLOCK):
                 hi = min(lo + _IMAGE_BLOCK, len(dl))
                 n = hi - lo
-                k, tb, pb, eb = kernel[:n], t[:n], part[:n], exact[:n]
+                k, tb, pb = kernel[:n], t[:n], part[:n]
                 np.copyto(k, cf[lo:hi, None])
                 k *= _BLOCK_COS[:n]
-                k += 1.0
+                k += _BLOCK_SIGN[:n]
                 np.copyto(pb, sf[lo:hi, None])
                 pb *= _BLOCK_SIN[:n]
-                k -= pb
-                k *= 0.5  # the Hann window
+                k -= pb  # the Hann window, times 2 and the tap's sign
                 np.copyto(tb, u[lo:hi, None])
                 tb += _BLOCK_OFFSETS[:n]  # tap time relative to the delay
-                np.abs(tb, out=pb)
-                np.less(pb, 1e-12, out=eb)
+                exact = np.abs(tb[:, near]) < 1e-12
                 tb *= np.pi
                 np.copyto(pb, sin_pi_u[lo:hi, None])
-                pb *= _BLOCK_SIGN[:n]
-                pb /= tb  # the sinc
-                if eb.any():
-                    pb[eb] = 1.0
+                pb /= tb  # the sinc, times the tap's sign
+                if exact.any():
+                    np.copyto(pb[:, near], _TAP_SIGN[near], where=exact)
                 k *= pb
                 np.copyto(pb, gn[lo:hi, None])
                 k *= pb

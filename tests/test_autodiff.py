@@ -681,6 +681,42 @@ class TestReleasedNormOutput:
             gc.enable()
 
 
+class TestReleasedGemmOutput:
+    """A matmul output in a training graph can be released: ReLU's backward reads its own output instead."""
+
+    def gemm(self, dtype, rng, batched):
+        w = Tensor(rng.standard_normal((5, 7)).astype(dtype), requires_grad=True, dtype=dtype)
+        frames = Tensor(rng.standard_normal((7, 3, 11) if batched else (7, 11)).astype(dtype), dtype=dtype)
+        return ad.matmul(w, frames), w
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batched", [False, True], ids=["2d", "batched"])
+    def test_rebuilt_array_has_the_forward_bytes(self, dtype, batched):
+        out, _ = self.gemm(dtype, np.random.default_rng(4), batched)
+        want = out.data.copy()
+        ad.release(out)
+        assert out.data is None and (out.shape, out.dtype) == (want.shape, np.dtype(dtype))
+        assert ad._value(out).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_relu_gradients_equal_an_unreleased_run(self, dtype):
+        grads = []
+        for released in (False, True):
+            rng = np.random.default_rng(5)
+            out, w = self.gemm(dtype, rng, batched=True)
+            act = relu(out)
+            if released:
+                ad.release(out)
+            backward(weighted_sum(act, rng.standard_normal(act.shape).astype(dtype)))
+            grads.append(w.grad.tobytes())
+        assert grads[0] == grads[1]
+
+    def test_relu_gradient_is_zero_at_negative_zero(self):
+        x = Tensor([-0.0, 0.0, 1e-30, -1e-30], requires_grad=True, dtype=np.float64)
+        backward(tsum(relu(x)))
+        assert x.grad.tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
 class TestGradCheck:
     """Every differentiable op against central differences, >= 10 seeds."""
 

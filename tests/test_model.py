@@ -808,12 +808,12 @@ class TestTrainingGraph:
         frames = (audio.shape[1] - cfg.frame_len) // cfg.frame_stride + 1
         wide = [t for t in graph_tensors(loss) if t._parents and t.shape == (cfg.block_channels, 4, frames)]
         held = [t for t in wide if t.data is not None]
-        # per block the in_conv and depthwise outputs, which the norms read; then the encoder's GEMM and ReLU
-        # outputs. The norm outputs are released once their forward readers have run, and no PReLU output is
-        # a tensor: the norms apply PReLU themselves
+        # per block the in_conv and depthwise outputs, which the norms read; then the encoder's ReLU output.
+        # The norm outputs and the encoder's GEMM output are released once their forward readers have run,
+        # and no PReLU output is a tensor: the norms apply PReLU themselves
         blocks = cfg.repeats * cfg.blocks_per_repeat
-        assert len(held) == 2 * blocks + 2 == 18
-        assert len(wide) - len(held) == 2 * blocks + 1  # each block's two norm outputs and the bottleneck norm's
+        assert len(held) == 2 * blocks + 1 == 17
+        assert len(wide) - len(held) == 2 * blocks + 2  # each block's two norm outputs, the bottleneck norm's, the GEMM's
 
     def test_a_micro_batch_peaks_within_25_mb(self):
         cfg = reduced_config()

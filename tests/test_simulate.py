@@ -2,6 +2,7 @@
 
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,29 @@ def reference_rir(monkeypatch, build, *args):
         return build(*args)
 
 
+def reference_image_source_rir(room, source, mic, fs):
+    """The image-source RIR with each octant's whole lattice held at once: the bit-exact oracle.
+
+    A frozen copy of the build that ``simulate.image_source_rir``'s slabs
+    replaced, depositing each octant's kept images with one
+    ``reference_deposit`` call.
+    """
+    src, mc, dims = np.asarray(source, float), np.asarray(mic, float), np.asarray(room.dims, float)
+    c, length, taps = room.sound_speed, int(np.ceil(room.t60 * fs)), 81
+    beta = -np.sqrt(1.0 - sabine_absorption(room))
+    h = np.zeros(length + 2 * taps)
+    axes_n = [np.arange(-o, o + 1) for o in np.ceil(c * room.t60 / (2.0 * dims)).astype(int)]
+    for par in np.ndindex(2, 2, 2):
+        coords = [(1 - 2 * par[ax]) * src[ax] + 2.0 * axes_n[ax] * dims[ax] - mc[ax] for ax in range(3)]
+        gains_ax = [beta ** (np.abs(axes_n[ax] + par[ax]) + np.abs(axes_n[ax])) for ax in range(3)]
+        d = np.sqrt(coords[0][:, None, None] ** 2 + coords[1][None, :, None] ** 2 + coords[2][None, None, :] ** 2)
+        g = gains_ax[0][:, None, None] * gains_ax[1][None, :, None] * gains_ax[2][None, None, :]
+        delays = (d / c * fs).reshape(-1)
+        keep = delays <= (length - 1) + (taps - 1) // 2
+        reference_deposit(h, delays[keep], g.reshape(-1)[keep] / d.reshape(-1)[keep])
+    return h[taps : taps + length]
+
+
 # at c = 320 m/s and 16 kHz the 1 m direct path lands on sample 50 exactly
 INTEGER_DELAY_ROOM = RoomSpec(dims=(5.0, 6.0, 3.5), t60=0.4, sound_speed=320.0)
 
@@ -186,6 +210,19 @@ class TestDepositParity:
         simulate._deposit(got, delays, gains)
         assert np.array_equal(got, want)
 
+    @pytest.mark.filterwarnings("error")
+    def test_exact_hits_on_both_near_taps_in_one_block(self):
+        # one block: 50 + 1e-13 puts t = -1e-13 on tap 39 (sign -1), 70 exactly puts t = 0 on tap 40 (sign +1);
+        # either way the sinc is 1, so a positive gain deposits ~ +1 at the delay's sample
+        delays, gains = np.array([50.0 + 1e-13, 70.0, 123.4]), np.array([1.0, 1.0, 0.5])
+        want = np.zeros(300)
+        reference_deposit(want, delays, gains)
+        got = np.zeros(300)
+        simulate._deposit(got, delays, gains)
+        assert np.array_equal(got, want)
+        guard = simulate.SINC_KERNEL_TAPS
+        assert got[guard + 50] == pytest.approx(1.0, abs=1e-6) and got[guard + 70] == pytest.approx(1.0, abs=1e-6)
+
     def test_worker_count_does_not_change_bits(self, monkeypatch, tmp_path):
         # RIRs are built one per core; each must match a serial build, and the dataset its bytes on one core
         dirs = [simulate.write_synthetic_corpus(tmp_path / name, 2, 4.0, 800, seed=i, kind=kind)
@@ -217,6 +254,62 @@ class TestDepositParity:
         assert len(built) >= 3
         for (dims, t60, speed, source, mic, fs), rir in built.items():
             assert np.array_equal(rir, image_source_rir(RoomSpec(dims, t60, speed), source, mic, fs))
+
+
+class TestLatticeSlabs:
+    """Each octant's lattice is built in slabs of x-planes; the RIR keeps the whole-lattice build's bits."""
+
+    @staticmethod
+    def kept_per_slab(monkeypatch, room, source, mic, fs):
+        """(the RIR, and per octant the number of images each slab kept)."""
+        octants = []
+        octant_images = simulate._octant_images
+
+        def recorded(*args):
+            octants.append([])
+            for delays, gains in octant_images(*args):
+                octants[-1].append(len(delays))
+                yield delays, gains
+
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "_octant_images", recorded)
+            rir = image_source_rir(room, source, mic, fs)
+        return rir, octants
+
+    @pytest.mark.parametrize(
+        "room,source,mic,fs,planes",
+        [
+            # 33 x-planes of 27 * 47 points: two slabs per octant, 25 planes and 8
+            (RoomSpec(dims=(10.0, 12.0, 7.0), t60=0.9), (2.5, 0.5, 2.0), (2.0, 1.08, 1.59), FS, 2),
+            # a thin duct: 3 x-planes of 189 * 189 points, each above the 8 * _IMAGE_CHUNK slab bound
+            (RoomSpec(dims=(60.0, 0.55, 0.55), t60=0.3), (1.0, 0.2, 0.3), (2.0, 0.3, 0.25), 800, 3),
+        ],
+        ids=["slab-ends-inside-a-chunk", "plane-above-the-bound"],
+    )
+    def test_slabs_keep_the_whole_lattice_bits(self, monkeypatch, room, source, mic, fs, planes):
+        got, octants = self.kept_per_slab(monkeypatch, room, source, mic, fs)
+        chunk = simulate._IMAGE_CHUNK
+        assert len(octants) == 8 and all(len(slabs) == planes for slabs in octants)
+        for slabs in octants:
+            ends = np.cumsum(slabs)
+            assert ends[-1] > chunk and ends[-1] % chunk  # several chunks, the last one partial
+            assert all(end % chunk for end in ends[:-1] if end)  # each slab ends inside a chunk
+        assert np.array_equal(got, reference_image_source_rir(room, source, mic, fs))
+
+    def test_a_long_rir_peaks_within_4_mb(self):
+        # the longest RIR the default grid builds; holding each octant's whole lattice peaked at 9.7 MB
+        grid = SceneGrid()
+        room = RoomSpec(dims=grid.room_dims, t60=max(grid.t60_values))
+        _, mic = grid._placement(2.5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            rir = image_source_rir(room, grid.expert_pos, mic, FS)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(rir) == int(np.ceil(0.9 * FS))
+        assert peak <= 4 * 2**20
 
 
 class TestRirCache:
