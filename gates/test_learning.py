@@ -2,17 +2,24 @@
 
     python3 -m pytest gates -q
 
-About a minute on two cores: ~20 s to simulate an 800 Hz 12/3/3 dataset
-and ~30 s to train a small network for 30 epochs. It is kept out of tier-1 (pytest's
-``testpaths`` is ``tests/``). Parity tests show that an optimisation
-computes the same function; this gate shows that gradients through it
-still train. It fails if any category's test-set precision or recall,
-as ``EvalReport`` reports them, drops below 80%.
+About two minutes on two cores: ~20 s to simulate an 800 Hz 12/3/3 dataset,
+then ~45 s per feature mode to train a small network for 30 epochs on it and
+evaluate it. It is kept out of tier-1 (pytest's ``testpaths`` is ``tests/``). Parity
+tests show that an optimisation computes the same function; this gate shows
+that gradients through it still train. It fails if any category's test-set
+precision or recall, as ``EvalReport`` reports them, drops below 80%.
+
+It trains the paper's multiscale network and the ``last_layer`` (plain-TCN)
+ablation on the same dataset. Over recipe seeds 0-4 the ablation reached a
+lower best validation loss than multiscale on one seed, so it is kept, and
+this gate is where it is read.
 """
+
+from dataclasses import replace
 
 import pytest
 
-from classvoice.model import CATEGORY_ORDER, ModelConfig
+from classvoice.model import CATEGORY_ORDER, FEATURES_MODES, ModelConfig
 from classvoice.simulate import Corpora, SceneGrid, generate_dataset, write_synthetic_corpus
 from classvoice.training import EvalReport, TrainConfig, evaluate, train
 
@@ -45,10 +52,11 @@ def dataset(tmp_path_factory):
     return generate_dataset(corpora, SceneGrid(), (12, 3, 3), root / "ds", seed=5, sample_rate=FS)
 
 
-def test_every_category_reaches_80_percent(dataset):
-    checkpoint, history = train(SMALL, RECIPE, dataset["train"], dataset["valid"])
+@pytest.mark.parametrize("features_mode", FEATURES_MODES)
+def test_every_category_reaches_80_percent(dataset, features_mode):
+    checkpoint, history = train(replace(SMALL, features_mode=features_mode), RECIPE, dataset["train"], dataset["valid"])
     report: EvalReport = evaluate(checkpoint, dataset["test"])
-    print(f"\nvalid loss {history[0].valid_loss:.3f} -> {checkpoint.metadata['best_valid_loss']:.3f}")
+    print(f"\n{features_mode}: valid loss {history[0].valid_loss:.3f} -> {checkpoint.metadata['best_valid_loss']:.3f}")
     print(report.render_text())
     for category in CATEGORY_ORDER:
         name = category.name.capitalize()

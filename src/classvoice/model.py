@@ -64,8 +64,9 @@ chunks, one per core, about one layer apart (``window_probs``). Chunk i
 takes from chunk i-1, as each of its causal ops reaches it, that op's
 carry: the bottleneck's and each block's two cLNs' step count and channel
 sum and square sum prefixes, each depthwise conv's last (K-1)*dilation
-input frames, and each block's pooling so far (``_Chunk.pool``). The
-probabilities are the whole window's, bit for bit.
+input frames, and each block's pooling so far (``_Chunk.pool``), which
+continues ``tmean``'s block-ordered time sum. The probabilities are the
+whole window's, bit for bit.
 """
 
 from __future__ import annotations
@@ -357,7 +358,7 @@ class MultiScaleTCN:
             raise ShapeError(
                 f"bottleneck expects {c.enc_channels} channels, got {w.shape[0]}"
             )
-        x = self._norm(w, "bottleneck.norm", **_carried(chunk))
+        x = self._norm(w, "bottleneck.norm", carry=chunk)
         out = ad.conv1d(x, self.params["bottleneck.conv.weight"], self.params["bottleneck.conv.bias"])
         ad.release(x)  # read by the conv only: a training backward rebuilds it
         return out
@@ -389,7 +390,7 @@ class MultiScaleTCN:
         pre = f"block.{repeat_idx}.{block_idx}"
         dilation = 2**block_idx
         h = ad.conv1d(x, self.params[f"{pre}.in_conv.weight"], self.params[f"{pre}.in_conv.bias"])
-        normed = self._norm(h, f"{pre}.norm1", self.params[f"{pre}.prelu1.alpha"], **_carried(chunk))
+        normed = self._norm(h, f"{pre}.norm1", self.params[f"{pre}.prelu1.alpha"], carry=chunk)
         h = ad.conv1d(
             normed,
             self.params[f"{pre}.dw_conv.weight"],
@@ -399,7 +400,7 @@ class MultiScaleTCN:
             carry=chunk,
         )
         ad.release(normed)
-        h = self._norm(h, f"{pre}.norm2", self.params[f"{pre}.prelu2.alpha"], **_carried(chunk))
+        h = self._norm(h, f"{pre}.norm2", self.params[f"{pre}.prelu2.alpha"], carry=chunk)
         final = (repeat_idx, block_idx) == (c.repeats - 1, c.blocks_per_repeat - 1)
         res = skip = None
         if not final:
@@ -475,14 +476,14 @@ class MultiScaleTCN:
         square sum prefixes, and each depthwise conv's last (K-1)*dilation
         input frames. Chunk i takes each carry once chunk i-1 has posted it,
         so the chunks run about one layer apart. The pooled features need
-        every frame, so the chunks hand their pooling on too (``_Chunk.pool``)
-        and the last chunk runs the skip convs and the classifier. Chunk 0
-        never waits, and ``map_in_order`` starts the chunks in order, so the
-        call finishes however the chunks land on threads. Every GEMM of the
-        call, from the encoder's to the classifier's, runs in a chunk, so
-        BLAS is held at one thread for all of them (see ``cores``). Each
-        chunk's columns, and the probabilities, are the whole window's, bit
-        for bit.
+        every frame, so the chunks hand their pooling on too (``_Chunk.pool``,
+        the ``ad.time_sum`` so far) and the last chunk runs the skip convs and
+        the classifier. Chunk 0 never waits, and ``map_in_order`` starts the
+        chunks in order, so the call finishes however the chunks land on
+        threads. Every GEMM of the call, from the encoder's to the
+        classifier's, runs in a chunk, so BLAS is held at one thread for all
+        of them (see ``cores``). Each chunk's columns, and the probabilities,
+        are the whole window's, bit for bit.
 
         A batch, a trainable model, a window too short to cut, one usable
         core, or a BLAS that cannot be pinned runs the window whole.
@@ -498,11 +499,6 @@ class MultiScaleTCN:
         for span in spans:
             chunks.append(_Chunk(span, frames, chunks[-1] if chunks else None, ready))
         return cores.map_in_order(lambda chunk: chunk.run(self, audio), chunks)[-1]
-
-
-def _carried(chunk: "_Chunk | None") -> dict:
-    """``MultiScaleTCN._norm``'s carry argument: passed only for a time chunk."""
-    return {} if chunk is None else {"carry": chunk}
 
 
 # a chunk starts at a multiple of this many frames. numpy's SIMD loops and
@@ -535,61 +531,6 @@ def _time_chunks(frames: int, workers: int, config: ModelConfig) -> list[tuple[i
     return [(0, frames)]
 
 
-# numpy sums a row of more than this many values as two parts, the first of
-# n//2 values rounded down to a multiple of 8, and a row of at most this many
-# in one unrolled loop (its pairwise summation's PW_BLOCKSIZE)
-_PAIRWISE_BLOCK = 128
-
-
-def _pairwise_split(lo: int, hi: int) -> int | None:
-    """Where numpy's pairwise sum splits the values lo..hi of a row; None for a leaf, which it sums in one loop."""
-    if hi - lo <= _PAIRWISE_BLOCK:
-        return None
-    half = (hi - lo) // 2
-    return lo + half - half % 8
-
-
-def _pooling_plan(lo: int, hi: int, frames: int) -> list[tuple[int, int]]:
-    """The nodes (a, b) of numpy's pairwise sum of a ``frames``-value row that a chunk lo..hi takes part in, in order.
-
-    Each is a node inside the chunk whose parent is not, or a leaf that one
-    of the chunk's ends cuts.
-    """
-    plan = []
-
-    def visit(a, b):
-        if b <= lo or hi <= a:
-            return
-        mid = _pairwise_split(a, b)
-        if lo <= a and b <= hi or mid is None:
-            plan.append((a, b))
-        else:
-            visit(a, mid)
-            visit(mid, b)
-
-    visit(0, frames)
-    return plan
-
-
-def _node_sum(sums: dict, a: int, b: int) -> np.ndarray:
-    """The pairwise sum of values a..b of the rows, from the node sums in ``sums``: numpy's additions, in its order."""
-    if (a, b) in sums:
-        return sums[a, b]
-    mid = _pairwise_split(a, b)
-    return _node_sum(sums, a, mid) + _node_sum(sums, mid, b)
-
-
-def _window_mean(sums: dict, frames: int) -> np.ndarray:
-    """numpy's mean of ``frames``-value rows, bit for bit, from node sums of its pairwise sum that cover the rows.
-
-    numpy's mean is its row sum, started from 0, divided by the count as an
-    intp.
-    """
-    total = np.zeros_like(next(iter(sums.values())))
-    total += _node_sum(sums, 0, frames)
-    return np.true_divide(total, np.intp(frames), out=total, casting="unsafe")
-
-
 class _ChunkAbandoned(RuntimeError):
     """The chunk before this one failed, so this one cannot go on; the earlier chunk's error is raised."""
 
@@ -607,7 +548,6 @@ class _Chunk:
     def __init__(self, span, frames: int, before: "_Chunk | None", ready: threading.Condition):
         self.span, self.frames, self.before = span, frames, before
         self.last = span[1] == frames
-        self.plan = _pooling_plan(*span, frames)
         self._ready = ready  # one per window, shared by its chunks
         self._posted: list = []
         self._taken = 0
@@ -647,28 +587,19 @@ class _Chunk:
     def pool(self, h: Tensor) -> Tensor | None:
         """The window's ``ad.tmean(h, keepdims=True)``, bit for bit, in the last chunk; None in the others.
 
-        numpy's mean sums each row pairwise (``_pairwise_split``). Each
-        chunk adds to the node sums of the chunks before it the sums of its
-        own nodes (``_pooling_plan``). A leaf that the chunk's end cuts,
-        at most ``_PAIRWISE_BLOCK`` columns, goes on to the next chunk as
-        columns, to be summed whole where it ends.
+        ``tmean`` sums each row in blocks of ``ad.TIME_BLOCK`` frames from
+        the window's first (``ad.time_sum``). A chunk continues the chunks'
+        total before it over the whole blocks it reaches and hands that on,
+        with the columns of the block its end cuts; the last chunk sums the
+        rest and divides by the window's frame count.
         """
-        sums, head = self.take() or ({}, None)
-        lo, hi = self.span
-        tail = None
-        for a, b in self.plan:
-            part = h.data[:, max(a, lo) - lo : min(b, hi) - lo]
-            if a < lo:  # a leaf that the chunks before began
-                part = np.concatenate([head, part], axis=1)
-            if b > hi:  # a leaf that the chunks after finish
-                tail = part.copy()
-            else:
-                sums[a, b] = part.sum(axis=-1, keepdims=True)
-        if not self.last:
-            self.post((sums, tail))
-            return None
-        mean = _window_mean(sums, self.frames)
-        return Tensor(mean, dtype=mean.dtype)
+        total, head = self.take() or (None, None)
+        rows = h.data if head is None else np.concatenate([head, h.data], axis=-1)  # from a block's start
+        if self.last:
+            return Tensor(ad.time_sum(rows, total) / self.frames)
+        whole = rows.shape[-1] - self.span[1] % ad.TIME_BLOCK
+        self.post((ad.time_sum(rows[..., :whole], total), rows[..., whole:].copy()))
+        return None
 
 
 # ---------------------------------------------------------------------------

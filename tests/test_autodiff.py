@@ -1066,6 +1066,43 @@ class TestCarries:
             conv1d(x, w, bias, carry=Relay())
 
 
+def time_rows(shape, dtype):
+    rng = np.random.default_rng(shape[-1])
+    return (rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape[:-1] + (1,))).astype(dtype)
+
+
+SHAPES = [(5, 1), (5, 255), (5, 1000), (5, 3, 1), (5, 3, 600)]
+
+
+class TestTimeSum:
+    """``time_sum`` adds ``TIME_BLOCK``-step block sums in order, so a row cut at block edges sums to the whole row's bits."""
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_continued_over_block_aligned_pieces(self, shape, dtype):
+        a = time_rows(shape, dtype)
+        t, want = shape[-1], ad.time_sum(a)
+        assert want.shape == shape[:-1] + (1,) and want.dtype == dtype
+        for step in (ad.TIME_BLOCK, 2 * ad.TIME_BLOCK):
+            total = None
+            for lo in range(0, t, step):
+                total = ad.time_sum(a[..., lo : lo + step], total)
+            assert total.tobytes() == want.tobytes(), step
+        # an empty piece hands the total on as it is
+        assert ad.time_sum(a[..., :0], want) is want
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    def test_tmean_is_time_sum_over_steps(self, shape, dtype):
+        a = time_rows(shape, dtype)
+        want = ad.time_sum(a) / shape[-1]
+        assert ad.tmean(Tensor(a), keepdims=True).data.tobytes() == want.tobytes()
+        got = ad.tmean(Tensor(a))
+        assert got.shape == shape[:-1] and got.data.tobytes() == want.tobytes()
+        if shape[-1] <= ad.TIME_BLOCK:  # one block: numpy's own sum, so numpy's mean
+            assert got.data.tobytes() == a.mean(axis=-1).tobytes()
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         p = Tensor(np.array([1.0, -2.0, 3.0]))

@@ -230,7 +230,7 @@ def without_norms(model):
     receptive field. A norm that a block fuses with its PReLU keeps the
     PReLU.
     """
-    model._norm = lambda x, prefix, alpha=None: x if alpha is None else ad.prelu(x, alpha)
+    model._norm = lambda x, prefix, alpha=None, carry=None: x if alpha is None else ad.prelu(x, alpha)
     return model
 
 

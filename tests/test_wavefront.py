@@ -194,7 +194,7 @@ class TestTimeChunks:
 
 
 class TestPooling:
-    """Chunks pool a window with ``tmean``'s bits, however it is cut: this pins numpy's pairwise row sum."""
+    """Chunks pool a window with ``tmean``'s bits, however it is cut, including cuts inside a ``TIME_BLOCK``."""
 
     @pytest.mark.parametrize("frames", [129, 200, 599, 1199])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
